@@ -8,7 +8,6 @@ a feed-forward head regressing the pose offset (dx, dy, dphi).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,23 +76,34 @@ class ModelParams:
         return sum(t.data.size for t in self.tensors.values())
 
 
+BLOCKS = ("local", "global")
+
+
 def _rff_shapes(widths: list[int]) -> list[tuple[int, int]]:
     return list(zip(widths[:-1], widths[1:]))
 
 
-def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
-    """Shape of every named parameter array for a configuration."""
+def param_shapes(cfg: NetConfig, per_head: bool = False) -> dict[str, tuple[int, int]]:
+    """Shape of every named parameter array for a configuration.
+
+    Each block keeps one fused (d, d) `{block}.q/k/v` projection, head i in
+    columns i*d/h ... (i+1)*d/h - 1. per_head=True gives the per-head layout
+    of format-1 checkpoints instead: (d, d/h) arrays `{block}.q{i}/k{i}/v{i}`.
+    """
     d, dh = cfg.d_m, cfg.d_m // cfg.heads
     shapes: dict[str, tuple[int, int]] = {}
     for prefix, width_in in (("embed_m", 2), ("embed_l", cfg.feature_width)):
         for i, (fi, fo) in enumerate(_rff_shapes([width_in, cfg.rff_hidden, d])):
             shapes[f"{prefix}.w{i}"] = (fi, fo)
             shapes[f"{prefix}.b{i}"] = (1, fo)
-    for block in ("local", "global"):
-        for i in range(cfg.heads):
-            shapes[f"{block}.q{i}"] = (d, dh)
-            shapes[f"{block}.k{i}"] = (d, dh)
-            shapes[f"{block}.v{i}"] = (d, dh)
+    for block in BLOCKS:
+        if per_head:
+            for i in range(cfg.heads):
+                for p in "qkv":
+                    shapes[f"{block}.{p}{i}"] = (d, dh)
+        else:
+            for p in "qkv":
+                shapes[f"{block}.{p}"] = (d, d)
         shapes[f"{block}.out"] = (d, d)
         shapes[f"{block}.ln1.g"] = (1, d)
         shapes[f"{block}.ln1.b"] = (1, d)
@@ -111,39 +121,48 @@ def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
     return shapes
 
 
-def init_params(cfg: NetConfig, seed: int | None = None) -> ModelParams:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains, s_* = 0."""
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    tensors: dict[str, Tensor] = {}
-    for name, (r, c) in param_shapes(cfg).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf.startswith("w") or leaf.startswith("q") or leaf.startswith("k") or leaf.startswith("v") or leaf == "out":
-            arr = ad.glorot_uniform(rng, r, c)
-        elif leaf == "g":
-            arr = np.ones((r, c))
-        else:  # biases, layer-norm shifts, s_tran, s_rot
-            arr = np.zeros((r, c))
-        tensors[name] = Tensor(arr)
-    return ModelParams(cfg, tensors)
+def fuse_heads(arrays: dict[str, np.ndarray], heads: int) -> dict[str, np.ndarray]:
+    """Per-head layout to fused layout: `{block}.q0 ... q{h-1}` side by side become `{block}.q`.
 
-
-@dataclass
-class NeighborGroup:
-    """k nearest landmarks of one measurement.
-
-    indices: landmark indices, nearest first. features: per neighbor
-    (dx, dy, distance) relative to the measurement, vehicle frame.
+    Likewise k and v; every other array passes through, in the same order.
     """
+    fused = {}
+    for name, arr in arrays.items():
+        block, _, leaf = name.rpartition(".")
+        if block not in BLOCKS or leaf == "out":
+            fused[name] = arr
+        elif leaf[1:] == "0":
+            fused[f"{block}.{leaf[0]}"] = np.concatenate(
+                [arrays[f"{block}.{leaf[0]}{i}"] for i in range(heads)], axis=1)
+    return fused
 
-    indices: np.ndarray
-    features: np.ndarray
+
+def init_params(cfg: NetConfig, seed: int | None = None) -> ModelParams:
+    """Glorot-uniform weights, zero biases, unit layer-norm gains, s_* = 0.
+
+    The q/k/v projections are drawn per head at (d, d/h), then fused.
+    """
+    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    arrays: dict[str, np.ndarray] = {}
+    for name, (r, c) in param_shapes(cfg, per_head=True).items():
+        leaf = name.rsplit(".", 1)[-1]
+        if leaf[0] in "wqkv" or leaf == "out":
+            arrays[name] = ad.glorot_uniform(rng, r, c)
+        elif leaf == "g":
+            arrays[name] = np.ones((r, c))
+        else:  # biases, layer-norm shifts, s_tran, s_rot
+            arrays[name] = np.zeros((r, c))
+    return ModelParams(cfg, {name: Tensor(arr) for name, arr in fuse_heads(arrays, cfg.heads).items()})
 
 
-def knn_group(measurements, landmarks, k: int) -> list[NeighborGroup]:
+def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Group the k nearest landmarks (ascending distance) per measurement.
 
-    Ties break toward the lower landmark index. When fewer than k landmarks
-    exist, the sorted neighbor list repeats cyclically to length k.
+    Returns (indices, features): indices is (nu, k), landmark indices nearest
+    first; features is (nu*k, 3), per neighbor (dx, dy, distance) relative to
+    its measurement in the vehicle frame, measurement i in rows i*k ...
+    i*k+k-1. Ties break toward the lower landmark index. When fewer than k
+    landmarks exist, the sorted neighbor list repeats cyclically to length k.
     """
     m = as_points(measurements)
     lm = as_points(landmarks)
@@ -151,52 +170,33 @@ def knn_group(measurements, landmarks, k: int) -> list[NeighborGroup]:
         raise ValueError("knn_group needs at least one measurement and one landmark")
     if k < 1:
         raise ValueError("k must be >= 1")
-    groups = []
-    for row in m:
-        delta = lm - row
-        dist = np.hypot(delta[:, 0], delta[:, 1])
-        order = np.argsort(dist, kind="stable")
-        idx = order[np.arange(k) % lm.shape[0]]
-        feats = np.column_stack((delta[idx], dist[idx]))
-        groups.append(NeighborGroup(indices=idx, features=feats))
-    return groups
+    delta = lm[None, :, :] - m[:, None, :]  # (nu, L, 2)
+    dist = np.hypot(delta[..., 0], delta[..., 1])
+    idx = np.argsort(dist, axis=1, kind="stable")[:, np.arange(k) % lm.shape[0]]
+    rows = np.arange(m.shape[0])[:, None]
+    feats = np.concatenate((delta[rows, idx], dist[rows, idx][..., None]), axis=2)
+    return idx, feats.reshape(-1, 3)
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(Q K^T / sqrt(d)) V."""
-    if q.shape[1] != k.shape[1]:
-        raise ValueError(f"query/key widths disagree: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ValueError(f"key/value counts disagree: {k.shape} vs {v.shape}")
-    scores = (q @ k.t()) * (1.0 / math.sqrt(q.shape[1]))
-    return ad.softmax_rows(scores) @ v
+def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor:
+    """Row-wise feed-forward net: `layers` affine maps with ReLU between them."""
+    for i in range(layers):
+        x = x @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"]
+        if i < layers - 1:
+            x = x.relu()
+    return x
 
 
-def multi_head(x: Tensor, y: Tensor, params: ModelParams, block: str) -> Tensor:
-    """h parallel attention heads at width d/h, concatenated and projected."""
-    heads = []
-    for i in range(params.config.heads):
-        q = x @ params[f"{block}.q{i}"]
-        k = y @ params[f"{block}.k{i}"]
-        v = y @ params[f"{block}.v{i}"]
-        heads.append(scaled_dot_attention(q, k, v))
-    return ad.concat(heads, axis=1) @ params[f"{block}.out"]
+def mha_block(x: Tensor, y: Tensor, params: ModelParams, block: str, group: int | None = None) -> Tensor:
+    """Set Transformer MAB: LayerNorm(S + rFF(S)), S = LayerNorm(X + Multihead(X, Y, Y)).
 
-
-def _block_rff(s: Tensor, params: ModelParams, block: str) -> Tensor:
-    h = (s @ params[f"{block}.ff.w0"] + params[f"{block}.ff.b0"]).relu()
-    return h @ params[f"{block}.ff.w1"] + params[f"{block}.ff.b1"]
-
-
-def mha_block(x: Tensor, y: Tensor, params: ModelParams, block: str) -> Tensor:
-    """Attention block: LayerNorm(S + rFF(S)), S = LayerNorm(X + Multihead(X, Y, Y))."""
-    s = ad.layer_norm(x + multi_head(x, y, params, block), params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
-    return ad.layer_norm(s + _block_rff(s, params, block), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
-
-
-def _embed(x: Tensor, params: ModelParams, prefix: str) -> Tensor:
-    h = (x @ params[f"{prefix}.w0"] + params[f"{prefix}.b0"]).relu()
-    return h @ params[f"{prefix}.w1"] + params[f"{prefix}.b1"]
+    group=None: every row of x attends to all rows of y. group=g: row i of x
+    attends only to rows i*g ... i*g+g-1 of y.
+    """
+    att = ad.attention(x @ params[f"{block}.q"], y @ params[f"{block}.k"], y @ params[f"{block}.v"],
+                       params.config.heads, group)
+    s = ad.layer_norm(x + att @ params[f"{block}.out"], params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
+    return ad.layer_norm(s + _rff(s, params, f"{block}.ff"), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
 
 
 def local_attention(measurements, landmarks, params: ModelParams) -> Tensor:
@@ -205,28 +205,17 @@ def local_attention(measurements, landmarks, params: ModelParams) -> Tensor:
     Row i depends only on measurement i and its neighbor group, so rows
     permute exactly as the measurements do. All groups share the block
     weights and have exactly k members, so the per-measurement blocks run
-    as one batched block-diagonal attention; the result equals applying
-    mha_block to each (query, neighbor) pair separately.
+    as one grouped block; the result equals applying mha_block to each
+    (query, neighbor group) pair separately.
     """
     cfg = params.config
     m = as_points(measurements)
-    groups = knn_group(m, landmarks, cfg.k)
-    feats = np.concatenate([g.features for g in groups], axis=0)
+    _, feats = knn_group(m, landmarks, cfg.k)
     if cfg.neighbor_features == "distance":
         feats = feats[:, 2:3]
-    queries = _embed(Tensor(m), params, "embed_m")  # (nu, d)
-    neighbors = _embed(Tensor(feats), params, "embed_l")  # (nu*k, d)
-    heads = []
-    scale = 1.0 / math.sqrt(cfg.d_m // cfg.heads)
-    for i in range(cfg.heads):
-        q = queries @ params[f"local.q{i}"]
-        kk = neighbors @ params[f"local.k{i}"]
-        vv = neighbors @ params[f"local.v{i}"]
-        w = ad.softmax_rows(ad.grouped_scores(q, kk, cfg.k) * scale)
-        heads.append(ad.grouped_mix(w, vv))
-    mh = ad.concat(heads, axis=1) @ params["local.out"]
-    s = ad.layer_norm(queries + mh, params["local.ln1.g"], params["local.ln1.b"])
-    return ad.layer_norm(s + _block_rff(s, params, "local"), params["local.ln2.g"], params["local.ln2.b"])
+    queries = _rff(Tensor(m), params, "embed_m")  # (nu, d)
+    neighbors = _rff(Tensor(feats), params, "embed_l")  # (nu*k, d)
+    return mha_block(queries, neighbors, params, "local", cfg.k)
 
 
 def forward(measurements, landmarks, params: ModelParams) -> Tensor:
@@ -237,12 +226,7 @@ def forward(measurements, landmarks, params: ModelParams) -> Tensor:
     """
     local = local_attention(measurements, landmarks, params)
     glob = mha_block(local, local, params, "global")
-    h = ad.max_pool_rows(glob)
-    n_layers = len(params.config.head_hidden) + 1
-    for i in range(n_layers):
-        h = h @ params[f"head.w{i}"] + params[f"head.b{i}"]
-        if i < n_layers - 1:
-            h = h.relu()
+    h = _rff(ad.max_pool_rows(glob), params, "head", len(params.config.head_hidden) + 1)
     if not np.all(np.isfinite(h.data)):
         raise FloatingPointError("network output is not finite")
     return h

@@ -9,6 +9,7 @@ forward/backward pass; leaf values must not be mutated mid-pass.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -202,17 +203,32 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
     return out
 
 
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis with per-row max subtraction for stability.
+
+    Both softmax helpers reduce over a 2D (rows, last) view: numpy may sum a
+    short axis in another order when the array has more dimensions, and a
+    stack of score matrices should round exactly like the same rows in one
+    matrix.
+    """
+    rows = x.reshape(-1, x.shape[-1])
+    e = np.exp(rows - rows.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).reshape(x.shape)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient through y = softmax(x) over the last axis: y * (g - sum_j g_j y_j)."""
+    y2, g2 = y.reshape(-1, y.shape[-1]), g.reshape(-1, y.shape[-1])
+    return (y2 * (g2 - (g2 * y2).sum(axis=1, keepdims=True))).reshape(y.shape)
+
+
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = _softmax(x.data)
     out = Tensor._make(y, (x,))
 
     def _bw(g):
-        # dL/dx = y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
-        x._accum(y * (g - dot))
+        x._accum(_softmax_grad(y, g))
 
     out._backward = _bw
     return out
@@ -244,41 +260,69 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     return out
 
 
-def grouped_scores(q: Tensor, k: Tensor, group: int) -> Tensor:
-    """Block-diagonal dot products: scores[i, j] = q[i] . k[i*group + j].
+def _split_heads(x: np.ndarray, heads: int, block_rows: int) -> np.ndarray:
+    """View (rows, d) as (rows/block_rows, heads, block_rows, d/h): every head of every block of rows."""
+    rows, d = x.shape
+    return x.reshape(rows // block_rows, block_rows, heads, d // heads).transpose(0, 2, 1, 3)
 
-    q is (n, d) and k is (n*group, d); row i of the output scores row i of
-    q against its own group of k rows only.
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of _split_heads: blocks back in row order, heads side by side in the columns."""
+    blocks, heads, block_rows, dh = x.shape
+    return x.transpose(0, 2, 1, 3).reshape(blocks * block_rows, heads * dh)
+
+
+# The three contractions of attention on per-head stacks: (dot) scores from
+# queries and keys, (mix) weighted sums of the values, and (outer) the
+# weight-by-row products that carry gradients back to the keys and values.
+# Global mode runs them as batched BLAS matmuls; grouped mode, with many tiny
+# per-group matrices, as einsum loops.
+_GLOBAL_CONTRACTIONS = (
+    lambda a, b: a @ b.swapaxes(-1, -2),
+    np.matmul,
+    lambda w, a: w.swapaxes(-1, -2) @ a,
+)
+_GROUPED_CONTRACTIONS = tuple(
+    functools.partial(np.einsum, spec) for spec in ("nhqc,nhgc->nhqg", "nhqg,nhgc->nhqc", "nhqg,nhqc->nhgc")
+)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention, heads side by side in the columns.
+
+    q is (n, d); k and v have equal shapes and width d, which heads must
+    divide. Head j uses columns j*d/h ... (j+1)*d/h - 1 of q, k and v and
+    computes softmax(Q_j K_j^T / sqrt(d/h)) V_j; the (n, d) output holds the
+    heads in the same columns. group=None: every query attends to all rows of
+    k. group=g: k has n*g rows and query i attends only to rows
+    i*g ... i*g+g-1.
     """
     n, d = q.shape
-    if k.shape != (n * group, d):
-        raise ValueError(f"grouped keys must be ({n * group}, {d}), got {k.shape}")
-    kk = k.data.reshape(n, group, d)
-    out = Tensor._make(np.einsum("id,igd->ig", q.data, kk), (q, k))
+    if k.shape[1] != d or v.shape != k.shape:
+        raise ValueError(f"attention needs equal widths and key/value shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
+    if heads < 1 or d % heads != 0:
+        raise ValueError(f"heads ({heads}) must divide the width ({d})")
+    if n < 1 or k.shape[0] < 1:
+        raise ValueError("attention needs at least one query and one key")
+    if group is not None and (group < 1 or k.shape[0] != n * group):
+        raise ValueError(f"grouped keys must have n*group = {n}*{group} rows, got {k.shape[0]}")
+    scale = 1.0 / math.sqrt(d // heads)
+    dot, mix, outer = _GLOBAL_CONTRACTIONS if group is None else _GROUPED_CONTRACTIONS
+    # one block of all rows, or in grouped mode a block per query and per key group
+    q_rows, kv_rows = (n, k.shape[0]) if group is None else (1, group)
+    qh = _split_heads(q.data, heads, q_rows)
+    kh = _split_heads(k.data, heads, kv_rows)
+    vh = _split_heads(v.data, heads, kv_rows)
+    w = _softmax(dot(qh, kh) * scale)
+    out = Tensor._make(_merge_heads(mix(w, vh)), (q, k, v))
 
     def _bw(g):
-        q._accum(np.einsum("ig,igd->id", g, kk))
-        k._accum(np.einsum("ig,id->igd", g, q.data).reshape(n * group, d))
-
-    out._backward = _bw
-    return out
-
-
-def grouped_mix(w: Tensor, v: Tensor) -> Tensor:
-    """Per-group weighted sums: out[i] = sum_j w[i, j] * v[i*group + j].
-
-    w is (n, group) attention weights, v is (n*group, d) values.
-    """
-    n, group = w.shape
-    if v.shape[0] != n * group:
-        raise ValueError(f"grouped values must have {n * group} rows, got {v.shape[0]}")
-    d = v.shape[1]
-    vv = v.data.reshape(n, group, d)
-    out = Tensor._make(np.einsum("ig,igd->id", w.data, vv), (w, v))
-
-    def _bw(g):
-        w._accum(np.einsum("id,igd->ig", g, vv))
-        v._accum(np.einsum("ig,id->igd", w.data, g).reshape(n * group, d))
+        gh = _split_heads(g, heads, q_rows)
+        gw = dot(gh, vh)
+        gs = _softmax_grad(w, gw) * scale
+        q._accum(_merge_heads(mix(gs, kh)))
+        k._accum(_merge_heads(outer(gs, qh)))
+        v._accum(_merge_heads(outer(w, gh)))
 
     out._backward = _bw
     return out

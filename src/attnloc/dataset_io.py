@@ -17,7 +17,9 @@ import numpy as np
 from . import attention_net as net
 from .geometry import Pose
 
-CHECKPOINT_VERSION = 1
+# 2: fused (d, d) q/k/v projections per block. 1: per-head (d, d/h) arrays,
+# still loaded by concatenating them in head order.
+CHECKPOINT_VERSION = 2
 
 
 class SceneFormatError(ValueError):
@@ -44,9 +46,10 @@ class Scene:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write text via a temp file plus rename; line ends are written as given."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -144,7 +147,7 @@ def load_checkpoint(path: str) -> net.ModelParams:
         except json.JSONDecodeError as exc:
             raise CheckpointFormatError(f"{path}: {exc}") from exc
     version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"{path}: unsupported format_version {version!r}")
     raw_cfg = doc.get("config")
     if not isinstance(raw_cfg, dict):
@@ -165,11 +168,11 @@ def load_checkpoint(path: str) -> net.ModelParams:
     arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
         raise CheckpointFormatError(f"{path}: missing arrays")
-    expected = net.param_shapes(cfg)
+    expected = net.param_shapes(cfg, per_head=version == 1)
     missing = sorted(set(expected) - set(arrays))
     if missing:
         raise CheckpointFormatError(f"{path}: missing array {missing[0]!r}")
-    tensors = {}
+    loaded = {}
     for name, shape in expected.items():
         entry = arrays[name]
         got = tuple(entry.get("shape", ()))
@@ -178,5 +181,7 @@ def load_checkpoint(path: str) -> net.ModelParams:
         data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != shape[0] * shape[1]:
             raise CheckpointFormatError(f"{path}: array {name!r} has {data.size} values, expected {shape[0] * shape[1]}")
-        tensors[name] = net.Tensor(data.reshape(shape))
-    return net.ModelParams(cfg, tensors)
+        loaded[name] = data.reshape(shape)
+    if version == 1:
+        loaded = net.fuse_heads(loaded, cfg.heads)
+    return net.ModelParams(cfg, {name: net.Tensor(arr) for name, arr in loaded.items()})

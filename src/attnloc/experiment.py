@@ -8,6 +8,7 @@ report.json, timing.json and optionally trace.svg.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -20,7 +21,7 @@ from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, save_checkpoint, save_scenes
-from .geometry import Pose, correct_pose, offset_pose, utm_to_vehicle, wrap_angle
+from .geometry import Pose, correct_pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, gps_inference
 from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, query_fov, save_map
 from .metrics import EvalReport, LatencyStats
@@ -166,9 +167,7 @@ def drive_trajectory(d: DriveConfig, start: Pose = Pose(0.0, 0.0, 0.0)) -> list[
     poses = [start]
     for duration, omega_deg in d.segments:
         steps = int(round(duration / d.dt))
-        omega = math.radians(omega_deg)
-        for _ in range(steps):
-            poses.append(simulator.ctrv_step(poses[-1], d.v, omega, d.dt))
+        poses += simulator.generate_trajectory(d.v, math.radians(omega_deg), d.dt, steps, poses[-1])[1:]
     return poses
 
 
@@ -184,26 +183,20 @@ def build_drive_map(poses: list[Pose], d: DriveConfig, sim_cfg: simulator.SimCon
         prev = pose
         if dist >= next_drop:
             n_pts = 1 + int(rng.poisson(d.cluster_rate))
-            local = _cluster_points(sim_cfg, n_pts, rng)
-            pts.append(np.asarray([[pose.x, pose.y]]) + local @ _rot(pose.phi).T)
+            take = dataclasses.replace(sim_cfg, nu_min=n_pts, nu_max=n_pts, lambda_clutter=0.0,
+                                       lambda_miss=0.0, sigma_noise=0.0)
+            local = simulator.sample_landmarks(take, rng)
+            pts.append(np.asarray([[pose.x, pose.y]]) + local @ rotation(pose.phi).T)
             next_drop += d.cluster_spacing_m
     allpts = np.vstack(pts)
     return LandmarkMap(np.arange(allpts.shape[0]), allpts)
 
 
-def _rot(phi: float) -> np.ndarray:
-    c, s = math.cos(phi), math.sin(phi)
-    return np.array([[c, -s], [s, c]])
-
-
-def _cluster_points(sim_cfg: simulator.SimConfig, n: int, rng: np.random.Generator) -> np.ndarray:
-    take = simulator.SimConfig(
-        distribution=sim_cfg.distribution, mu=sim_cfg.mu, sigma=sim_cfg.sigma,
-        mu1=sim_cfg.mu1, mu2=sim_cfg.mu2, sigma1=sim_cfg.sigma1, sigma2=sim_cfg.sigma2,
-        lambda2=sim_cfg.lambda2, nu_min=n, nu_max=n,
-        lambda_clutter=0.0, lambda_miss=0.0, sigma_noise=0.0,
-        clutter_lo=sim_cfg.clutter_lo, clutter_hi=sim_cfg.clutter_hi, seed=sim_cfg.seed)
-    return simulator.sample_landmarks(take, rng)
+def _visible(lmap: LandmarkMap, pose: Pose, d: DriveConfig) -> np.ndarray:
+    """Map landmarks inside the forward sensor box of a pose, in the vehicle frame."""
+    local = utm_to_vehicle(lmap.points, pose)
+    return local[(local[:, 0] >= 0.0) & (local[:, 0] <= d.sensor_range_m)
+                 & (np.abs(local[:, 1]) <= d.sensor_half_width_m)]
 
 
 def drive_frames(poses: list[Pose], lmap: LandmarkMap, d: DriveConfig,
@@ -213,9 +206,7 @@ def drive_frames(poses: list[Pose], lmap: LandmarkMap, d: DriveConfig,
     frames = []
     for i, pose in enumerate(poses):
         rng = simulator.scene_rng(seed, i)
-        local = utm_to_vehicle(lmap.points, pose)
-        visible = local[(local[:, 0] >= 0.0) & (local[:, 0] <= d.sensor_range_m)
-                        & (np.abs(local[:, 1]) <= d.sensor_half_width_m)]
+        visible = _visible(lmap, pose, d)
         if visible.shape[0] < 3:
             continue
         meas = simulator.degrade(visible, sim_cfg, rng)
@@ -233,9 +224,7 @@ def map_backed_scenes(lmap: LandmarkMap, poses: list[Pose], d: DriveConfig,
     while len(out) < n and guard < 20 * n:
         guard += 1
         pose = poses[int(rng.integers(len(poses)))]
-        local = utm_to_vehicle(lmap.points, pose)
-        visible = local[(local[:, 0] >= 0.0) & (local[:, 0] <= d.sensor_range_m)
-                        & (np.abs(local[:, 1]) <= d.sensor_half_width_m)]
+        visible = _visible(lmap, pose, d)
         if visible.shape[0] < 3:
             continue
         out.append((simulator.degrade(visible, sim_cfg, rng), visible))
@@ -388,9 +377,10 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     scfg = sim_config(cfg)
 
     tcfg = train_config(cfg) if mode != "icp" else None
-    needs_drive = mode == "filter" or (tcfg is not None and tcfg.mix_ratio > 0 and checkpoint is None)
+    trains = tcfg is not None and checkpoint is None
+    needs_drive = mode == "filter" or (trains and tcfg.mix_ratio > 0)
     try:
-        train_scenes = generate_scene_set(scfg, sigma_pos, sigma_rot, n_train, seed) if mode != "icp" else []
+        train_scenes = generate_scene_set(scfg, sigma_pos, sigma_rot, n_train, seed) if trains else []
         eval_scenes = generate_scene_set(scfg, sigma_pos, sigma_rot, n_eval, seed + 1)
         if needs_drive:
             dcfg = drive_config(cfg)
@@ -407,8 +397,7 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
         raise StageError("simulate", exc) from exc
 
     params = checkpoint
-    history = []
-    if mode != "icp" and params is None:
+    if trains:
         try:
             pool = [(sc.measurements, sc.landmarks) for sc in train_scenes]
             map_pool = []

@@ -9,12 +9,12 @@ concurrent queries are safe.
 from __future__ import annotations
 
 import csv
-import os
-import tempfile
+import io
 from collections import defaultdict
 
 import numpy as np
 
+from .dataset_io import _atomic_write
 from .geometry import Pose
 
 CELL_SIZE = 50.0
@@ -80,18 +80,12 @@ def load_map(path: str) -> LandmarkMap:
 
 def save_map(lmap: LandmarkMap, path: str) -> None:
     """Write a landmark CSV atomically; coordinates keep full precision."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_HEADER)
-            for i, (x, y) in zip(lmap.ids, lmap.points):
-                writer.writerow([int(i), _fmt(x), _fmt(y)])
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(_HEADER)
+    for i, (x, y) in zip(lmap.ids, lmap.points):
+        writer.writerow([int(i), _fmt(x), _fmt(y)])
+    _atomic_write(path, buf.getvalue())
 
 
 def _fmt(v: float) -> str:

@@ -7,7 +7,7 @@ meters.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,15 +65,6 @@ class EvalReport:
     max_x_m: float
     max_y_m: float
     max_phi_deg: float
-    latency: LatencyStats = field(default_factory=LatencyStats)
-
-    @classmethod
-    def from_poses(cls, preds: list[Pose], gts: list[Pose], latency: LatencyStats | None = None) -> "EvalReport":
-        r = rmse(preds, gts)
-        m = max_error(preds, gts)
-        return cls(n=len(preds), rmse_x_m=r[0], rmse_y_m=r[1], rmse_phi_deg=r[2],
-                   max_x_m=m[0], max_y_m=m[1], max_phi_deg=m[2],
-                   latency=latency if latency is not None else LatencyStats())
 
     @classmethod
     def from_error_rows(cls, rows: np.ndarray) -> "EvalReport":
@@ -87,7 +78,5 @@ class EvalReport:
                    max_x_m=float(m[0]), max_y_m=float(m[1]), max_phi_deg=float(m[2]))
 
     def metrics_dict(self) -> dict:
-        """Deterministic metric fields (latency excluded; it is wall-clock)."""
-        d = asdict(self)
-        d.pop("latency")
-        return d
+        """The report's fields as a JSON-ready dict."""
+        return asdict(self)

@@ -19,11 +19,12 @@ from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import ekf_gps_baseline, icp
 from attnloc.dataset_io import Scene, load_checkpoint, load_scenes, save_checkpoint, save_scenes
-from attnloc.geometry import Pose, PoseOffset, invert_offset, perturb_points
+from attnloc.geometry import Pose, PoseOffset
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import LandmarkMap, load_map, save_map
 from attnloc.metrics import rmse
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
+from geometry_helpers import invert_offset, perturb_points
 
 GPS_SIGMA_POS = 1.0
 GPS_SIGMA_ROT = math.radians(4.0)
@@ -82,8 +83,7 @@ class TestAcceptance:
         beta = Tensor(rng.normal(size=(1, 6)))
         q = Tensor(rng.normal(size=(3, 5)))
         keys = Tensor(rng.normal(size=(6, 5)))
-        mixw = Tensor(rng.normal(size=(3, 2)))
-        vals = Tensor(rng.normal(size=(6, 4)))
+        vals = Tensor(rng.normal(size=(6, 5)))
         fd(lambda: ((a @ c) * w).sum(), [a, c])
         fd(lambda: ((a + b) * (a - b)).sum(), [a, b])
         fd(lambda: (a + bias).mean(), [a, bias])
@@ -96,8 +96,8 @@ class TestAcceptance:
         fd(lambda: (ad.softmax_rows(a) * b).sum(), [a])
         fd(lambda: (ad.layer_norm(a, g, beta) * b).sum(), [a, g, beta])
         fd(lambda: (ad.max_pool_rows(a) * bias).sum(), [a])
-        fd(lambda: (ad.grouped_scores(q, keys, 2) * mixw).sum(), [q, keys])
-        fd(lambda: ad.grouped_mix(mixw, vals).sum(), [mixw, vals])
+        fd(lambda: (ad.attention(q, keys, vals, 5) * q).sum(), [q, keys, vals])
+        fd(lambda: (ad.attention(q, keys, vals, 1, group=2) * q).sum(), [q, keys, vals])
 
         # the full network at nu=3, mu=5, d_m=16, h=2
         cfg = net.NetConfig(d_m=16, heads=2, k=3, seed=1)

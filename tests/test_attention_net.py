@@ -58,39 +58,76 @@ class TestInitParams:
         np.testing.assert_array_equal(small_params["local.ln1.g"].data, np.ones((1, 16)))
         np.testing.assert_array_equal(small_params["local.ln1.b"].data, np.zeros((1, 16)))
 
+    def test_fused_projections_equal_per_head_draws(self):
+        # Glorot draws in parameter order, q/k/v drawn per head at (d, d/h)
+        # and placed side by side, so the fused layout keeps seeded numbers
+        rng = np.random.default_rng(5)
+
+        def glorot(r, c):
+            limit = math.sqrt(6.0 / (r + c))
+            return rng.uniform(-limit, limit, size=(r, c))
+
+        ref = {}
+        for prefix, width_in in (("embed_m", 2), ("embed_l", 3)):
+            ref[f"{prefix}.w0"] = glorot(width_in, 64)
+            ref[f"{prefix}.w1"] = glorot(64, 16)
+        for block in ("local", "global"):
+            heads = [{p: glorot(16, 8) for p in "qkv"} for _ in range(2)]
+            for p in "qkv":
+                ref[f"{block}.{p}"] = np.hstack([heads[0][p], heads[1][p]])
+            ref[f"{block}.out"] = glorot(16, 16)
+            ref[f"{block}.ff.w0"] = glorot(16, 16)
+            ref[f"{block}.ff.w1"] = glorot(16, 16)
+        for i, (fi, fo) in enumerate(((16, 128), (128, 64), (64, 3))):
+            ref[f"head.w{i}"] = glorot(fi, fo)
+        params = net.init_params(SMALL, seed=5)
+        for name, arr in ref.items():
+            np.testing.assert_array_equal(params[name].data, arr, err_msg=name)
+
 
 class TestKnnGroup:
     def test_hand_sorted(self):
-        groups = net.knn_group([[0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0], [5.0, 5.0]], k=2)
-        np.testing.assert_array_equal(groups[0].indices, [0, 1])
-        np.testing.assert_allclose(groups[0].features[:, 2], [1.0, 2.0])
+        idx, feats = net.knn_group([[0.0, 0.0]], [[1.0, 0.0], [0.0, 2.0], [5.0, 5.0]], k=2)
+        np.testing.assert_array_equal(idx[0], [0, 1])
+        np.testing.assert_allclose(feats[:, 2], [1.0, 2.0])
 
     def test_tie_breaks_to_lower_index(self):
-        groups = net.knn_group([[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], k=1)
-        assert groups[0].indices[0] == 0
+        idx, _ = net.knn_group([[0.0, 0.0]], [[1.0, 0.0], [-1.0, 0.0]], k=1)
+        assert idx[0][0] == 0
 
     def test_cyclic_padding(self):
-        groups = net.knn_group([[0.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], k=4)
-        np.testing.assert_array_equal(groups[0].indices, [0, 1, 0, 1])
+        idx, _ = net.knn_group([[0.0, 0.0]], [[1.0, 0.0], [2.0, 0.0]], k=4)
+        np.testing.assert_array_equal(idx[0], [0, 1, 0, 1])
 
     def test_features_are_relative(self):
-        groups = net.knn_group([[1.0, 1.0]], [[2.0, 3.0]], k=1)
-        np.testing.assert_allclose(groups[0].features, [[1.0, 2.0, math.sqrt(5.0)]])
+        _, feats = net.knn_group([[1.0, 1.0]], [[2.0, 3.0]], k=1)
+        np.testing.assert_allclose(feats, [[1.0, 2.0, math.sqrt(5.0)]])
 
     def test_distance_consistency(self):
         m, lm = _scene(8)
-        for g in net.knn_group(m, lm, k=3):
-            np.testing.assert_allclose(g.features[:, 2], np.hypot(g.features[:, 0], g.features[:, 1]))
-            assert (np.diff(g.features[:, 2]) >= 0).all()
+        _, feats = net.knn_group(m, lm, k=3)
+        for g in feats.reshape(-1, 3, 3):
+            np.testing.assert_allclose(g[:, 2], np.hypot(g[:, 0], g[:, 1]))
+            assert (np.diff(g[:, 2]) >= 0).all()
 
     def test_joint_translation_leaves_features_unchanged(self):
         m, lm = _scene(9)
         shift = np.array([17.0, -4.0])
-        a = net.knn_group(m, lm, k=3)
-        b = net.knn_group(m + shift, lm + shift, k=3)
-        for ga, gb in zip(a, b):
-            np.testing.assert_array_equal(ga.indices, gb.indices)
-            np.testing.assert_allclose(ga.features, gb.features, atol=1e-9)
+        idx_a, feats_a = net.knn_group(m, lm, k=3)
+        idx_b, feats_b = net.knn_group(m + shift, lm + shift, k=3)
+        np.testing.assert_array_equal(idx_a, idx_b)
+        np.testing.assert_allclose(feats_a, feats_b, atol=1e-9)
+
+    def test_matches_per_measurement_sort(self):
+        # reference: one stable sort per measurement; k > L exercises the padding
+        m, lm = _scene(10, nu=5, mu=4)
+        idx, feats = net.knn_group(m, lm, k=6)
+        for i, row in enumerate(m):
+            delta = lm - row
+            dist = np.hypot(delta[:, 0], delta[:, 1])
+            order = np.argsort(dist, kind="stable")[np.arange(6) % 4]
+            np.testing.assert_array_equal(idx[i], order)
+            np.testing.assert_array_equal(feats[6 * i : 6 * i + 6], np.column_stack((delta[order], dist[order])))
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -100,60 +137,76 @@ class TestKnnGroup:
 
 
 class TestScaledDotAttention:
+    """ad.attention with one head: softmax(Q K^T / sqrt(d)) V."""
+
     def test_single_key_returns_value(self):
         q = Tensor([[5.0, -3.0]])
         k = Tensor([[0.1, 0.2]])
         v = Tensor([[7.0, 9.0]])
-        np.testing.assert_allclose(net.scaled_dot_attention(q, k, v).data, [[7.0, 9.0]], atol=1e-15)
+        np.testing.assert_allclose(ad.attention(q, k, v, 1).data, [[7.0, 9.0]], atol=1e-15)
 
     def test_identical_keys_average_values(self):
         q = Tensor([[1.0, 2.0]])
         k = Tensor([[0.3, 0.4], [0.3, 0.4]])
         v = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(net.scaled_dot_attention(q, k, v).data, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(ad.attention(q, k, v, 1).data, [[0.5, 0.5]], atol=1e-12)
 
     def test_two_key_weights_scalar_oracle(self):
         # softmax([1/sqrt(2), 0]) computed with plain scalar arithmetic
         e = math.exp(1.0 / math.sqrt(2.0))
         w0 = e / (e + 1.0)
-        out = net.scaled_dot_attention(
-            Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]])
+        out = ad.attention(
+            Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), 1
         )
         np.testing.assert_allclose(out.data, [[w0, 1.0 - w0]], atol=1e-12)
         assert w0 == pytest.approx(0.6698, abs=5e-5)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            net.scaled_dot_attention(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))))
+            ad.attention(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), 1)
 
 
 class TestMultiHead:
     def test_single_identity_head_equals_plain_attention(self):
         cfg = net.NetConfig(d_m=4, heads=1, k=2, seed=0)
         params = net.init_params(cfg)
-        for name in ("local.q0", "local.k0", "local.v0", "local.out"):
+        for name in ("local.q", "local.k", "local.v", "local.out"):
             params.tensors[name] = Tensor(np.eye(4))
         rng = np.random.default_rng(20)
-        x = Tensor(rng.normal(size=(3, 4)))
-        y = Tensor(rng.normal(size=(5, 4)))
-        a = net.multi_head(x, y, params, "local").data
-        b = net.scaled_dot_attention(x, y, y).data
-        np.testing.assert_allclose(a, b, atol=1e-12)
+        x = rng.normal(size=(3, 4))
+        y = rng.normal(size=(5, 4))
+        scores = x @ y.T / 2.0  # sqrt(d_m) = 2
+        w = np.exp(scores - scores.max(axis=1, keepdims=True))
+        plain = (w / w.sum(axis=1, keepdims=True)) @ y
+        s = ad.layer_norm(Tensor(x + plain), params["local.ln1.g"], params["local.ln1.b"])
+        expect = ad.layer_norm(s + net._rff(s, params, "local.ff"), params["local.ln2.g"], params["local.ln2.b"])
+        got = net.mha_block(Tensor(x), Tensor(y), params, "local")
+        np.testing.assert_allclose(got.data, expect.data, atol=1e-12)
+
+    def test_heads_side_by_side_in_columns(self):
+        rng = np.random.default_rng(19)
+        q, k, v = rng.normal(size=(3, 6)), rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3).data
+        for j in range(3):
+            cols = slice(2 * j, 2 * j + 2)
+            expect = ad.attention(Tensor(q[:, cols]), Tensor(k[:, cols]), Tensor(v[:, cols]), 1).data
+            np.testing.assert_allclose(out[:, cols], expect, atol=1e-12)
 
     def test_output_shape(self, small_params):
         rng = np.random.default_rng(21)
         for nk in (1, 2, 9):
             x = Tensor(rng.normal(size=(4, 16)))
             y = Tensor(rng.normal(size=(nk, 16)))
-            assert net.multi_head(x, y, small_params, "local").shape == (4, 16)
+            assert ad.attention(x, y, y, small_params.config.heads).shape == (4, 16)
+            assert net.mha_block(x, y, small_params, "local").shape == (4, 16)
 
     def test_invariant_to_key_value_row_permutation(self, small_params):
         rng = np.random.default_rng(22)
         x = rng.normal(size=(3, 16))
         y = rng.normal(size=(6, 16))
         perm = rng.permutation(6)
-        a = net.multi_head(Tensor(x), Tensor(y), small_params, "global").data
-        b = net.multi_head(Tensor(x), Tensor(y[perm]), small_params, "global").data
+        a = net.mha_block(Tensor(x), Tensor(y), small_params, "global").data
+        b = net.mha_block(Tensor(x), Tensor(y[perm]), small_params, "global").data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -174,8 +227,8 @@ class TestMhaBlock:
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(4, 16)))
         y = Tensor(rng.normal(size=(4, 16)))
-        s = ad.layer_norm(x + net.multi_head(x, y, params, "global"),
-                          params["global.ln1.g"], params["global.ln1.b"])
+        att = ad.attention(x @ params["global.q"], y @ params["global.k"], y @ params["global.v"], SMALL.heads)
+        s = ad.layer_norm(x + att @ params["global.out"], params["global.ln1.g"], params["global.ln1.b"])
         expect = ad.layer_norm(s + Tensor(np.broadcast_to(bias, (4, 16)).copy()),
                                params["global.ln2.g"], params["global.ln2.b"]).data
         got = net.mha_block(x, y, params, "global").data
@@ -209,22 +262,23 @@ class TestLocalAttention:
     def test_matches_per_measurement_blocks(self, small_params):
         m, lm = _scene(28, nu=4, mu=9)
         fast = net.local_attention(m, lm, small_params).data
+        _, feats = net.knn_group(m, lm, SMALL.k)
         rows = []
-        for i, g in enumerate(net.knn_group(m, lm, SMALL.k)):
-            q = net._embed(Tensor(m[i : i + 1]), small_params, "embed_m")
-            nb = net._embed(Tensor(g.features), small_params, "embed_l")
+        for i, g in enumerate(feats.reshape(-1, SMALL.k, 3)):
+            q = net._rff(Tensor(m[i : i + 1]), small_params, "embed_m")
+            nb = net._rff(Tensor(g), small_params, "embed_l")
             rows.append(net.mha_block(q, nb, small_params, "local").data)
         np.testing.assert_allclose(fast, np.vstack(rows), atol=1e-12)
 
     def test_row_depends_only_on_neighbors(self, small_params):
         m, lm = _scene(29, nu=3, mu=10)
-        groups = net.knn_group(m, lm, SMALL.k)
-        neighbors_of_0 = set(groups[0].indices.tolist())
+        idx, _ = net.knn_group(m, lm, SMALL.k)
+        neighbors_of_0 = set(idx[0].tolist())
         far = next(i for i in range(10) if i not in neighbors_of_0)
         before = net.local_attention(m, lm, small_params).data
         lm2 = lm.copy()
         lm2[far] += 0.5  # stays a non-neighbor of measurement 0
-        assert far not in set(net.knn_group(m, lm2, SMALL.k)[0].indices.tolist())
+        assert far not in set(net.knn_group(m, lm2, SMALL.k)[0][0].tolist())
         after = net.local_attention(m, lm2, small_params).data
         np.testing.assert_array_equal(before[0], after[0])
 
@@ -273,7 +327,7 @@ class TestForward:
 
         m, lm = _scene(33, nu=3, mu=5)
         label = PoseOffset(0.2, -0.1, 0.05)
-        subset = [small_params[n] for n in ("embed_m.w0", "local.q0", "global.v1", "head.w2", "s_tran", "s_rot")]
+        subset = [small_params[n] for n in ("embed_m.w0", "local.q", "global.v", "head.w2", "s_tran", "s_rot")]
         worst = ad.check_gradient(
             lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params), subset
         )

@@ -225,41 +225,49 @@ class TestElementwiseOps:
 
 
 class TestGroupedOps:
+    """ad.attention with group=g: query i attends only to key rows i*g ... i*g+g-1."""
+
     def test_grouped_scores_matches_per_row(self):
+        # one-hot values per group make the output row the attention weights
         rng = np.random.default_rng(14)
-        n, k, d = 4, 3, 5
+        n, k, d = 4, 3, 3
         q = rng.normal(size=(n, d))
         keys = rng.normal(size=(n * k, d))
-        out = ad.grouped_scores(Tensor(q), Tensor(keys), k).data
+        out = ad.attention(Tensor(q), Tensor(keys), Tensor(np.tile(np.eye(k), (n, 1))), 1, group=k).data
         for i in range(n):
-            expect = q[i] @ keys[i * k : (i + 1) * k].T
+            scores = q[i] @ keys[i * k : (i + 1) * k].T / math.sqrt(d)
+            expect = np.exp(scores) / np.exp(scores).sum()
             np.testing.assert_allclose(out[i], expect, atol=1e-12)
 
     def test_grouped_mix_matches_per_row(self):
         rng = np.random.default_rng(15)
         n, k, d = 3, 4, 6
-        w = rng.normal(size=(n, k))
+        q = rng.normal(size=(n, d))
+        keys = rng.normal(size=(n * k, d))
         v = rng.normal(size=(n * k, d))
-        out = ad.grouped_mix(Tensor(w), Tensor(v)).data
+        out = ad.attention(Tensor(q), Tensor(keys), Tensor(v), 2, group=k).data
         for i in range(n):
-            expect = w[i] @ v[i * k : (i + 1) * k]
-            np.testing.assert_allclose(out[i], expect, atol=1e-12)
+            rows = slice(i * k, (i + 1) * k)
+            expect = ad.attention(Tensor(q[i : i + 1]), Tensor(keys[rows]), Tensor(v[rows]), 2).data
+            np.testing.assert_allclose(out[i : i + 1], expect, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            ad.grouped_scores(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), 2)
+            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 3))), 1, group=2)
         with pytest.raises(ValueError):
-            ad.grouped_mix(Tensor(np.zeros((2, 2))), Tensor(np.zeros((5, 3))))
+            ad.attention(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 4))), Tensor(np.zeros((5, 4))), 1, group=2)
+        with pytest.raises(ValueError):
+            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))), Tensor(np.zeros((4, 3))), 2, group=2)
 
     def test_gradients(self):
         rng = np.random.default_rng(16)
         n, k, d = 3, 2, 4
         q = _rand(rng, n, d)
         keys = _rand(rng, n * k, d)
-        w = _rand(rng, n, k)
         v = _rand(rng, n * k, d)
-        _fd_check(lambda: (ad.grouped_scores(q, keys, k) * ad.grouped_scores(q, keys, k)).sum(), [q, keys])
-        _fd_check(lambda: ad.grouped_mix(w, v).sum(), [w, v])
+        w = _rand(rng, n, d)
+        _fd_check(lambda: (ad.attention(q, keys, v, 2, group=k) * w).sum(), [q, keys, v])
+        _fd_check(lambda: (ad.attention(q, keys, v, 2) * w).sum(), [q, keys, v])
 
 
 class TestNumericOracle:

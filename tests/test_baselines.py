@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from attnloc.baselines import ekf_gps_baseline, icp
-from attnloc.geometry import Pose, PoseOffset, invert_offset, perturb_points
+from attnloc.geometry import Pose, PoseOffset
 from attnloc.simulator import generate_trajectory
+from geometry_helpers import invert_offset, perturb_points
 
 
 def _cloud(seed, n=15, scale=20.0):

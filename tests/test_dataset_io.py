@@ -92,6 +92,35 @@ class TestCheckpointRoundTrip:
         b = net.forward(m, lm, loaded).data
         np.testing.assert_array_equal(a, b)
 
+    def test_format_1_per_head_arrays_load_fused(self, tmp_path):
+        cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=3)
+        params = net.init_params(cfg)
+        arrays = {}
+        for name, t in params.items():
+            block, _, leaf = name.rpartition(".")
+            if block in ("local", "global") and leaf in ("q", "k", "v"):
+                for i in range(cfg.heads):  # head i owns columns 4i ... 4i+3
+                    arrays[f"{name}{i}"] = t.data[:, 4 * i : 4 * i + 4]
+            else:
+                arrays[name] = t.data
+        doc = {
+            "format_version": 1,
+            "config": {"d_m": 8, "heads": 2, "k": 2, "rff_hidden": 64, "head_hidden": [128, 64],
+                       "block_hidden": None, "neighbor_features": "offsets", "seed": 3},
+            "arrays": {name: {"shape": list(a.shape), "data": a.reshape(-1).tolist()} for name, a in arrays.items()},
+        }
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        loaded = load_checkpoint(str(path))
+        assert loaded.config == cfg
+        assert sorted(loaded.tensors) == sorted(params.tensors)
+        for name, t in params.items():
+            np.testing.assert_array_equal(loaded[name].data, t.data)
+        rng = np.random.default_rng(2)
+        m = rng.uniform(-20, 20, size=(4, 2))
+        lm = rng.uniform(-20, 20, size=(6, 2))
+        np.testing.assert_array_equal(net.forward(m, lm, loaded).data, net.forward(m, lm, params).data)
+
     def test_truncated_file_rejected(self, tmp_path):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         path = str(tmp_path / "trunc.json")
@@ -102,8 +131,8 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
 
     def test_version_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "v2.json"
-        path.write_text(json.dumps({"format_version": 2, "config": {}, "arrays": {}}), encoding="utf-8")
+        path = tmp_path / "v3.json"
+        path.write_text(json.dumps({"format_version": 3, "config": {}, "arrays": {}}), encoding="utf-8")
         with pytest.raises(CheckpointFormatError, match="format_version"):
             load_checkpoint(str(path))
 

@@ -9,13 +9,11 @@ from attnloc.geometry import (
     PoseOffset,
     as_points,
     correct_pose,
-    invert_offset,
     offset_pose,
-    perturb_points,
     utm_to_vehicle,
-    vehicle_to_utm,
     wrap_angle,
 )
+from geometry_helpers import invert_offset, perturb_points, vehicle_to_utm
 
 PI = math.pi
 

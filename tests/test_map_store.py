@@ -68,6 +68,13 @@ class TestSaveMap:
         save_map(lmap, path)
         np.testing.assert_array_equal(load_map(path).points, pts)
 
+    def test_file_bytes(self, tmp_path):
+        # rows by id, >= 3 decimals, repr where 3 lose bits, csv's CRLF line ends
+        lmap = LandmarkMap([4, 2], [[1.5, -2.0], [math.pi, 0.1]])
+        path = tmp_path / "bytes.csv"
+        save_map(lmap, str(path))
+        assert path.read_bytes() == b"id,easting,northing\r\n2,3.141592653589793,0.100\r\n4,1.500,-2.000\r\n"
+
 
 class TestQueryFov:
     def test_radius_smaller_than_nearest(self):

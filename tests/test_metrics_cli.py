@@ -179,6 +179,19 @@ class TestCli:
         assert cli.main(["infer", "--mode", "gps", "--config", cfg, "--out", out2,
                          "--checkpoint", ckpt]) == 0
 
+    def test_infer_with_checkpoint_skips_training_scenes(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path)
+        out = str(tmp_path / "trained")
+        assert cli.main(["infer", "--mode", "gps", "--config", cfg, "--out", out]) == 0
+        out2 = str(tmp_path / "reuse")
+        assert cli.main(["infer", "--mode", "gps", "--config", cfg, "--out", out2,
+                         "--checkpoint", os.path.join(out, "checkpoint.json")]) == 0
+        assert os.path.exists(os.path.join(out, "scenes.jsonl"))
+        assert not os.path.exists(os.path.join(out2, "scenes.jsonl"))
+        a = open(os.path.join(out, "report.json"), "rb").read()
+        b = open(os.path.join(out2, "report.json"), "rb").read()
+        assert a == b
+
     def test_bad_config_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json", encoding="utf-8")
