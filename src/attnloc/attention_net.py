@@ -181,7 +181,7 @@ def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor:
     """Row-wise feed-forward net: `layers` affine maps with ReLU between them."""
     for i in range(layers):
-        x = x @ params[f"{prefix}.w{i}"] + params[f"{prefix}.b{i}"]
+        x = ad.linear(x, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"])
         if i < layers - 1:
             x = x.relu()
     return x

@@ -49,10 +49,11 @@ class Tensor:
         return self.data.shape
 
     def _accum(self, g: np.ndarray) -> None:
+        # copy on the first write, so no two tensors share a gradient array
         if self.grad is None:
             self.grad = g.copy()
         else:
-            self.grad = self.grad + g
+            self.grad += g
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -167,22 +168,47 @@ def _check_addable(a: tuple, b: tuple) -> None:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
+    """Post-order of root and every non-leaf tensor it depends on.
+
+    Leaves have no backward, so they are left out. A node is marked visited
+    when popped, not when pushed: a node pushed again by a later parent must
+    be expanded from there, or on a DAG it could land after a consumer.
+    """
     order: list[Tensor] = []
-    visited: set[int] = set()
+    visited: set[Tensor] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p._parents and p not in visited:
                 stack.append((p, False))
     return order
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b as one node; b is a 1xd bias row added to every row."""
+    if x.shape[1] != w.shape[0]:
+        raise ValueError(f"matmul inner dims disagree: {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ValueError(f"linear needs a 1x{w.shape[1]} bias row, got {b.shape}")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor._make(y, (x, w, b))
+
+    def _bw(g):
+        x._accum(g @ w.data.T)
+        w._accum(x.data.T @ g)
+        b._accum(g.sum(axis=0, keepdims=True))
+
+    out._backward = _bw
+    return out
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -241,10 +267,10 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ValueError(f"layer_norm needs width >= 2, got {d}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ValueError(f"gamma/beta must be 1x{d}, got {gamma.shape} and {beta.shape}")
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = x.data.var(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # the moments as np.mean/np.var compute them, without their dispatch
+    xc = x.data - x.data.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
+    xhat = xc * inv
     out = Tensor._make(xhat * gamma.data + beta.data, (x, gamma, beta))
 
     def _bw(g):
@@ -252,8 +278,8 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         beta._accum(g.sum(axis=0, keepdims=True))
         gh = g * gamma.data
         # standard layer-norm input gradient, per row
-        mean_gh = gh.mean(axis=1, keepdims=True)
-        mean_gh_xhat = (gh * xhat).mean(axis=1, keepdims=True)
+        mean_gh = gh.sum(axis=1, keepdims=True) / d
+        mean_gh_xhat = (gh * xhat).sum(axis=1, keepdims=True) / d
         x._accum(inv * (gh - mean_gh - xhat * mean_gh_xhat))
 
     out._backward = _bw

@@ -451,5 +451,6 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
 
 def _write_history(path: str, history) -> None:
     lines = ["epoch,loss,loss_tran,loss_rot"]
-    lines += [f"{i},{h.loss!r},{h.loss_tran!r},{h.loss_rot!r}" for i, h in enumerate(history)]
+    # float() first: numpy 2 reprs an np.float64 as "np.float64(...)"
+    lines += [f"{i},{float(h.loss)!r},{float(h.loss_tran)!r},{float(h.loss_rot)!r}" for i, h in enumerate(history)]
     _atomic_write(path, "\n".join(lines) + "\n")

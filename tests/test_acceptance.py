@@ -98,6 +98,9 @@ class TestAcceptance:
         fd(lambda: (ad.max_pool_rows(a) * bias).sum(), [a])
         fd(lambda: (ad.attention(q, keys, vals, 5) * q).sum(), [q, keys, vals])
         fd(lambda: (ad.attention(q, keys, vals, 1, group=2) * q).sum(), [q, keys, vals])
+        # its own generator, so the draws above and below stay as they were
+        lin_bias = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
+        fd(lambda: (ad.linear(a, c, lin_bias) * w).sum(), [a, c, lin_bias])
 
         # the full network at nu=3, mu=5, d_m=16, h=2
         cfg = net.NetConfig(d_m=16, heads=2, k=3, seed=1)

@@ -1,11 +1,15 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attnloc import attention_net as net
 from attnloc import autodiff as ad
+from attnloc import experiment, simulator
 from attnloc.autodiff import Tensor
+from attnloc.dataset_io import load_checkpoint
+from attnloc.geometry import utm_to_vehicle
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
 
@@ -332,3 +336,32 @@ class TestForward:
             lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params), subset
         )
         assert worst < 1e-4
+
+
+# predict_offset of the pinned desk checkpoint on generate_scene_set(mixture,
+# seed 5)[:12], landmarks in each scene's GPS frame, as (dx, dy, dphi)
+DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
+DESK_OFFSETS = [
+    (0.7380665050589066, 0.7840632035456542, -0.06066347180620638),
+    (0.6495373902962506, -0.7794257733095593, 0.009984909797278698),
+    (-0.38496271237722834, 0.021197837973721382, -0.002311812907021392),
+    (0.30827151958626103, 0.5328009846466161, 0.03809888157813047),
+    (-0.13167192313797224, -0.7336878226333186, 0.03177397836385938),
+    (0.565501923901348, 0.21056539155270648, -0.01695630701899597),
+    (0.8196627879659245, -0.8521415687798203, -0.017495704004684108),
+    (-0.5104119274469967, 0.3686588014883494, 0.01835872593196062),
+    (-0.24222283236214803, -0.8118083448897745, -0.05612779698961123),
+    (0.7772190388873554, -0.21779310061728246, -0.013747593586744523),
+    (0.806121800714978, 0.9525406849534385, -0.019862575312925936),
+    (-0.7467542461449562, -0.5695904106889974, 0.035952178949855126),
+]
+
+
+class TestPinnedCheckpoint:
+    def test_predictions_match_recorded_values(self):
+        params = load_checkpoint(str(DESK_CHECKPOINT))
+        scenes = experiment.generate_scene_set(simulator.SimConfig(distribution="mixture", seed=5),
+                                               1.0, math.radians(4.0), len(DESK_OFFSETS), 5)
+        got = [net.predict_offset(sc.measurements, utm_to_vehicle(sc.landmarks, sc.gps_pose), params).as_array()
+               for sc in scenes]
+        np.testing.assert_allclose(got, DESK_OFFSETS, rtol=0, atol=1e-12)

@@ -62,6 +62,36 @@ class TestMatmul:
         _fd_check(lambda: (a @ b).sum(), [a, b], tol=1e-6)
 
 
+class TestLinear:
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_equals_matmul_plus_bias_bit_for_bit(self, rows):
+        rng = np.random.default_rng(20)
+        x, w, b = _rand(rng, rows, 7), _rand(rng, 7, 4), _rand(rng, 1, 4)
+        up = rng.normal(size=(rows, 4))
+        fused = ad.linear(x, w, b)
+        (fused * Tensor(up)).sum().backward()
+        grads = [t.grad for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        split = x @ w + b
+        (split * Tensor(up)).sum().backward()
+        np.testing.assert_array_equal(fused.data, split.data)
+        for got, want in zip(grads, (x.grad, w.grad, b.grad)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(21)
+        x, w, b = _rand(rng, 3, 5), _rand(rng, 5, 2), _rand(rng, 1, 2)
+        up = Tensor(rng.normal(size=(3, 2)))
+        _fd_check(lambda: (ad.linear(x, w, b) * up).sum(), [x, w, b])
+
+    def test_shape_errors(self):
+        with pytest.raises(ValueError, match=r"\(2, 3\) @ \(2, 3\)"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3))))
+        with pytest.raises(ValueError, match="bias row"):
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4))), Tensor(np.zeros((2, 4))))
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         out = ad.softmax_rows(Tensor([[0.0, 0.0]]))
@@ -114,6 +144,26 @@ class TestLayerNorm:
         b = Tensor(rng.normal(size=(1, 8)))
         w = Tensor(rng.normal(size=(4, 8)))
         _fd_check(lambda: (ad.layer_norm(x, g, b) * w).sum(), [x, g, b])
+
+    @pytest.mark.parametrize("width", [2, 3, 8, 64])
+    def test_equals_mean_var_formulation_bit_for_bit(self, width):
+        rng = np.random.default_rng(100 + width)
+        x = _rand(rng, 6, width, scale=3.0)
+        g = _rand(rng, 1, width)
+        b = _rand(rng, 1, width)
+        up = rng.normal(size=(6, width))
+        out = ad.layer_norm(x, g, b)
+        (out * Tensor(up)).sum().backward()
+        # reference: moments through np.mean/np.var, forward and backward
+        mu = x.data.mean(axis=1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.data.var(axis=1, keepdims=True) + 1e-5)
+        xhat = (x.data - mu) * inv
+        gh = up * g.data
+        gx = inv * (gh - gh.mean(axis=1, keepdims=True) - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+        np.testing.assert_array_equal(out.data, xhat * g.data + b.data)
+        np.testing.assert_array_equal(x.grad, gx)
+        np.testing.assert_array_equal(g.grad, (up * xhat).sum(axis=0, keepdims=True))
+        np.testing.assert_array_equal(b.grad, up.sum(axis=0, keepdims=True))
 
     def test_width_one_rejected(self):
         with pytest.raises(ValueError):
@@ -175,6 +225,32 @@ class TestBackward:
         y = (x * x) + (x * 3.0)  # d/dx = 2x + 3 = 7
         y.backward()
         np.testing.assert_allclose(x.grad, [[7.0]])
+
+
+    @pytest.mark.parametrize("shared_first", [True, False])
+    def test_diamond_with_shared_inner_node(self, shared_first):
+        # a = x*x feeds the sum directly and through two more nodes; every
+        # path must reach a before a's own backward runs
+        x = Tensor([[0.3, -1.2], [0.7, 0.1]])
+        a = x * x
+        deep = (a * 2.0).exp()
+        (((a + deep) if shared_first else (deep + a)).sum()).backward()
+        expect = 2.0 * x.data * (1.0 + 2.0 * np.exp(2.0 * x.data**2))
+        np.testing.assert_allclose(x.grad, expect, rtol=1e-14)
+
+    def test_parents_get_distinct_grad_arrays(self):
+        a = Tensor([[1.0, 2.0]])
+        b = Tensor([[3.0, 4.0]])
+        (a + b).sum().backward()
+        assert a.grad is not b.grad and not np.shares_memory(a.grad, b.grad)
+        first = a.grad
+        a.grad += 5.0
+        np.testing.assert_array_equal(b.grad, [[1.0, 1.0]])
+        # a later pass accumulates into the same array
+        (a + b).sum().backward()
+        assert a.grad is first
+        np.testing.assert_array_equal(a.grad, [[7.0, 7.0]])
+        np.testing.assert_array_equal(b.grad, [[2.0, 2.0]])
 
 
 class TestElementwiseOps:

@@ -85,6 +85,18 @@ class TestRunExperiment:
             b = open(os.path.join(out2, name), "rb").read()
             assert a == b, f"{name} differs between identical runs"
 
+    def test_loss_history_holds_the_epoch_losses(self, tmp_path):
+        out = str(tmp_path / "run")
+        stats = []
+        run_experiment(dict(TINY_CFG), out, progress=lambda epoch, s: stats.append(s))
+        with open(os.path.join(out, "loss_history.csv"), encoding="utf-8") as fh:
+            header, *rows = [line.split(",") for line in fh.read().splitlines()]
+        assert header == ["epoch", "loss", "loss_tran", "loss_rot"]
+        assert len(rows) == len(stats) == TINY_CFG["train"]["epochs"]
+        for i, (row, s) in enumerate(zip(rows, stats)):
+            assert int(row[0]) == i
+            assert [float(cell) for cell in row[1:]] == [s.loss, s.loss_tran, s.loss_rot]
+
     def test_report_recomputable_from_trace(self, tmp_path):
         out = str(tmp_path / "run")
         report = run_experiment(dict(TINY_CFG), out)

@@ -261,4 +261,6 @@ class TestTrain:
         tcfg = TrainConfig(sigma_pos=0.5, sigma_rot=math.radians(3), epochs=500,
                            batch_size=8, samples_per_epoch=48, learning_rate=3e-3, seed=7)
         _, hist = training.train(net.init_params(cfg), tcfg, scenes)
-        assert hist[-1].loss_tran < 1e-3
+        # the median of the last 10 epochs: one epoch's loss swings by 10x and
+        # moves with last-bit changes to the gradients
+        assert np.median([h.loss_tran for h in hist[-10:]]) < 1e-3
