@@ -61,24 +61,25 @@ class Tensor:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        _check_addable(self.shape, other.shape)
+        if self.shape != other.shape:
+            raise ValueError(f"elementwise add needs equal shapes, got {self.shape} and {other.shape}")
         out = Tensor._make(self.data + other.data, (self, other))
 
         def _bw(g):
-            self._accum(g if g.shape == self.shape else g.sum(axis=0, keepdims=True))
-            other._accum(g if g.shape == other.shape else g.sum(axis=0, keepdims=True))
+            self._accum(g)
+            other._accum(g)
 
         out._backward = _bw
         return out
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        _check_addable(self.shape, other.shape)
+        if self.shape != other.shape:
+            raise ValueError(f"elementwise sub needs equal shapes, got {self.shape} and {other.shape}")
         out = Tensor._make(self.data - other.data, (self, other))
 
         def _bw(g):
-            self._accum(g if g.shape == self.shape else g.sum(axis=0, keepdims=True))
-            gg = -g
-            other._accum(gg if gg.shape == other.shape else gg.sum(axis=0, keepdims=True))
+            self._accum(g)
+            other._accum(-g)
 
         out._backward = _bw
         return out
@@ -156,15 +157,6 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
-
-
-def _check_addable(a: tuple, b: tuple) -> None:
-    # equal shapes, or a 1xd bias row broadcast against nxd
-    if a == b:
-        return
-    if a[1] == b[1] and (a[0] == 1 or b[0] == 1):
-        return
-    raise ValueError(f"add needs equal shapes or a 1xd bias row, got {a} and {b}")
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

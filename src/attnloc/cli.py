@@ -13,9 +13,7 @@ import os
 import sys
 
 from . import experiment
-from . import attention_net as net
-from . import training
-from .dataset_io import load_checkpoint, load_scenes, save_checkpoint, save_scenes
+from .dataset_io import load_checkpoint, load_scenes, save_scenes
 from .experiment import ConfigError, StageError, run_experiment
 from .metrics import EvalReport
 
@@ -36,10 +34,7 @@ def _load_config(path: str, seed: int | None) -> dict:
 def _cmd_simulate(args) -> int:
     cfg = _load_config(args.config, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    scfg = experiment.sim_config(cfg)
-    sigma_pos, sigma_rot = experiment.gps_noise(cfg)
-    n = int(experiment._section(cfg, "eval").get("n_train_scenes", 2000))
-    scenes = experiment.generate_scene_set(scfg, sigma_pos, sigma_rot, n, int(cfg.get("seed", 0)))
+    scenes = experiment.training_scenes(cfg)
     save_scenes(scenes, os.path.join(args.out, "scenes.jsonl"))
     print(f"wrote {len(scenes)} scenes to {args.out}/scenes.jsonl")
     return 0
@@ -48,30 +43,21 @@ def _cmd_simulate(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_config(args.config, args.seed)
     os.makedirs(args.out, exist_ok=True)
-    if args.scenes:
-        scenes = load_scenes(args.scenes)
-    else:
-        scfg = experiment.sim_config(cfg)
-        sigma_pos, sigma_rot = experiment.gps_noise(cfg)
-        n = int(experiment._section(cfg, "eval").get("n_train_scenes", 2000))
-        scenes = experiment.generate_scene_set(scfg, sigma_pos, sigma_rot, n, int(cfg.get("seed", 0)))
+    scenes = load_scenes(args.scenes) if args.scenes else experiment.training_scenes(cfg)
     pool = [(sc.measurements, sc.landmarks) for sc in scenes if sc.landmarks is not None]
     if not pool:
         raise ConfigError("training scenes carry no landmarks")
-    params = net.init_params(experiment.net_config(cfg))
-    tcfg = experiment.train_config(cfg)
 
     def progress(epoch, stats):
         print(f"epoch {epoch}: loss {stats.loss:.4f} (tran {stats.loss_tran:.4f}, rot {stats.loss_rot:.6f})")
 
-    params, history = training.train(params, tcfg, pool, progress=progress if args.verbose else None)
-    save_checkpoint(params, os.path.join(args.out, "checkpoint.json"))
-    experiment._write_history(os.path.join(args.out, "loss_history.csv"), history)
+    params = experiment.train_stage(cfg, args.out, pool, progress=progress if args.verbose else None)
     print(f"trained {params.param_count()} parameters; checkpoint at {args.out}/checkpoint.json")
     return 0
 
 
 def _cmd_infer(args) -> int:
+    """Run the experiment in args.mode: gps or filter, or icp from the icp subcommand."""
     cfg = _load_config(args.config, args.seed)
     cfg["mode"] = args.mode
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
@@ -87,14 +73,6 @@ def _cmd_eval(args) -> int:
     doc = report.metrics_dict()
     experiment.write_json(os.path.join(args.out, "report.json"), doc)
     print(json.dumps(doc, sort_keys=True))
-    return 0
-
-
-def _cmd_icp(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    cfg["mode"] = "icp"
-    report = run_experiment(cfg, args.out)
-    print(json.dumps(report, sort_keys=True))
     return 0
 
 
@@ -130,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("icp", help="run the ICP baseline experiment")
     common(p)
-    p.set_defaults(fn=_cmd_icp)
+    p.set_defaults(fn=_cmd_infer, mode="icp", checkpoint=None)
     return parser
 
 

@@ -7,6 +7,7 @@ readers never observe partial files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import tempfile
@@ -102,6 +103,7 @@ def load_scenes(path: str) -> list[Scene]:
             if not isinstance(rec, dict):
                 raise SceneFormatError(f"{path}:{lineno}: scene record must be an object")
             try:
+                t = float(_require(rec, "t", lineno, path))
                 gt = Pose(*_require(rec, "gt_pose", lineno, path))
                 gps = Pose(*_require(rec, "gps_pose", lineno, path))
                 meas = np.asarray(_require(rec, "measurements", lineno, path), dtype=np.float64).reshape(-1, 2)
@@ -111,26 +113,15 @@ def load_scenes(path: str) -> list[Scene]:
                 raise
             except (TypeError, ValueError) as exc:
                 raise SceneFormatError(f"{path}:{lineno}: {exc}") from exc
-            scenes.append(Scene(t=float(_require(rec, "t", lineno, path)), gt_pose=gt, gps_pose=gps,
-                                measurements=meas, landmarks=landmarks))
+            scenes.append(Scene(t=t, gt_pose=gt, gps_pose=gps, measurements=meas, landmarks=landmarks))
     return scenes
 
 
 def save_checkpoint(params: net.ModelParams, path: str) -> None:
     """Write the full model (config plus named arrays) to one JSON document."""
-    cfg = params.config
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "config": {
-            "d_m": cfg.d_m,
-            "heads": cfg.heads,
-            "k": cfg.k,
-            "rff_hidden": cfg.rff_hidden,
-            "head_hidden": list(cfg.head_hidden),
-            "block_hidden": cfg.block_hidden,
-            "neighbor_features": cfg.neighbor_features,
-            "seed": cfg.seed,
-        },
+        "config": dataclasses.asdict(params.config),
         "arrays": {
             name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
             for name, t in sorted(params.items())
@@ -146,6 +137,8 @@ def load_checkpoint(path: str) -> net.ModelParams:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise CheckpointFormatError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointFormatError(f"{path}: checkpoint must be a JSON object")
     version = doc.get("format_version")
     if version not in (1, CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"{path}: unsupported format_version {version!r}")
@@ -153,17 +146,8 @@ def load_checkpoint(path: str) -> net.ModelParams:
     if not isinstance(raw_cfg, dict):
         raise CheckpointFormatError(f"{path}: missing config")
     try:
-        cfg = net.NetConfig(
-            d_m=raw_cfg["d_m"],
-            heads=raw_cfg["heads"],
-            k=raw_cfg["k"],
-            rff_hidden=raw_cfg["rff_hidden"],
-            head_hidden=tuple(raw_cfg["head_hidden"]),
-            block_hidden=raw_cfg.get("block_hidden"),
-            neighbor_features=raw_cfg.get("neighbor_features", "offsets"),
-            seed=raw_cfg.get("seed", 0),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        cfg = net.NetConfig.from_dict(raw_cfg, block_hidden=None, neighbor_features="offsets", seed=0)
+    except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: invalid config: {exc}") from exc
     arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
@@ -174,11 +158,13 @@ def load_checkpoint(path: str) -> net.ModelParams:
         raise CheckpointFormatError(f"{path}: missing array {missing[0]!r}")
     loaded = {}
     for name, shape in expected.items():
-        entry = arrays[name]
-        got = tuple(entry.get("shape", ()))
+        try:
+            got = tuple(arrays[name]["shape"])
+            data = np.asarray(arrays[name]["data"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointFormatError(f"{path}: array {name!r} needs numeric shape and data: {exc!r}") from exc
         if got != shape:
             raise CheckpointFormatError(f"{path}: array {name!r} has shape {got}, expected {shape}")
-        data = np.asarray(entry["data"], dtype=np.float64)
         if data.size != shape[0] * shape[1]:
             raise CheckpointFormatError(f"{path}: array {name!r} has {data.size} values, expected {shape[0] * shape[1]}")
         loaded[name] = data.reshape(shape)

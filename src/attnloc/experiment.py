@@ -50,18 +50,11 @@ def _section(cfg: dict, name: str) -> dict:
 
 
 def net_config(cfg: dict) -> net.NetConfig:
+    """NetConfig from the net section: absent keys take the NetConfig defaults but d_m 64; the top-level seed."""
     s = _section(cfg, "net")
     try:
-        return net.NetConfig(
-            d_m=s.get("d_m", 64),
-            heads=s.get("heads", 4),
-            k=s.get("k", 8),
-            rff_hidden=s.get("rff_hidden", 64),
-            head_hidden=tuple(s.get("head_hidden", (128, 64))),
-            block_hidden=s.get("block_hidden"),
-            neighbor_features=s.get("neighbor_features", "offsets"),
-            seed=int(cfg.get("seed", 0)),
-        )
+        return net.NetConfig.from_dict({**s, "seed": int(cfg.get("seed", 0))},
+                                       **dataclasses.asdict(net.NetConfig(d_m=64)))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"net: {exc}") from exc
 
@@ -120,6 +113,13 @@ def gps_noise(cfg: dict) -> tuple[float, float]:
 
 
 # -- scene generation ---------------------------------------------------------
+
+
+def training_scenes(cfg: dict) -> list[Scene]:
+    """The configured training set: eval.n_train_scenes synthetic scenes drawn from the config seed."""
+    sigma_pos, sigma_rot = gps_noise(cfg)
+    n = int(_section(cfg, "eval").get("n_train_scenes", 2000))
+    return generate_scene_set(sim_config(cfg), sigma_pos, sigma_rot, n, int(cfg.get("seed", 0)))
 
 
 def generate_scene_set(sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot: float,
@@ -357,6 +357,23 @@ def write_trace_svg(path: str, rows: list[tuple[float, float, float, float]]) ->
 # -- the experiment driver -----------------------------------------------------
 
 
+def train_stage(cfg: dict, out_dir: str, pool: list[tuple[np.ndarray, np.ndarray]],
+                map_pool: list[tuple[np.ndarray, np.ndarray]] = (), progress=None) -> net.ModelParams:
+    """Train a fresh network on the scene pools; write checkpoint.json and loss_history.csv.
+
+    A bad net or train section raises ConfigError; any failure while
+    training raises StageError("train").
+    """
+    net_cfg, tcfg = net_config(cfg), train_config(cfg)
+    try:
+        params, history = training.train(net.init_params(net_cfg), tcfg, pool, map_pool, progress=progress)
+        save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"))
+        _write_history(os.path.join(out_dir, "loss_history.csv"), history)
+    except Exception as exc:
+        raise StageError("train", exc) from exc
+    return params
+
+
 def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None = None,
                    progress=None) -> dict:
     """Execute the configured pipeline and write all artifacts under out_dir.
@@ -372,7 +389,6 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     sigma_pos, sigma_rot = gps_noise(cfg)
     evl = _section(cfg, "eval")
     fov_radius = float(evl.get("fov_radius", DEFAULT_FOV_RADIUS))
-    n_train = int(evl.get("n_train_scenes", 2000))
     n_eval = int(evl.get("n_eval_scenes", 200))
     scfg = sim_config(cfg)
 
@@ -380,7 +396,7 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     trains = tcfg is not None and checkpoint is None
     needs_drive = mode == "filter" or (trains and tcfg.mix_ratio > 0)
     try:
-        train_scenes = generate_scene_set(scfg, sigma_pos, sigma_rot, n_train, seed) if trains else []
+        train_scenes = training_scenes(cfg) if trains else []
         eval_scenes = generate_scene_set(scfg, sigma_pos, sigma_rot, n_eval, seed + 1)
         if needs_drive:
             dcfg = drive_config(cfg)
@@ -391,27 +407,17 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
             save_map(lmap, os.path.join(out_dir, "map.csv"))
         if train_scenes:
             save_scenes(train_scenes, os.path.join(out_dir, "scenes.jsonl"))
-    except StageError:
-        raise
+        map_pool = []
+        if trains and tcfg.mix_ratio > 0:
+            map_pool = map_backed_scenes(lmap, poses, dcfg, scfg,
+                                         max(1, int(tcfg.mix_ratio * len(train_scenes))), seed + 4)
     except Exception as exc:
         raise StageError("simulate", exc) from exc
 
     params = checkpoint
     if trains:
-        try:
-            pool = [(sc.measurements, sc.landmarks) for sc in train_scenes]
-            map_pool = []
-            if tcfg.mix_ratio > 0:
-                map_pool = map_backed_scenes(lmap, poses, dcfg, scfg,
-                                             max(1, int(tcfg.mix_ratio * n_train)), seed + 4)
-            params = net.init_params(net_config(cfg))
-            params, history = training.train(params, tcfg, pool, map_pool, progress=progress)
-            save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"))
-            _write_history(os.path.join(out_dir, "loss_history.csv"), history)
-        except StageError:
-            raise
-        except Exception as exc:
-            raise StageError("train", exc) from exc
+        params = train_stage(cfg, out_dir, [(sc.measurements, sc.landmarks) for sc in train_scenes],
+                             map_pool, progress)
 
     try:
         if mode == "gps":
@@ -433,8 +439,6 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
         write_trace(os.path.join(out_dir, "trace.csv"), rows)
         if cfg.get("plot_svg"):
             write_trace_svg(os.path.join(out_dir, "trace.svg"), rows)
-    except StageError:
-        raise
     except Exception as exc:
         raise StageError("infer", exc) from exc
 

@@ -91,26 +91,16 @@ def make_training_sample(
     return TrainSample(measurements=m, landmarks=utm_to_vehicle(lm, noisy_pose), label=d)
 
 
-def multitask_loss(pred, label: PoseOffset, s_tran: float, s_rot: float) -> tuple[float, float, float]:
-    """Homoscedastic multi-task loss on one prediction.
+def multitask_loss_graph(pred: Tensor, label: PoseOffset,
+                         params: net.ModelParams) -> tuple[Tensor, float, float]:
+    """Homoscedastic multi-task loss on the raw 1x3 network output.
 
-    pred is a PoseOffset or a length-3 array. Returns (l_multi, l_tran,
-    l_rot) with l_tran the squared translation residual, l_rot the squared
-    wrapped heading residual, and
-    l_multi = l_tran * e^-s_tran + s_tran + l_rot * e^-s_rot + s_rot.
-    """
-    p = pred.as_array() if isinstance(pred, PoseOffset) else np.asarray(pred, dtype=np.float64).reshape(3)
-    l_tran = float((p[0] - label.dx) ** 2 + (p[1] - label.dy) ** 2)
-    l_rot = float(wrap_angle(p[2] - label.dphi) ** 2)
-    l_multi = l_tran * math.exp(-s_tran) + s_tran + l_rot * math.exp(-s_rot) + s_rot
-    return l_multi, l_tran, l_rot
-
-
-def multitask_loss_graph(pred: Tensor, label: PoseOffset, params: net.ModelParams) -> Tensor:
-    """Differentiable multi-task loss; pred is the raw 1x3 network output.
-
-    The heading residual is wrapped by folding the (locally constant)
-    2*pi shift into the label, so gradients stay exact across the seam.
+    Returns (l_multi, l_tran, l_rot): the differentiable 1x1 loss
+    l_multi = l_tran * e^-s_tran + s_tran + l_rot * e^-s_rot + s_rot, and
+    the values of its squared translation residual and squared wrapped
+    heading residual. The heading residual is wrapped by folding the
+    (locally constant) 2*pi shift into the label, so gradients stay exact
+    across the seam.
     """
     raw_dphi = float(pred.data[0, 2]) - label.dphi
     shift = wrap_angle(raw_dphi) - raw_dphi
@@ -121,7 +111,8 @@ def multitask_loss_graph(pred: Tensor, label: PoseOffset, params: net.ModelParam
     l_tran = (res_t * res_t).sum()
     l_rot = (res_r * res_r).sum()
     s_tran, s_rot = params["s_tran"], params["s_rot"]
-    return l_tran * (-s_tran).exp() + s_tran + l_rot * (-s_rot).exp() + s_rot
+    loss = l_tran * (-s_tran).exp() + s_tran + l_rot * (-s_rot).exp() + s_rot
+    return loss, float(l_tran.data[0, 0]), float(l_rot.data[0, 0])
 
 
 class AdamState:
@@ -198,10 +189,9 @@ def train(
             meas, lm = pool[rng.integers(len(pool))]
             sample = make_training_sample(lm, origin, meas, cfg, rng)
             pred = net.forward(sample.measurements, sample.landmarks, params)
-            loss = multitask_loss_graph(pred, sample.label, params)
+            loss, l_tran, l_rot = multitask_loss_graph(pred, sample.label, params)
             loss.backward()
-            sums += multitask_loss(pred.data[0], sample.label,
-                                   float(params["s_tran"].data[0, 0]), float(params["s_rot"].data[0, 0]))
+            sums += (loss.data[0, 0], l_tran, l_rot)
             in_batch += 1
             if in_batch == cfg.batch_size or j == n_per_epoch - 1:
                 grads = {k: t.grad / in_batch for k, t in params.items()}

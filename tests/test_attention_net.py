@@ -1,3 +1,4 @@
+import hashlib
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ from attnloc import attention_net as net
 from attnloc import autodiff as ad
 from attnloc import experiment, simulator
 from attnloc.autodiff import Tensor
-from attnloc.dataset_io import load_checkpoint
+from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
@@ -333,7 +334,7 @@ class TestForward:
         label = PoseOffset(0.2, -0.1, 0.05)
         subset = [small_params[n] for n in ("embed_m.w0", "local.q", "global.v", "head.w2", "s_tran", "s_rot")]
         worst = ad.check_gradient(
-            lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params), subset
+            lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params)[0], subset
         )
         assert worst < 1e-4
 
@@ -365,3 +366,10 @@ class TestPinnedCheckpoint:
         got = [net.predict_offset(sc.measurements, utm_to_vehicle(sc.landmarks, sc.gps_pose), params).as_array()
                for sc in scenes]
         np.testing.assert_allclose(got, DESK_OFFSETS, rtol=0, atol=1e-12)
+
+    def test_resave_bytes(self, tmp_path):
+        # the format-2 file the pinned format-1 checkpoint re-saves to
+        path = tmp_path / "resaved.json"
+        save_checkpoint(load_checkpoint(str(DESK_CHECKPOINT)), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b33cbe24dd1368ec69c15dbeeb2aba0c7703f78a979fb1e9165a643faedd9966")

@@ -69,6 +69,15 @@ class TestSceneRoundTrip:
         with pytest.raises(SceneFormatError, match=":2:"):
             load_scenes(str(path))
 
+    @pytest.mark.parametrize("field, value", [("t", None), ("t", "soon"), ("gt_pose", 5)])
+    def test_bad_field_value_reports_line(self, tmp_path, field, value):
+        path = tmp_path / "badvalue.jsonl"
+        good = {"t": 0.0, "gt_pose": [0, 0, 0], "gps_pose": [0, 0, 0], "measurements": []}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(dict(good, **{field: value})) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(SceneFormatError, match="badvalue.jsonl:2:"):
+            load_scenes(str(path))
+
     def test_missing_field_named(self, tmp_path):
         path = tmp_path / "missing.jsonl"
         path.write_text(json.dumps({"t": 0.0, "gt_pose": [0, 0, 0], "measurements": []}) + "\n",
@@ -155,6 +164,50 @@ class TestCheckpointRoundTrip:
         open(path, "w", encoding="utf-8").write(json.dumps(doc))
         with pytest.raises(CheckpointFormatError, match="embed_m.w0"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt", [
+        lambda doc: [1, 2],
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"embed_m.w0": 5})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"embed_m.w0": [1.0, 2.0]})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"embed_m.w0": {"shape": [2, 64]}})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"embed_m.w0": {"shape": 7, "data": []}})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": ["x"]}})),
+    ], ids=["top-level-list", "entry-number", "entry-list", "entry-without-data", "shape-number", "data-text"])
+    def test_malformed_document_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "malformed.json"
+        save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
+        path.write_text(json.dumps(corrupt(json.loads(path.read_text(encoding="utf-8")))), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match="malformed.json"):
+            load_checkpoint(str(path))
+
+    @pytest.mark.parametrize("key", ["d_m", "heads", "k", "rff_hidden", "head_hidden"])
+    def test_config_field_required(self, tmp_path, key):
+        # a config without heads must never load with the default of 4
+        path = tmp_path / "nofield.json"
+        save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["config"][key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match=f"missing field '{key}'"):
+            load_checkpoint(str(path))
+
+    def test_config_unknown_key_rejected(self, tmp_path):
+        path = tmp_path / "extra.json"
+        save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["config"]["dropout"] = 0.1
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match="unknown key 'dropout'"):
+            load_checkpoint(str(path))
+
+    def test_config_written_as_asdict(self, tmp_path):
+        cfg = net.NetConfig(d_m=8, heads=2, k=2, head_hidden=(5, 3), block_hidden=6, seed=4)
+        path = tmp_path / "cfg.json"
+        save_checkpoint(net.init_params(cfg), str(path))
+        written = json.loads(path.read_text(encoding="utf-8"))["config"]
+        assert written == {"d_m": 8, "heads": 2, "k": 2, "rff_hidden": 64, "head_hidden": [5, 3],
+                           "block_hidden": 6, "neighbor_features": "offsets", "seed": 4}
+        assert net.NetConfig.from_dict(written) == cfg
 
     def test_missing_array_rejected(self, tmp_path):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)

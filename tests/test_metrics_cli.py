@@ -219,6 +219,39 @@ class TestCli:
         assert code == 2
         assert "error:config:" in capsys.readouterr().err
 
+    def _last_err_line(self, capsys):
+        return capsys.readouterr().err.strip().splitlines()[-1]
+
+    def test_malformed_checkpoint_is_io_error(self, tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        ckpt.write_text("[1, 2]", encoding="utf-8")
+        code = cli.main(["infer", "--mode", "gps", "--config", self._write_cfg(tmp_path),
+                         "--out", str(tmp_path / "o"), "--checkpoint", str(ckpt)])
+        assert code == 1
+        assert self._last_err_line(capsys).startswith("error:io:")
+
+    def test_divergent_training_is_train_error(self, tmp_path, capsys):
+        cfg = dict(TINY_CFG, train={"epochs": 2, "batch_size": 1, "learning_rate": 1e3},
+                   eval={"n_train_scenes": 20, "n_eval_scenes": 4})
+        code = cli.main(["train", "--config", self._write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert self._last_err_line(capsys).startswith("error:train:")
+
+    @pytest.mark.parametrize("command", [["train"], ["infer", "--mode", "gps"]])
+    @pytest.mark.parametrize("net_section", [{"d_m": 16, "heads": 3, "k": 4}, {"d_m": 16, "heads": 2, "dm": 8}],
+                             ids=["heads-not-dividing", "unknown-key"])
+    def test_bad_net_section_is_config_error(self, tmp_path, capsys, command, net_section):
+        cfg = self._write_cfg(tmp_path, dict(TINY_CFG, net=net_section))
+        assert cli.main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert self._last_err_line(capsys).startswith("error:config: net:")
+
+    def test_icp_matches_run_experiment(self, tmp_path, capsys):
+        out = str(tmp_path / "cli")
+        assert cli.main(["icp", "--config", self._write_cfg(tmp_path), "--out", out]) == 0
+        run_experiment(dict(TINY_CFG, mode="icp"), str(tmp_path / "api"))
+        for name in ("report.json", "trace.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
     def test_seed_override(self, tmp_path):
         cfg = self._write_cfg(tmp_path)
         out1 = str(tmp_path / "s1")

@@ -14,7 +14,6 @@ from attnloc.training import (
     TrainConfig,
     adam_step,
     make_training_sample,
-    multitask_loss,
     multitask_loss_graph,
     sample_offset,
 )
@@ -104,17 +103,26 @@ class TestMakeTrainingSample:
                                  np.random.default_rng(0))
 
 
+def _loss(pred: PoseOffset, label: PoseOffset, s_tran: float, s_rot: float) -> tuple[float, float, float]:
+    """multitask_loss_graph on a fixed prediction: (l_multi value, l_tran, l_rot)."""
+    params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
+    params.tensors["s_tran"] = Tensor([[s_tran]])
+    params.tensors["s_rot"] = Tensor([[s_rot]])
+    loss, l_tran, l_rot = multitask_loss_graph(Tensor([pred.as_array()]), label, params)
+    return loss.data[0, 0], l_tran, l_rot
+
+
 class TestMultitaskLoss:
     def test_zero_residuals(self):
         label = PoseOffset(0.3, -0.2, 0.1)
-        l_multi, l_tran, l_rot = multitask_loss(label, label, s_tran=0.7, s_rot=-0.3)
+        l_multi, l_tran, l_rot = _loss(label, label, s_tran=0.7, s_rot=-0.3)
         assert (l_tran, l_rot) == (0.0, 0.0)
         assert l_multi == pytest.approx(0.7 - 0.3)
 
     def test_unit_weights(self):
         pred = PoseOffset(1.0, 0.0, 0.1)
         label = PoseOffset(0.0, 1.0, 0.0)
-        l_multi, l_tran, l_rot = multitask_loss(pred, label, 0.0, 0.0)
+        l_multi, l_tran, l_rot = _loss(pred, label, 0.0, 0.0)
         assert l_multi == pytest.approx(l_tran + l_rot)
         assert l_tran == pytest.approx(2.0)
 
@@ -122,14 +130,14 @@ class TestMultitaskLoss:
         # L_tran=2, L_rot=1, s_tran=ln 2, s_rot=0 -> 2 + ln 2
         pred = PoseOffset(1.0, 1.0, 1.0)
         label = PoseOffset(0.0, 0.0, 0.0)
-        l_multi, l_tran, l_rot = multitask_loss(pred, label, math.log(2.0), 0.0)
+        l_multi, l_tran, l_rot = _loss(pred, label, math.log(2.0), 0.0)
         assert (l_tran, l_rot) == (2.0, 1.0)
         assert l_multi == pytest.approx(2.0 + math.log(2.0))
 
     def test_rotation_residual_wraps(self):
         near_pi = PoseOffset(0.0, 0.0, math.pi - 0.01)
         near_minus_pi = PoseOffset(0.0, 0.0, -math.pi + 0.01)
-        _, _, l_rot = multitask_loss(near_pi, near_minus_pi, 0.0, 0.0)
+        _, _, l_rot = _loss(near_pi, near_minus_pi, 0.0, 0.0)
         assert l_rot == pytest.approx(0.02**2, rel=1e-9)
 
     def test_graph_matches_value_function(self):
@@ -139,8 +147,11 @@ class TestMultitaskLoss:
         params.tensors["s_rot"] = Tensor([[-0.2]])
         pred = Tensor([[0.3, -0.1, 3.2]])
         label = PoseOffset(0.1, 0.2, -3.1)
-        got = multitask_loss_graph(pred, label, params).data[0, 0]
-        want, _, _ = multitask_loss(pred.data[0], label, 0.4, -0.2)
+        got = multitask_loss_graph(pred, label, params)[0].data[0, 0]
+        # closed form: the heading residual 6.3 wraps to 6.3 - 2 pi
+        l_tran = (0.3 - 0.1) ** 2 + (-0.1 - 0.2) ** 2
+        l_rot = (6.3 - 2 * math.pi) ** 2
+        want = l_tran * math.exp(-0.4) + 0.4 + l_rot * math.exp(0.2) - 0.2
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_s_tran_gradient_identity(self):
@@ -149,13 +160,12 @@ class TestMultitaskLoss:
         pred = Tensor([[0.5, -0.3, 0.02]])
         label = PoseOffset(0.1, 0.1, 0.0)
         params.zero_grads()
-        loss = multitask_loss_graph(pred, label, params)
+        loss, l_tran, l_rot = multitask_loss_graph(pred, label, params)
         loss.backward()
-        _, l_tran, l_rot = multitask_loss(pred.data[0], label, 0.0, 0.0)
         assert params["s_tran"].grad[0, 0] == pytest.approx(1.0 - l_tran, rel=1e-12)
         assert params["s_rot"].grad[0, 0] == pytest.approx(1.0 - l_rot, rel=1e-12)
         # and against the finite-difference oracle
-        worst = ad.check_gradient(lambda: multitask_loss_graph(pred, label, params),
+        worst = ad.check_gradient(lambda: multitask_loss_graph(pred, label, params)[0],
                                   [params["s_tran"], params["s_rot"]], h=1e-6)
         assert worst < 1e-8
 
