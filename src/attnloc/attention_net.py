@@ -8,7 +8,7 @@ a feed-forward head regressing the pose offset (dx, dy, dphi).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,23 +43,6 @@ class NetConfig:
             raise ValueError(f"heads ({self.heads}) must divide d_m ({self.d_m})")
         if self.neighbor_features not in ("offsets", "distance"):
             raise ValueError(f"unknown neighbor_features mode {self.neighbor_features!r}")
-
-    @classmethod
-    def from_dict(cls, doc: dict, **defaults) -> "NetConfig":
-        """The config a JSON object describes, the inverse of dataclasses.asdict.
-
-        A field missing from doc takes its value from defaults. A key that is
-        not a field, or a field in neither, raises ValueError.
-        """
-        names = [f.name for f in fields(cls)]
-        unknown = sorted(set(doc) - set(names))
-        if unknown:
-            raise ValueError(f"unknown key {unknown[0]!r}")
-        kw = {**defaults, **doc}
-        missing = [n for n in names if n not in kw]
-        if missing:
-            raise ValueError(f"missing field {missing[0]!r}")
-        return cls(**{n: tuple(kw[n]) if n == "head_hidden" else kw[n] for n in names})
 
     @property
     def feature_width(self) -> int:

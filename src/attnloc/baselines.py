@@ -1,4 +1,4 @@
-"""Classical comparators: point-to-point ICP and an EKF fed raw GPS poses."""
+"""Classical comparator: point-to-point ICP."""
 
 from __future__ import annotations
 
@@ -7,8 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, PoseOffset, as_points, rotation, wrap_angle
-from .inference import EkfConfig, ekf_predict, ekf_update, init_state
+from .geometry import PoseOffset, as_points, rotation, wrap_angle
 
 
 @dataclass
@@ -82,17 +81,3 @@ def icp(
     residuals.append(rms)
     phi = math.atan2(r[1, 0], r[0, 0])
     return IcpResult(offset=PoseOffset(t[0], t[1], phi), rms=rms, iterations=iterations, residuals=residuals)
-
-
-def ekf_gps_baseline(gps_poses: list[Pose], dt: float, cfg: EkfConfig | None = None) -> list[Pose]:
-    """Smooth a raw GPS pose sequence with the CTRV EKF (no network)."""
-    if not gps_poses:
-        raise ValueError("ekf_gps_baseline needs at least one pose")
-    cfg = cfg if cfg is not None else EkfConfig()
-    state = init_state(gps_poses[0], cfg)
-    out = [state.pose()]
-    for z in gps_poses[1:]:
-        state = ekf_predict(state, cfg, dt)
-        state = ekf_update(state, z, cfg)
-        out.append(state.pose())
-    return out

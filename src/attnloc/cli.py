@@ -32,26 +32,26 @@ def _load_config(path: str, seed: int | None) -> dict:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = _load_config(args.config, args.seed)
+    plan = experiment.parse_config(_load_config(args.config, args.seed))
     os.makedirs(args.out, exist_ok=True)
-    scenes = experiment.training_scenes(cfg)
+    scenes = experiment.training_scenes(plan)
     save_scenes(scenes, os.path.join(args.out, "scenes.jsonl"))
     print(f"wrote {len(scenes)} scenes to {args.out}/scenes.jsonl")
     return 0
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.seed)
-    os.makedirs(args.out, exist_ok=True)
-    scenes = load_scenes(args.scenes) if args.scenes else experiment.training_scenes(cfg)
-    pool = [(sc.measurements, sc.landmarks) for sc in scenes if sc.landmarks is not None]
+    plan = experiment.parse_config(_load_config(args.config, args.seed))
+    scenes = load_scenes(args.scenes) if args.scenes else experiment.training_scenes(plan)
+    pool, map_pool = experiment.training_pools(plan, scenes)
     if not pool:
         raise ConfigError("training scenes carry no landmarks")
 
     def progress(epoch, stats):
         print(f"epoch {epoch}: loss {stats.loss:.4f} (tran {stats.loss_tran:.4f}, rot {stats.loss_rot:.6f})")
 
-    params = experiment.train_stage(cfg, args.out, pool, progress=progress if args.verbose else None)
+    os.makedirs(args.out, exist_ok=True)
+    params = experiment.train_stage(plan, args.out, pool, map_pool, progress=progress if args.verbose else None)
     print(f"trained {params.param_count()} parameters; checkpoint at {args.out}/checkpoint.json")
     return 0
 

@@ -1,4 +1,4 @@
-"""File formats: scene JSONL, checkpoint JSON, atomic writes.
+"""File formats: scene JSONL, checkpoint JSON, config dataclasses, atomic writes.
 
 All round trips are value-exact for 64-bit floats; json uses the shortest
 round-trip decimal encoding. Writers go through a temp file plus rename so
@@ -57,6 +57,28 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _tuples(value):
+    return tuple(_tuples(v) for v in value) if isinstance(value, list) else value
+
+
+def from_dict(cls, doc: dict, **defaults):
+    """The config dataclass `cls` a JSON object describes, the inverse of dataclasses.asdict.
+
+    A field missing from doc takes its value from defaults. A key that is
+    not a field, or a field in neither, raises ValueError. JSON lists become
+    tuples, nested lists nested tuples.
+    """
+    names = [f.name for f in dataclasses.fields(cls)]
+    unknown = sorted(set(doc) - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
+    kw = {**defaults, **doc}
+    missing = [n for n in names if n not in kw]
+    if missing:
+        raise ValueError(f"missing field {missing[0]!r}")
+    return cls(**{n: _tuples(kw[n]) for n in names})
 
 
 def _pose_list(p: Pose) -> list[float]:
@@ -146,7 +168,7 @@ def load_checkpoint(path: str) -> net.ModelParams:
     if not isinstance(raw_cfg, dict):
         raise CheckpointFormatError(f"{path}: missing config")
     try:
-        cfg = net.NetConfig.from_dict(raw_cfg, block_hidden=None, neighbor_features="offsets", seed=0)
+        cfg = from_dict(net.NetConfig, raw_cfg, block_hidden=None, neighbor_features="offsets", seed=0)
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: invalid config: {exc}") from exc
     arrays = doc.get("arrays")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import os
 import time
 from dataclasses import dataclass
@@ -20,7 +21,7 @@ import numpy as np
 from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
-from .dataset_io import Scene, _atomic_write, save_checkpoint, save_scenes
+from .dataset_io import Scene, _atomic_write, from_dict, save_checkpoint, save_scenes
 from .geometry import Pose, correct_pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, gps_inference
 from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, query_fov, save_map
@@ -42,101 +43,78 @@ class ConfigError(ValueError):
     """The experiment config document failed validation."""
 
 
-def _section(cfg: dict, name: str) -> dict:
+def _section(cfg: dict, name: str, keys) -> dict:
+    """cfg[name], an object whose keys are all among keys; {} when absent."""
     value = cfg.get(name, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"config section {name!r} must be an object")
+        raise TypeError("must be an object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r}")
     return value
 
 
+def _dataclass_section(cls, cfg: dict, name: str, base=None, **top):
+    """Section name as a cls: absent keys take base's values (cls's defaults); top sets the top-level fields."""
+    s = _section(cfg, name, [f.name for f in dataclasses.fields(cls) if f.name not in top])
+    return from_dict(cls, {**s, **top}, **dataclasses.asdict(base or cls()))
+
+
+def _seed(cfg: dict) -> int:
+    return operator.index(cfg.get("seed", 0))
+
+
 def net_config(cfg: dict) -> net.NetConfig:
-    """NetConfig from the net section: absent keys take the NetConfig defaults but d_m 64; the top-level seed."""
-    s = _section(cfg, "net")
-    try:
-        return net.NetConfig.from_dict({**s, "seed": int(cfg.get("seed", 0))},
-                                       **dataclasses.asdict(net.NetConfig(d_m=64)))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"net: {exc}") from exc
+    """The net section: absent keys take the NetConfig defaults but d_m 64; the top-level seed."""
+    return _dataclass_section(net.NetConfig, cfg, "net", net.NetConfig(d_m=64), seed=_seed(cfg))
 
 
 def sim_config(cfg: dict) -> simulator.SimConfig:
-    s = dict(_section(cfg, "sim"))
-    for key in ("sigma", "sigma1", "sigma2"):
-        if key in s:
-            s[key] = tuple(tuple(row) for row in s[key])
-    for key in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi"):
-        if key in s:
-            s[key] = tuple(s[key])
-    try:
-        return simulator.SimConfig(seed=int(cfg.get("seed", 0)), **s)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"sim: {exc}") from exc
-
-
-def train_config(cfg: dict) -> TrainConfig:
-    s = _section(cfg, "train")
-    noise = _section(cfg, "gps_noise")
-    try:
-        return TrainConfig(
-            sigma_pos=s.get("sigma_pos", noise.get("sigma_pos", 1.0)),
-            sigma_rot=math.radians(s.get("sigma_rot_deg", noise.get("sigma_phi_deg", 4.0))),
-            epochs=s.get("epochs", 30),
-            batch_size=s.get("batch_size", 16),
-            learning_rate=s.get("learning_rate", 1e-3),
-            mix_ratio=s.get("mix_ratio", 0.0),
-            samples_per_epoch=s.get("samples_per_epoch"),
-            seed=int(cfg.get("seed", 0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"train: {exc}") from exc
-
-
-def ekf_config(cfg: dict) -> EkfConfig:
-    s = _section(cfg, "ekf")
-    try:
-        return EkfConfig(
-            sigma_accel=s.get("sigma_accel", 0.5),
-            sigma_yaw_accel=s.get("sigma_yaw_accel", 0.1),
-            r_diag=(
-                s.get("r_pos_var", 0.25),
-                s.get("r_pos_var", 0.25),
-                math.radians(s.get("r_phi_deg", 2.0)) ** 2,
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"ekf: {exc}") from exc
+    return _dataclass_section(simulator.SimConfig, cfg, "sim", seed=_seed(cfg))
 
 
 def gps_noise(cfg: dict) -> tuple[float, float]:
-    s = _section(cfg, "gps_noise")
-    return float(s.get("sigma_pos", 1.0)), math.radians(float(s.get("sigma_phi_deg", 4.0)))
+    """(sigma_pos m, sigma_rot rad) GPS noise bounds; absent keys take TrainConfig's offset bounds."""
+    s = _section(cfg, "gps_noise", ("sigma_pos", "sigma_phi_deg"))
+    sigma_pos = float(s.get("sigma_pos", TrainConfig.sigma_pos))
+    sigma_rot = math.radians(float(s["sigma_phi_deg"])) if "sigma_phi_deg" in s else TrainConfig.sigma_rot
+    if sigma_pos < 0 or sigma_rot < 0:
+        raise ValueError("noise bounds must be >= 0")
+    return sigma_pos, sigma_rot
 
 
-# -- scene generation ---------------------------------------------------------
-
-
-def training_scenes(cfg: dict) -> list[Scene]:
-    """The configured training set: eval.n_train_scenes synthetic scenes drawn from the config seed."""
+def train_config(cfg: dict) -> TrainConfig:
+    """The train section: offset bounds default to the GPS noise; sigma_rot_deg in degrees."""
+    s = dict(_section(cfg, "train", ("sigma_pos", "sigma_rot_deg", "epochs", "batch_size", "learning_rate",
+                                     "mix_ratio", "samples_per_epoch")))
     sigma_pos, sigma_rot = gps_noise(cfg)
-    n = int(_section(cfg, "eval").get("n_train_scenes", 2000))
-    return generate_scene_set(sim_config(cfg), sigma_pos, sigma_rot, n, int(cfg.get("seed", 0)))
+    if "sigma_rot_deg" in s:
+        sigma_rot = math.radians(s.pop("sigma_rot_deg"))
+    return TrainConfig(**{"sigma_pos": sigma_pos, "sigma_rot": sigma_rot, **s, "seed": _seed(cfg)})
 
 
-def generate_scene_set(sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot: float,
-                       n: int, seed: int) -> list[Scene]:
-    """Self-contained synthetic scenes at the origin with noisy GPS poses."""
-    origin = Pose(0.0, 0.0, 0.0)
-    scenes = []
-    for i in range(n):
-        rng = simulator.scene_rng(seed, i)
-        sc = simulator.generate_scene(sim_cfg, rng)
-        gps = offset_pose(origin, sample_offset(sigma_pos, sigma_rot, rng))
-        scenes.append(Scene(t=float(i), gt_pose=origin, gps_pose=gps,
-                            measurements=sc.measurements, landmarks=sc.landmarks))
-    return scenes
+@dataclass(frozen=True)
+class EvalConfig:
+    """Training and evaluation set sizes and the map query radius (m)."""
+
+    n_train_scenes: int = 2000
+    n_eval_scenes: int = 200
+    fov_radius: float = DEFAULT_FOV_RADIUS
+
+    def __post_init__(self) -> None:
+        if min(operator.index(self.n_train_scenes), operator.index(self.n_eval_scenes)) < 1 or self.fov_radius <= 0:
+            raise ValueError("scene counts must be integers >= 1 and fov_radius > 0")
 
 
-@dataclass
+def ekf_config(cfg: dict) -> EkfConfig:
+    """The ekf section: r_pos_var (m^2) and r_phi_deg (deg) set r_diag; absent keys keep EkfConfig's values."""
+    s = dict(_section(cfg, "ekf", ("sigma_accel", "sigma_yaw_accel", "r_pos_var", "r_phi_deg")))
+    r_pos = s.pop("r_pos_var", EkfConfig.r_diag[0])
+    r_phi = math.radians(s.pop("r_phi_deg")) ** 2 if "r_phi_deg" in s else EkfConfig.r_diag[2]
+    return EkfConfig(**s, r_diag=(r_pos, r_pos, r_phi))
+
+
+@dataclass(frozen=True)
 class DriveConfig:
     """Synthetic drive: CTRV segments plus roadside landmark placement.
 
@@ -152,14 +130,82 @@ class DriveConfig:
     sensor_range_m: float = 40.0
     sensor_half_width_m: float = 20.0
 
+    def __post_init__(self) -> None:
+        if min(self.dt, self.cluster_spacing_m, self.sensor_range_m, self.sensor_half_width_m) <= 0 \
+                or min(self.v, self.cluster_rate) < 0:
+            raise ValueError("dt and the lengths must be > 0, v and cluster_rate >= 0")
+        if not self.segments or not all(len(seg) == 2 and seg[0] > 0 and math.isfinite(seg[1])
+                                        for seg in self.segments):
+            raise ValueError("segments must be (duration > 0, omega) pairs")
+
 
 def drive_config(cfg: dict) -> DriveConfig:
-    s = _section(cfg, "drive")
-    kwargs = {k: s[k] for k in ("v", "dt", "cluster_spacing_m", "cluster_rate",
-                                "sensor_range_m", "sensor_half_width_m") if k in s}
-    if "segments" in s:
-        kwargs["segments"] = tuple(tuple(seg) for seg in s["segments"])
-    return DriveConfig(**kwargs)
+    return _dataclass_section(DriveConfig, cfg, "drive")
+
+
+@dataclass(frozen=True)
+class Plan:
+    """A whole config document, parsed and checked: what every stage reads."""
+
+    seed: int
+    net: net.NetConfig
+    sim: simulator.SimConfig
+    gps_noise: tuple[float, float]
+    train: TrainConfig
+    eval: EvalConfig
+    drive: DriveConfig
+    ekf: EkfConfig
+    mode: str = "gps"
+    plot_svg: bool = False
+
+    def __post_init__(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
+        if self.plot_svg not in (False, True):
+            raise ConfigError(f"plot_svg: must be true or false, got {self.plot_svg!r}")
+
+
+# the reader of each section; one that also reads another key (the seed, the
+# GPS noise) comes after it, so that an error names the key with the bad value
+_READERS = {"seed": _seed, "net": net_config, "sim": sim_config, "gps_noise": gps_noise, "train": train_config,
+            "eval": lambda cfg: _dataclass_section(EvalConfig, cfg, "eval"), "drive": drive_config,
+            "ekf": ekf_config}
+
+
+def parse_config(cfg: dict) -> Plan:
+    """Parse and check the whole config document; ConfigError("<key>: ...") names the bad top-level key."""
+    unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(Plan)})
+    if unknown:
+        raise ConfigError(f"{unknown[0]}: unknown top-level key")
+    parsed = {k: cfg[k] for k in ("mode", "plot_svg") if k in cfg}
+    for name, read in _READERS.items():
+        try:
+            parsed[name] = read(cfg)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{name}: {exc}") from exc
+    return Plan(**parsed)
+
+
+# -- scene generation ---------------------------------------------------------
+
+
+def training_scenes(plan: Plan) -> list[Scene]:
+    """The configured training set: eval.n_train_scenes synthetic scenes drawn from the config seed."""
+    return generate_scene_set(plan.sim, *plan.gps_noise, plan.eval.n_train_scenes, plan.seed)
+
+
+def generate_scene_set(sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot: float,
+                       n: int, seed: int) -> list[Scene]:
+    """Self-contained synthetic scenes at the origin with noisy GPS poses."""
+    origin = Pose(0.0, 0.0, 0.0)
+    scenes = []
+    for i in range(n):
+        rng = simulator.scene_rng(seed, i)
+        sc = simulator.generate_scene(sim_cfg, rng)
+        gps = offset_pose(origin, sample_offset(sigma_pos, sigma_rot, rng))
+        scenes.append(Scene(t=float(i), gt_pose=origin, gps_pose=gps,
+                            measurements=sc.measurements, landmarks=sc.landmarks))
+    return scenes
 
 
 def drive_trajectory(d: DriveConfig, start: Pose = Pose(0.0, 0.0, 0.0)) -> list[Pose]:
@@ -357,16 +403,30 @@ def write_trace_svg(path: str, rows: list[tuple[float, float, float, float]]) ->
 # -- the experiment driver -----------------------------------------------------
 
 
-def train_stage(cfg: dict, out_dir: str, pool: list[tuple[np.ndarray, np.ndarray]],
+def drive_map(plan: Plan) -> tuple[list[Pose], LandmarkMap]:
+    """The configured drive's trajectory and its landmark map."""
+    poses = drive_trajectory(plan.drive)
+    return poses, build_drive_map(poses, plan.drive, plan.sim, np.random.default_rng((plan.seed, 2)))
+
+
+def training_pools(plan: Plan, scenes: list[Scene], drive: tuple[list[Pose], LandmarkMap] | None = None):
+    """(synthetic, map-backed) pools: the scenes with landmarks; with train.mix_ratio > 0, draws along the drive."""
+    pool = [(sc.measurements, sc.landmarks) for sc in scenes if sc.landmarks is not None]
+    if plan.train.mix_ratio == 0:
+        return pool, []
+    poses, lmap = drive or drive_map(plan)
+    return pool, map_backed_scenes(lmap, poses, plan.drive, plan.sim,
+                                   max(1, int(plan.train.mix_ratio * len(pool))), plan.seed + 4)
+
+
+def train_stage(plan: Plan, out_dir: str, pool: list[tuple[np.ndarray, np.ndarray]],
                 map_pool: list[tuple[np.ndarray, np.ndarray]] = (), progress=None) -> net.ModelParams:
     """Train a fresh network on the scene pools; write checkpoint.json and loss_history.csv.
 
-    A bad net or train section raises ConfigError; any failure while
-    training raises StageError("train").
+    Any failure while training raises StageError("train").
     """
-    net_cfg, tcfg = net_config(cfg), train_config(cfg)
     try:
-        params, history = training.train(net.init_params(net_cfg), tcfg, pool, map_pool, progress=progress)
+        params, history = training.train(net.init_params(plan.net), plan.train, pool, map_pool, progress=progress)
         save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"))
         _write_history(os.path.join(out_dir, "loss_history.csv"), history)
     except Exception as exc:
@@ -376,75 +436,57 @@ def train_stage(cfg: dict, out_dir: str, pool: list[tuple[np.ndarray, np.ndarray
 
 def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None = None,
                    progress=None) -> dict:
-    """Execute the configured pipeline and write all artifacts under out_dir.
+    """Parse the config document, execute its pipeline and write all artifacts under out_dir.
 
-    Returns the report document. Any stage failure raises StageError naming
-    the stage.
+    Returns the report document. A bad config raises ConfigError before
+    anything is written; any stage failure raises StageError naming the
+    stage.
     """
-    mode = cfg.get("mode", "gps")
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    plan = parse_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
-    sigma_pos, sigma_rot = gps_noise(cfg)
-    evl = _section(cfg, "eval")
-    fov_radius = float(evl.get("fov_radius", DEFAULT_FOV_RADIUS))
-    n_eval = int(evl.get("n_eval_scenes", 200))
-    scfg = sim_config(cfg)
-
-    tcfg = train_config(cfg) if mode != "icp" else None
-    trains = tcfg is not None and checkpoint is None
-    needs_drive = mode == "filter" or (trains and tcfg.mix_ratio > 0)
+    trains = plan.mode != "icp" and checkpoint is None
     try:
-        train_scenes = training_scenes(cfg) if trains else []
-        eval_scenes = generate_scene_set(scfg, sigma_pos, sigma_rot, n_eval, seed + 1)
-        if needs_drive:
-            dcfg = drive_config(cfg)
-            poses = drive_trajectory(dcfg)
-            lmap = build_drive_map(poses, dcfg, scfg, np.random.default_rng((seed, 2)))
-        if mode == "filter":
-            frames = drive_frames(poses, lmap, dcfg, scfg, sigma_pos, sigma_rot, seed + 3)
+        eval_scenes = generate_scene_set(plan.sim, *plan.gps_noise, plan.eval.n_eval_scenes, plan.seed + 1)
+        drive = drive_map(plan) if plan.mode == "filter" or (trains and plan.train.mix_ratio > 0) else None
+        if plan.mode == "filter":
+            poses, lmap = drive
+            frames = drive_frames(poses, lmap, plan.drive, plan.sim, *plan.gps_noise, plan.seed + 3)
             save_map(lmap, os.path.join(out_dir, "map.csv"))
-        if train_scenes:
+        if trains:
+            train_scenes = training_scenes(plan)
             save_scenes(train_scenes, os.path.join(out_dir, "scenes.jsonl"))
-        map_pool = []
-        if trains and tcfg.mix_ratio > 0:
-            map_pool = map_backed_scenes(lmap, poses, dcfg, scfg,
-                                         max(1, int(tcfg.mix_ratio * len(train_scenes))), seed + 4)
+            pool, map_pool = training_pools(plan, train_scenes, drive)
     except Exception as exc:
         raise StageError("simulate", exc) from exc
 
-    params = checkpoint
-    if trains:
-        params = train_stage(cfg, out_dir, [(sc.measurements, sc.landmarks) for sc in train_scenes],
-                             map_pool, progress)
+    params = train_stage(plan, out_dir, pool, map_pool, progress) if trains else checkpoint
 
     try:
-        if mode == "gps":
-            preds, gts, latency = evaluate_gps(params, eval_scenes, None, fov_radius)
+        if plan.mode == "gps":
+            preds, gts, latency = evaluate_gps(params, eval_scenes, None, plan.eval.fov_radius)
             ts = [sc.t for sc in eval_scenes]
             extra = {}
-        elif mode == "icp":
-            preds, gts, latency = evaluate_icp(eval_scenes, fov_radius)
+        elif plan.mode == "icp":
+            preds, gts, latency = evaluate_icp(eval_scenes, plan.eval.fov_radius)
             ts = [sc.t for sc in eval_scenes]
             extra = {}
         else:
-            preds, gts, latency = evaluate_filter(params, lmap, frames, ekf_config(cfg), fov_radius)
+            preds, gts, latency = evaluate_filter(params, lmap, frames, plan.ekf, plan.eval.fov_radius)
             ts = [sc.t for sc in frames]
-            g_preds, g_gts, _ = evaluate_gps(params, frames, lmap, fov_radius)
+            g_preds, g_gts, _ = evaluate_gps(params, frames, lmap, plan.eval.fov_radius)
             gps_rows = trace_rows(g_preds, g_gts, ts)
             write_trace(os.path.join(out_dir, "trace_gps.csv"), gps_rows)
             extra = {"gps_baseline": EvalReport.from_error_rows(np.asarray(gps_rows)[:, 1:]).metrics_dict()}
         rows = trace_rows(preds, gts, ts)
         write_trace(os.path.join(out_dir, "trace.csv"), rows)
-        if cfg.get("plot_svg"):
+        if plan.plot_svg:
             write_trace_svg(os.path.join(out_dir, "trace.svg"), rows)
     except Exception as exc:
         raise StageError("infer", exc) from exc
 
     try:
         report = EvalReport.from_error_rows(read_trace(os.path.join(out_dir, "trace.csv"))[:, 1:])
-        doc = {"mode": mode, "seed": seed, **report.metrics_dict(), **extra}
+        doc = {"mode": plan.mode, "seed": plan.seed, **report.metrics_dict(), **extra}
         write_json(os.path.join(out_dir, "report.json"), doc)
         write_json(os.path.join(out_dir, "timing.json"),
                    {"latency_ms": {"mean": latency.mean_ms, "min": latency.min_ms, "max": latency.max_ms}})

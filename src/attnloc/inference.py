@@ -10,7 +10,7 @@ shared immutable network parameters and map.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ class InnovationError(FloatingPointError):
     """Innovation covariance lost positive definiteness."""
 
 
-def _default_r() -> tuple:
-    return (0.25, 0.25, math.radians(2.0) ** 2)
-
-
 @dataclass(frozen=True)
 class EkfConfig:
     """Filter tuning: white accel/yaw-accel process noise and measurement noise.
@@ -42,7 +38,7 @@ class EkfConfig:
 
     sigma_accel: float = 0.5
     sigma_yaw_accel: float = 0.1
-    r_diag: tuple = field(default_factory=_default_r)
+    r_diag: tuple = (0.25, 0.25, math.radians(2.0) ** 2)
     init_rate_var: float = 100.0
 
     def __post_init__(self) -> None:

@@ -1,41 +1,13 @@
-"""Evaluation metrics and report records.
+"""Evaluation report records: error statistics from trace rows, latencies.
 
-Headings are wrapped before squaring and reported in degrees; positions in
-meters.
+Positions are in meters, headings in degrees.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-
-from .geometry import Pose, wrap_angle
-
-
-def pose_errors(preds: list[Pose], gts: list[Pose]) -> np.ndarray:
-    """Per-sample error rows (ex_m, ey_m, ephi_rad), heading wrapped."""
-    if len(preds) != len(gts):
-        raise ValueError(f"length mismatch: {len(preds)} predictions vs {len(gts)} ground truths")
-    if not preds:
-        raise ValueError("need at least one sample")
-    rows = [(p.x - g.x, p.y - g.y, wrap_angle(p.phi - g.phi)) for p, g in zip(preds, gts)]
-    return np.asarray(rows, dtype=np.float64)
-
-
-def rmse(preds: list[Pose], gts: list[Pose]) -> tuple[float, float, float]:
-    """Root mean square error per component: (x m, y m, heading deg)."""
-    e = pose_errors(preds, gts)
-    r = np.sqrt((e**2).mean(axis=0))
-    return float(r[0]), float(r[1]), math.degrees(float(r[2]))
-
-
-def max_error(preds: list[Pose], gts: list[Pose]) -> tuple[float, float, float]:
-    """Maximum absolute error per component: (x m, y m, heading deg)."""
-    e = pose_errors(preds, gts)
-    m = np.abs(e).max(axis=0)
-    return float(m[0]), float(m[1]), math.degrees(float(m[2]))
 
 
 @dataclass

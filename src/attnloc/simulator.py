@@ -54,6 +54,8 @@ class SimConfig:
             raise ValueError("degradation rates must be >= 0")
         if self.lambda2 < 0:
             raise ValueError("lambda2 must be >= 0")
+        if any(len(getattr(self, name)) != 2 for name in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi")):
+            raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs")
         for name in ("sigma", "sigma1", "sigma2"):
             _cholesky_or_raise(np.asarray(getattr(self, name), dtype=np.float64), name)
 

@@ -35,7 +35,7 @@ class TrainConfig:
     sigma_rot: float = math.radians(4.0)
     epochs: int = 30
     batch_size: int = 16
-    learning_rate: float = 1e-4
+    learning_rate: float = 1e-3
     mix_ratio: float = 0.0
     samples_per_epoch: int | None = None
     seed: int = 0
@@ -47,6 +47,8 @@ class TrainConfig:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
 @dataclass
@@ -154,6 +156,7 @@ class EpochStats:
     loss_rot: float
 
 
+@np.errstate(all="ignore")  # a diverging run stops at the finiteness checks, without warnings
 def train(
     params: net.ModelParams,
     cfg: TrainConfig,
@@ -166,7 +169,8 @@ def train(
     Landmarks are true-vehicle-frame positions; a fresh offset is sampled
     per scene per epoch. Scenes are processed one at a time; gradients
     average over a logical batch before each Adam step. Deterministic for a
-    fixed (cfg.seed, params, scenes) triple.
+    fixed (cfg.seed, params, scenes) triple. A non-finite loss raises
+    FloatingPointError naming the epoch and the sample.
     """
     syn = list(synthetic_scenes)
     mapped = list(map_scenes)
@@ -190,6 +194,8 @@ def train(
             sample = make_training_sample(lm, origin, meas, cfg, rng)
             pred = net.forward(sample.measurements, sample.landmarks, params)
             loss, l_tran, l_rot = multitask_loss_graph(pred, sample.label, params)
+            if not math.isfinite(loss.data[0, 0]):
+                raise FloatingPointError(f"loss is not finite at epoch {epoch}, sample {j}")
             loss.backward()
             sums += (loss.data[0, 0], l_tran, l_rot)
             in_batch += 1

@@ -17,14 +17,16 @@ from attnloc import attention_net as net
 from attnloc import autodiff as ad
 from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
-from attnloc.baselines import ekf_gps_baseline, icp
+from attnloc.baselines import icp
 from attnloc.dataset_io import Scene, load_checkpoint, load_scenes, save_checkpoint, save_scenes
 from attnloc.geometry import Pose, PoseOffset
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import LandmarkMap, load_map, save_map
-from attnloc.metrics import rmse
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
+from autodiff_helpers import check_gradient
+from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
+from metrics_helpers import rmse
 
 GPS_SIGMA_POS = 1.0
 GPS_SIGMA_ROT = math.radians(4.0)
@@ -71,7 +73,7 @@ class TestAcceptance:
 
         def fd(build, params, h=1e-5):
             nonlocal worst
-            worst = max(worst, ad.check_gradient(build, params, h=h))
+            worst = max(worst, check_gradient(build, params, h=h))
 
         # every primitive, randomized small shapes
         a = Tensor(rng.normal(size=(4, 6)))

@@ -11,6 +11,7 @@ from attnloc import experiment, simulator
 from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle
+from autodiff_helpers import check_gradient
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
 
@@ -247,7 +248,7 @@ class TestMhaBlock:
         y = Tensor(rng.normal(size=(3, 8)))
         w = Tensor(rng.normal(size=(2, 8)))
         block_params = [t for name, t in params.items() if name.startswith("global.")]
-        worst = ad.check_gradient(lambda: (net.mha_block(x, y, params, "global") * w).sum(),
+        worst = check_gradient(lambda: (net.mha_block(x, y, params, "global") * w).sum(),
                                   block_params + [x, y])
         assert worst < 1e-4
 
@@ -333,7 +334,7 @@ class TestForward:
         m, lm = _scene(33, nu=3, mu=5)
         label = PoseOffset(0.2, -0.1, 0.05)
         subset = [small_params[n] for n in ("embed_m.w0", "local.q", "global.v", "head.w2", "s_tran", "s_rot")]
-        worst = ad.check_gradient(
+        worst = check_gradient(
             lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params)[0], subset
         )
         assert worst < 1e-4

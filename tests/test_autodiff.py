@@ -5,13 +5,14 @@ import pytest
 
 from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
+from autodiff_helpers import check_gradient, relative_error
 
 H = 1e-5
 TOL = 1e-5
 
 
 def _fd_check(build, params, tol=TOL):
-    worst = ad.check_gradient(build, params, h=H)
+    worst = check_gradient(build, params, h=H)
     assert worst < tol, f"finite-difference mismatch: {worst:.3e}"
 
 
@@ -346,5 +347,5 @@ class TestGroupedOps:
 class TestNumericOracle:
     def test_relative_error_metric(self):
         a = np.array([[1.0, 2.0]])
-        assert ad.relative_error(a, a) == 0.0
-        assert ad.relative_error(a, a + 1e-6) == pytest.approx(5e-7, rel=0.1)
+        assert relative_error(a, a) == 0.0
+        assert relative_error(a, a + 1e-6) == pytest.approx(5e-7, rel=0.1)

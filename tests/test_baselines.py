@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from attnloc.baselines import ekf_gps_baseline, icp
+from attnloc.baselines import icp
 from attnloc.geometry import Pose, PoseOffset
 from attnloc.simulator import generate_trajectory
+from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
 
 

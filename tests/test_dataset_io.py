@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,12 +10,14 @@ from attnloc.dataset_io import (
     CheckpointFormatError,
     Scene,
     SceneFormatError,
+    from_dict,
     load_checkpoint,
     load_scenes,
     save_checkpoint,
     save_scenes,
 )
 from attnloc.geometry import Pose
+from attnloc.simulator import SimConfig
 
 
 def _scenes():
@@ -207,7 +210,7 @@ class TestCheckpointRoundTrip:
         written = json.loads(path.read_text(encoding="utf-8"))["config"]
         assert written == {"d_m": 8, "heads": 2, "k": 2, "rff_hidden": 64, "head_hidden": [5, 3],
                            "block_hidden": 6, "neighbor_features": "offsets", "seed": 4}
-        assert net.NetConfig.from_dict(written) == cfg
+        assert from_dict(net.NetConfig, written) == cfg
 
     def test_missing_array_rejected(self, tmp_path):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
@@ -218,3 +221,16 @@ class TestCheckpointRoundTrip:
         open(path, "w", encoding="utf-8").write(json.dumps(doc))
         with pytest.raises(CheckpointFormatError, match="s_tran"):
             load_checkpoint(path)
+
+
+class TestFromDict:
+    def test_nested_lists_become_tuples(self):
+        cfg = from_dict(SimConfig, {"mu1": [1.0, 2.0], "sigma1": [[2.0, 0.0], [0.0, 3.0]]},
+                        **dataclasses.asdict(SimConfig()))
+        assert cfg.mu1 == (1.0, 2.0)
+        assert cfg.sigma1 == ((2.0, 0.0), (0.0, 3.0))
+        assert cfg == SimConfig(mu1=(1.0, 2.0), sigma1=((2.0, 0.0), (0.0, 3.0)))
+
+    def test_defaults_fill_absent_fields_only(self):
+        assert from_dict(SimConfig, {"nu_max": 9}, **dataclasses.asdict(SimConfig(nu_max=30, seed=4))) \
+            == SimConfig(nu_max=9, seed=4)

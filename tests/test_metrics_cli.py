@@ -1,14 +1,19 @@
 import json
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from attnloc import attention_net as net
 from attnloc import cli, experiment
 from attnloc.experiment import ConfigError, run_experiment
 from attnloc.geometry import Pose
-from attnloc.metrics import EvalReport, max_error, rmse
+from attnloc.inference import EkfConfig
+from attnloc.metrics import EvalReport
+from attnloc.training import TrainConfig
+from metrics_helpers import max_error, rmse
 
 TINY_CFG = {
     "mode": "gps",
@@ -19,6 +24,19 @@ TINY_CFG = {
     "gps_noise": {"sigma_pos": 1.0, "sigma_phi_deg": 4.0},
     "eval": {"n_train_scenes": 24, "n_eval_scenes": 8},
 }
+FILTER_CFG = dict(TINY_CFG, mode="filter", drive={"v": 8.0, "dt": 0.1, "segments": [[6.0, 1.0], [6.0, -1.0]]})
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _with(cfg: dict, key: str, value) -> dict:
+    """A deep copy of cfg with the dotted key set to value."""
+    out = json.loads(json.dumps(cfg))
+    *sections, leaf = key.split(".")
+    node = out
+    for name in sections:
+        node = node.setdefault(name, {})
+    node[leaf] = value
+    return out
 
 
 class TestRmse:
@@ -117,6 +135,24 @@ class TestRunExperiment:
         cfg["mode"] = "teleport"
         with pytest.raises(ConfigError):
             run_experiment(cfg, str(tmp_path / "x"))
+
+    def test_empty_document_is_the_default_plan(self):
+        plan = experiment.parse_config({})
+        assert (plan.mode, plan.seed, plan.plot_svg) == ("gps", 0, False)
+        assert plan.net == net.NetConfig(d_m=64)
+        assert plan.train == TrainConfig() and plan.train.learning_rate == 1e-3
+        assert plan.gps_noise == (plan.train.sigma_pos, plan.train.sigma_rot)
+        assert plan.eval == experiment.EvalConfig()
+        assert plan.drive == experiment.DriveConfig()
+        assert plan.ekf == EkfConfig()
+
+    def test_shipped_configs_parse(self):
+        paths = sorted(CONFIGS.glob("*.json"))
+        assert paths
+        for path in paths:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            plan = experiment.parse_config(doc)
+            assert (plan.mode, plan.seed) == (doc["mode"], doc["seed"]), path.name
 
     def test_paper_noise_rows_accepted(self):
         # table rows a) - c): sigma in {2, 1, 0.5} m and {10, 4, 2} deg
@@ -230,12 +266,44 @@ class TestCli:
         assert code == 1
         assert self._last_err_line(capsys).startswith("error:io:")
 
-    def test_divergent_training_is_train_error(self, tmp_path, capsys):
+    def test_divergent_training_is_train_error(self, tmp_path, capsys, recwarn):
         cfg = dict(TINY_CFG, train={"epochs": 2, "batch_size": 1, "learning_rate": 1e3},
                    eval={"n_train_scenes": 20, "n_eval_scenes": 4})
         code = cli.main(["train", "--config", self._write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
         assert code == 1
-        assert self._last_err_line(capsys).startswith("error:train:")
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:train:")
+        assert "loss is not finite at epoch" in err[0]
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    # (command, dotted key, bad value); the error names the key's top-level section
+    BAD_VALUES = [
+        *[(["infer", "--mode", "filter"], key, value) for key, value in (
+            ("drive.speed", 8.0), ("train.lr", 1e-2), ("eval.n_evals", 4), ("modee", "gps"),
+            ("drive.v", "fast"), ("drive.dt", 0), ("eval.n_train_scenes", "many"),
+            ("gps_noise.sigma_pos", "x"), ("seed", "a"), ("ekf.sigma_accel", -1), ("eval.fov_radius", 0),
+            ("eval.n_eval_scenes", 0), ("eval.n_eval_scenes", 4.5), ("net.heads", 3), ("net.seed", 1),
+            ("sim.seed", 1), ("sim.mu1", [1.0]))],
+        (["simulate"], "ekf.sigma_accel", -1),
+        (["train"], "train.lr", 1e-2),
+    ]
+
+    @pytest.mark.parametrize("command,key,value", BAD_VALUES,
+                             ids=[f"{c[0]}-{k}-{v}" for c, k, v in BAD_VALUES])
+    def test_bad_value_is_config_error_before_any_artifact(self, tmp_path, capsys, command, key, value):
+        out = tmp_path / "o"
+        cfg = self._write_cfg(tmp_path, _with(FILTER_CFG, key, value))
+        assert cli.main([*command, "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error:config: {key.split('.')[0]}:")
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_train_draws_the_map_backed_pool(self, tmp_path, capsys):
+        cfg = self._write_cfg(tmp_path, _with(FILTER_CFG, "train.mix_ratio", 0.5))
+        assert cli.main(["train", "--config", cfg, "--out", str(tmp_path / "train")]) == 0
+        assert cli.main(["infer", "--mode", "filter", "--config", cfg, "--out", str(tmp_path / "infer")]) == 0
+        for name in ("checkpoint.json", "loss_history.csv"):
+            assert (tmp_path / "train" / name).read_bytes() == (tmp_path / "infer" / name).read_bytes()
 
     @pytest.mark.parametrize("command", [["train"], ["infer", "--mode", "gps"]])
     @pytest.mark.parametrize("net_section", [{"d_m": 16, "heads": 3, "k": 4}, {"d_m": 16, "heads": 2, "dm": 8}],

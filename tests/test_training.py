@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from attnloc import attention_net as net
-from attnloc import autodiff as ad
 from attnloc import simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import icp
@@ -17,6 +16,7 @@ from attnloc.training import (
     multitask_loss_graph,
     sample_offset,
 )
+from autodiff_helpers import check_gradient
 
 
 class TestSampleOffset:
@@ -165,7 +165,7 @@ class TestMultitaskLoss:
         assert params["s_tran"].grad[0, 0] == pytest.approx(1.0 - l_tran, rel=1e-12)
         assert params["s_rot"].grad[0, 0] == pytest.approx(1.0 - l_rot, rel=1e-12)
         # and against the finite-difference oracle
-        worst = ad.check_gradient(lambda: multitask_loss_graph(pred, label, params)[0],
+        worst = check_gradient(lambda: multitask_loss_graph(pred, label, params)[0],
                                   [params["s_tran"], params["s_rot"]], h=1e-6)
         assert worst < 1e-8
 
