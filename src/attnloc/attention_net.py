@@ -8,6 +8,7 @@ a feed-forward head regressing the pose offset (dx, dy, dphi).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +38,10 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_m < 1 or self.heads < 1 or self.k < 1:
-            raise ValueError("d_m, heads and k must be positive")
+        widths = (self.d_m, self.heads, self.k, self.rff_hidden, *self.head_hidden,
+                  *(() if self.block_hidden is None else (self.block_hidden,)))
+        if min(map(operator.index, widths)) < 1:
+            raise ValueError("d_m, heads, k, rff_hidden, head_hidden and block_hidden must be integers >= 1")
         if self.d_m % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_m ({self.d_m})")
         if self.neighbor_features not in ("offsets", "distance"):

@@ -118,11 +118,6 @@ class Tensor:
     def __neg__(self) -> "Tensor":
         return self * -1.0
 
-    def t(self) -> "Tensor":
-        out = Tensor._make(self.data.T, (self,))
-        out._backward = lambda g: self._accum(g.T)
-        return out
-
     def relu(self) -> "Tensor":
         out = Tensor._make(np.maximum(self.data, 0.0), (self,))
         out._backward = lambda g: self._accum(g * (self.data > 0.0))
@@ -136,12 +131,6 @@ class Tensor:
     def sum(self) -> "Tensor":
         out = Tensor._make(np.array([[self.data.sum()]]), (self,))
         out._backward = lambda g: self._accum(np.full_like(self.data, g[0, 0]))
-        return out
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        out = Tensor._make(np.array([[self.data.mean()]]), (self,))
-        out._backward = lambda g: self._accum(np.full_like(self.data, g[0, 0] / n))
         return out
 
     def backward(self) -> None:
@@ -198,24 +187,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         x._accum(g @ w.data.T)
         w._accum(x.data.T @ g)
         b._accum(g.sum(axis=0, keepdims=True))
-
-    out._backward = _bw
-    return out
-
-
-def concat(tensors: list[Tensor], axis: int) -> Tensor:
-    """Concatenate along rows (axis=0) or columns (axis=1)."""
-    if axis not in (0, 1):
-        raise ValueError(f"axis must be 0 or 1, got {axis}")
-    if not tensors:
-        raise ValueError("concat needs at least one tensor")
-    out = Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            t._accum(g[lo:hi, :] if axis == 0 else g[:, lo:hi])
 
     out._backward = _bw
     return out

@@ -9,6 +9,7 @@ report.json, timing.json and optionally trace.svg.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import operator
@@ -22,9 +23,9 @@ from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, from_dict, save_checkpoint, save_scenes
-from .geometry import Pose, correct_pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
-from .inference import EkfConfig, FilterSession, gps_inference
-from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, query_fov, save_map
+from .geometry import Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
+from .inference import EkfConfig, FilterSession, gps_inference, localize
+from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, save_map
 from .metrics import EvalReport, LatencyStats
 from .training import TrainConfig, sample_offset
 
@@ -32,10 +33,10 @@ MODES = ("gps", "filter", "icp")
 
 
 class StageError(RuntimeError):
-    """An experiment stage failed; .stage names it."""
+    """An experiment stage failed; .stage names it, and the message is the cause's."""
 
     def __init__(self, stage: str, cause: BaseException):
-        super().__init__(f"{stage}: {cause}")
+        super().__init__(str(cause))
         self.stage = stage
 
 
@@ -288,38 +289,31 @@ def scene_map(scene: Scene) -> LandmarkMap:
     return LandmarkMap(np.arange(scene.landmarks.shape[0]), scene.landmarks)
 
 
+def _timed(scenes: list[Scene], contexts, locate) -> tuple[list[Pose], list[Pose], LatencyStats]:
+    """Time locate(scene, context) alone per scene: (estimates, true poses, latencies).
+
+    The contexts (a map, the previous frame) are drawn outside the timing.
+    """
+    preds, gts, times = [], [], []
+    for sc, ctx in zip(scenes, contexts):
+        t0 = time.perf_counter()
+        preds.append(locate(sc, ctx))
+        times.append(time.perf_counter() - t0)
+        gts.append(sc.gt_pose)
+    return preds, gts, LatencyStats.from_seconds(times)
+
+
 def evaluate_gps(params: net.ModelParams, scenes: list[Scene], lmap: LandmarkMap | None,
                  fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
     """GPS-based inference per scene; scenes carry their own map when lmap is None."""
-    preds, gts, times = [], [], []
-    for sc in scenes:
-        m = lmap if lmap is not None else scene_map(sc)
-        t0 = time.perf_counter()
-        preds.append(gps_inference(params, m, sc.measurements, sc.gps_pose, fov_radius))
-        times.append(time.perf_counter() - t0)
-        gts.append(sc.gt_pose)
-    return preds, gts, LatencyStats.from_seconds(times)
+    maps = map(scene_map, scenes) if lmap is None else itertools.repeat(lmap)
+    return _timed(scenes, maps, lambda sc, m: gps_inference(params, m, sc.measurements, sc.gps_pose, fov_radius))
 
 
 def evaluate_icp(scenes: list[Scene], fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
-    """ICP in place of the network, same correction chain."""
-    preds, gts, times = [], [], []
-    for sc in scenes:
-        m = scene_map(sc)
-        t0 = time.perf_counter()
-        fov = _fov_points(m, sc.gps_pose, fov_radius)
-        result = icp(sc.measurements, utm_to_vehicle(fov, sc.gps_pose))
-        preds.append(correct_pose(sc.gps_pose, result.offset))
-        times.append(time.perf_counter() - t0)
-        gts.append(sc.gt_pose)
-    return preds, gts, LatencyStats.from_seconds(times)
-
-
-def _fov_points(lmap: LandmarkMap, pose: Pose, radius: float) -> np.ndarray:
-    pts = query_fov(lmap, pose, radius)
-    if pts.shape[0] == 0:
-        raise ValueError("no landmarks in field of view")
-    return pts
+    """ICP in place of the network, same localization step."""
+    return _timed(scenes, map(scene_map, scenes), lambda sc, m: localize(
+        m, sc.measurements, sc.gps_pose, lambda meas, lm: icp(meas, lm).offset, fov_radius))
 
 
 def evaluate_filter(params: net.ModelParams, lmap: LandmarkMap, frames: list[Scene],
@@ -328,17 +322,9 @@ def evaluate_filter(params: net.ModelParams, lmap: LandmarkMap, frames: list[Sce
     if not frames:
         raise ValueError("no drive frames to evaluate")
     session = FilterSession(params, lmap, frames[0].gps_pose, ekf_cfg, fov_radius)
-    preds = [session.state.pose()]
-    gts = [frames[0].gt_pose]
-    times = []
-    prev_t = frames[0].t
-    for sc in frames[1:]:
-        t0 = time.perf_counter()
-        preds.append(session.step(sc.measurements, sc.t - prev_t))
-        times.append(time.perf_counter() - t0)
-        gts.append(sc.gt_pose)
-        prev_t = sc.t
-    return preds, gts, LatencyStats.from_seconds(times)
+    first = session.state.pose()
+    preds, gts, latency = _timed(frames[1:], frames, lambda sc, prev: session.step(sc.measurements, sc.t - prev.t))
+    return [first, *preds], [frames[0].gt_pose, *gts], latency
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -462,21 +448,18 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     params = train_stage(plan, out_dir, pool, map_pool, progress) if trains else checkpoint
 
     try:
-        if plan.mode == "gps":
-            preds, gts, latency = evaluate_gps(params, eval_scenes, None, plan.eval.fov_radius)
-            ts = [sc.t for sc in eval_scenes]
-            extra = {}
-        elif plan.mode == "icp":
-            preds, gts, latency = evaluate_icp(eval_scenes, plan.eval.fov_radius)
-            ts = [sc.t for sc in eval_scenes]
-            extra = {}
-        else:
+        if plan.mode == "filter":
             preds, gts, latency = evaluate_filter(params, lmap, frames, plan.ekf, plan.eval.fov_radius)
             ts = [sc.t for sc in frames]
             g_preds, g_gts, _ = evaluate_gps(params, frames, lmap, plan.eval.fov_radius)
             gps_rows = trace_rows(g_preds, g_gts, ts)
             write_trace(os.path.join(out_dir, "trace_gps.csv"), gps_rows)
             extra = {"gps_baseline": EvalReport.from_error_rows(np.asarray(gps_rows)[:, 1:]).metrics_dict()}
+        else:
+            preds, gts, latency = (evaluate_gps(params, eval_scenes, None, plan.eval.fov_radius) if plan.mode == "gps"
+                                   else evaluate_icp(eval_scenes, plan.eval.fov_radius))
+            ts = [sc.t for sc in eval_scenes]
+            extra = {}
         rows = trace_rows(preds, gts, ts)
         write_trace(os.path.join(out_dir, "trace.csv"), rows)
         if plan.plot_svg:

@@ -17,6 +17,7 @@ import numpy as np
 from . import attention_net as net
 from .geometry import Pose, correct_pose, utm_to_vehicle, wrap_angle
 from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, query_fov
+from .simulator import OMEGA_EPS, ctrv_step
 
 
 class NoLandmarksInFov(ValueError):
@@ -69,22 +70,19 @@ def init_state(p: Pose, cfg: EkfConfig) -> EkfState:
     return EkfState(mean=mean, cov=cov)
 
 
-_OMEGA_EPS = 1e-6
-
-
 def ekf_predict(s: EkfState, cfg: EkfConfig, dt: float) -> EkfState:
     """Closed-form CTRV propagation with analytic Jacobian.
 
-    Below |omega| = 1e-6 rad/s the constant-velocity limit form is used.
-    The covariance is re-symmetrized after F P F^T + Q.
+    The mean moves by simulator.ctrv_step; below its turn-rate threshold the
+    Jacobian takes the constant-velocity limit form too. The covariance is
+    re-symmetrized after F P F^T + Q.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    x, y, phi, v, omega = s.mean
+    _, _, phi, v, omega = s.mean
+    p = ctrv_step(s.pose(), v, omega, dt)
+    mean = np.array([p.x, p.y, p.phi, v, omega])
     F = np.eye(5)
-    if abs(omega) < _OMEGA_EPS:
+    if abs(omega) < OMEGA_EPS:
         c, si = math.cos(phi), math.sin(phi)
-        mean = np.array([x + v * c * dt, y + v * si * dt, wrap_angle(phi + omega * dt), v, omega])
         F[0, 2] = -v * si * dt
         F[0, 3] = c * dt
         F[0, 4] = -0.5 * v * si * dt * dt  # limit of the CTRV terms as omega -> 0
@@ -97,7 +95,6 @@ def ekf_predict(s: EkfState, cfg: EkfConfig, dt: float) -> EkfState:
         s1, c1 = math.sin(phi), math.cos(phi)
         s2, c2 = math.sin(phi2), math.cos(phi2)
         r = v / omega
-        mean = np.array([x + r * (s2 - s1), y + r * (c1 - c2), wrap_angle(phi2), v, omega])
         F[0, 2] = r * (c2 - c1)
         F[0, 3] = (s2 - s1) / omega
         F[0, 4] = v * dt * c2 / omega - v * (s2 - s1) / omega**2
@@ -142,35 +139,36 @@ def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
     return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def gps_inference(
-    params: net.ModelParams,
-    lmap: LandmarkMap,
-    measurements,
-    p_gps: Pose,
-    fov_radius: float = DEFAULT_FOV_RADIUS,
-) -> Pose:
-    """Single-shot correction of a noisy GPS pose.
+def localize(lmap: LandmarkMap, measurements, prior: Pose, regress,
+             fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
+    """The localization step: correct a prior pose by an offset regressed against the map around it.
 
-    Landmarks in the field of view are transformed into the GPS frame, the
-    network regresses the pose offset, and the offset is subtracted from
-    the GPS pose.
+    The map landmarks in the field of view of the prior are moved into its
+    vehicle frame, regress(measurements, landmarks) returns the pose offset,
+    and the offset is subtracted from the prior. Raises ValueError on empty
+    measurements and NoLandmarksInFov on an empty field of view.
     """
     m = np.asarray(measurements, dtype=np.float64)
     if m.size == 0:
-        raise ValueError("gps_inference needs at least one measurement")
-    fov = query_fov(lmap, p_gps, fov_radius)
+        raise ValueError("localization needs at least one measurement")
+    fov = query_fov(lmap, prior, fov_radius)
     if fov.shape[0] == 0:
         raise NoLandmarksInFov("no landmarks in field of view")
-    offset = net.predict_offset(m, utm_to_vehicle(fov, p_gps), params)
-    return correct_pose(p_gps, offset)
+    return correct_pose(prior, regress(m, utm_to_vehicle(fov, prior)))
+
+
+def gps_inference(params: net.ModelParams, lmap: LandmarkMap, measurements, p_gps: Pose,
+                  fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
+    """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor."""
+    return localize(lmap, measurements, p_gps, lambda m, lm: net.predict_offset(m, lm, params), fov_radius)
 
 
 class FilterSession:
     """EKF-smoothed localization needing only one GPS pose to initialize.
 
-    Each step transforms map landmarks with the previous estimate, corrects
-    it by the network offset, and feeds the corrected pose to the filter as
-    a measurement.
+    Each step corrects the previous estimate by the network offset, as
+    gps_inference does a GPS pose, and feeds the corrected pose to the
+    filter as a measurement.
     """
 
     def __init__(
@@ -191,15 +189,7 @@ class FilterSession:
         """Advance one frame; returns the smoothed pose estimate."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        m = np.asarray(measurements, dtype=np.float64)
-        if m.size == 0:
-            raise ValueError("filter step needs at least one measurement")
-        p_prev = self.state.pose()
-        fov = query_fov(self.lmap, p_prev, self.fov_radius)
-        if fov.shape[0] == 0:
-            raise NoLandmarksInFov("no landmarks in field of view")
-        offset = net.predict_offset(m, utm_to_vehicle(fov, p_prev), self.params)
-        z = correct_pose(p_prev, offset)
+        z = gps_inference(self.params, self.lmap, measurements, self.state.pose(), self.fov_radius)
         self.state = ekf_predict(self.state, self.cfg, dt)
         self.state = ekf_update(self.state, z, self.cfg)
         return self.state.pose()

@@ -10,6 +10,7 @@ box, and uniform coordinate noise.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +49,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.distribution not in ("gaussian", "mixture"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if self.nu_min < 1 or self.nu_min > self.nu_max:
-            raise ValueError(f"need 1 <= nu_min <= nu_max, got [{self.nu_min}, {self.nu_max}]")
+        if not 1 <= operator.index(self.nu_min) <= operator.index(self.nu_max):
+            raise ValueError(f"need integers 1 <= nu_min <= nu_max, got [{self.nu_min}, {self.nu_max}]")
         if self.lambda_clutter < 0 or self.lambda_miss < 0 or self.sigma_noise < 0:
             raise ValueError("degradation rates must be >= 0")
         if self.lambda2 < 0:
@@ -128,11 +129,15 @@ def scene_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng((seed, index))
 
 
+# below this turn rate (rad/s) CTRV motion takes its straight-line limit form
+OMEGA_EPS = 1e-6
+
+
 def ctrv_step(pose: Pose, v: float, omega: float, dt: float) -> Pose:
     """Closed-form constant-turn-rate-and-velocity motion over dt seconds."""
     if dt <= 0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    if abs(omega) < 1e-9:
+    if abs(omega) < OMEGA_EPS:
         return Pose(pose.x + v * math.cos(pose.phi) * dt,
                     pose.y + v * math.sin(pose.phi) * dt,
                     wrap_angle(pose.phi + omega * dt))

@@ -10,6 +10,7 @@ subtraction-based inference correction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,8 +46,9 @@ class TrainConfig:
             raise ValueError("sampling bounds must be >= 0")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ValueError("epochs and batch_size must be >= 1")
+        counts = (self.epochs, self.batch_size, *(() if self.samples_per_epoch is None else (self.samples_per_epoch,)))
+        if min(map(operator.index, counts)) < 1:
+            raise ValueError("epochs, batch_size and samples_per_epoch must be integers >= 1")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
@@ -170,7 +172,9 @@ def train(
     per scene per epoch. Scenes are processed one at a time; gradients
     average over a logical batch before each Adam step. Deterministic for a
     fixed (cfg.seed, params, scenes) triple. A non-finite loss raises
-    FloatingPointError naming the epoch and the sample.
+    FloatingPointError naming the epoch and the sample, and a non-finite
+    batch gradient one naming the epoch and the step, before any weight
+    changes.
     """
     syn = list(synthetic_scenes)
     mapped = list(map_scenes)
@@ -201,6 +205,8 @@ def train(
             in_batch += 1
             if in_batch == cfg.batch_size or j == n_per_epoch - 1:
                 grads = {k: t.grad / in_batch for k, t in params.items()}
+                if not all(np.isfinite(g).all() for g in grads.values()):
+                    raise FloatingPointError(f"gradient is not finite at epoch {epoch}, step {j // cfg.batch_size}")
                 adam_step(params, grads, state, cfg.learning_rate)
                 params.zero_grads()
                 in_batch = 0

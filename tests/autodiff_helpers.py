@@ -1,4 +1,4 @@
-"""The finite-difference gradient oracle the tests check the tape against."""
+"""The finite-difference gradient oracle the tests check the tape against, and the tape ops only tests use."""
 
 import numpy as np
 
@@ -46,3 +46,36 @@ def check_gradient(build, params: list[Tensor], h: float = 1e-5) -> float:
         numeric = numeric_gradient(lambda: float(build().data[0, 0]), p, h=h)
         worst = max(worst, relative_error(analytic, numeric))
     return worst
+
+
+def transpose(x: Tensor) -> Tensor:
+    """x with rows and columns swapped."""
+    out = Tensor._make(x.data.T, (x,))
+    out._backward = lambda g: x._accum(g.T)
+    return out
+
+
+def mean(x: Tensor) -> Tensor:
+    """The 1x1 mean of all entries."""
+    n = x.data.size
+    out = Tensor._make(np.array([[x.data.mean()]]), (x,))
+    out._backward = lambda g: x._accum(np.full_like(x.data, g[0, 0] / n))
+    return out
+
+
+def concat(tensors: list[Tensor], axis: int) -> Tensor:
+    """Concatenate along rows (axis=0) or columns (axis=1)."""
+    if axis not in (0, 1):
+        raise ValueError(f"axis must be 0 or 1, got {axis}")
+    if not tensors:
+        raise ValueError("concat needs at least one tensor")
+    out = Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
+    sizes = [t.shape[axis] for t in tensors]
+    offsets = np.cumsum([0] + sizes)
+
+    def _bw(g):
+        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
+            t._accum(g[lo:hi, :] if axis == 0 else g[:, lo:hi])
+
+    out._backward = _bw
+    return out

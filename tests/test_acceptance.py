@@ -23,7 +23,7 @@ from attnloc.geometry import Pose, PoseOffset
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import LandmarkMap, load_map, save_map
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
-from autodiff_helpers import check_gradient
+from autodiff_helpers import check_gradient, concat, mean, transpose
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
 from metrics_helpers import rmse
@@ -88,13 +88,13 @@ class TestAcceptance:
         vals = Tensor(rng.normal(size=(6, 5)))
         fd(lambda: ((a @ c) * w).sum(), [a, c])
         fd(lambda: ((a + b) * (a - b)).sum(), [a, b])
-        fd(lambda: ad.linear(a, Tensor(np.eye(6)), bias).mean(), [a, bias])
+        fd(lambda: mean(ad.linear(a, Tensor(np.eye(6)), bias)), [a, bias])
         fd(lambda: ((a * b) * 1.7).sum(), [a, b])
         fd(lambda: a.relu().sum(), [a])
         fd(lambda: (a * 0.1).exp().sum(), [a])
-        fd(lambda: (a.t() @ b).sum(), [a, b])
-        fd(lambda: (ad.concat([a, b], axis=0)).mean(), [a, b])
-        fd(lambda: (ad.concat([a, b], axis=1)).mean(), [a, b])
+        fd(lambda: (transpose(a) @ b).sum(), [a, b])
+        fd(lambda: mean(concat([a, b], axis=0)), [a, b])
+        fd(lambda: mean(concat([a, b], axis=1)), [a, b])
         fd(lambda: (ad.softmax_rows(a) * b).sum(), [a])
         fd(lambda: (ad.layer_norm(a, g, beta) * b).sum(), [a, g, beta])
         fd(lambda: (ad.max_pool_rows(a) * bias).sum(), [a])

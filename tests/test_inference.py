@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from attnloc import attention_net as net
-from attnloc import inference
+from attnloc import experiment, inference
+from attnloc.dataset_io import Scene
 from attnloc.geometry import Pose, PoseOffset, offset_pose
 from attnloc.inference import (
     EkfConfig,
@@ -154,6 +155,13 @@ class TestGpsInference:
         lmap, _ = self._map()
         with pytest.raises(ValueError):
             gps_inference(zero_net, lmap, np.zeros((0, 2)), Pose(0, 0, 0))
+
+    def test_icp_empty_fov_rejected_alike(self):
+        # the ICP baseline runs the same localization step, so it fails the same way
+        _, pts = self._map()
+        far = Scene(t=0.0, gt_pose=Pose(0, 0, 0), gps_pose=Pose(1e6, 1e6, 0.0), measurements=pts, landmarks=pts)
+        with pytest.raises(NoLandmarksInFov, match="field of view"):
+            experiment.evaluate_icp([far], fov_radius=10.0)
 
 
 class TestFilterSession:

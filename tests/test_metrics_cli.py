@@ -273,6 +273,7 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:train:")
+        assert not err[0].startswith("error:train: train:")
         assert "loss is not finite at epoch" in err[0]
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
@@ -283,7 +284,9 @@ class TestCli:
             ("drive.v", "fast"), ("drive.dt", 0), ("eval.n_train_scenes", "many"),
             ("gps_noise.sigma_pos", "x"), ("seed", "a"), ("ekf.sigma_accel", -1), ("eval.fov_radius", 0),
             ("eval.n_eval_scenes", 0), ("eval.n_eval_scenes", 4.5), ("net.heads", 3), ("net.seed", 1),
-            ("sim.seed", 1), ("sim.mu1", [1.0]))],
+            ("sim.seed", 1), ("sim.mu1", [1.0]), ("net.d_m", 16.0), ("train.epochs", 1.5), ("net.rff_hidden", 0),
+            ("net.head_hidden", [0]), ("train.batch_size", 2.5), ("train.samples_per_epoch", -3),
+            ("sim.nu_max", 10.5))],
         (["simulate"], "ekf.sigma_accel", -1),
         (["train"], "train.lr", 1e-2),
     ]

@@ -255,6 +255,16 @@ class TestTrain:
         training.train(net.init_params(cfg), TrainConfig(epochs=1, batch_size=1, mix_ratio=1.0, seed=0),
                        poisoned, good)
 
+    def test_overflowing_gradient_stops_before_the_step(self):
+        # e^709 keeps the loss finite, but the gradient overflows on its way back
+        params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
+        params["s_tran"].data[...] = -709.0
+        before = {k: t.data.copy() for k, t in params.items()}
+        with pytest.raises(FloatingPointError, match="gradient is not finite at epoch 0, step 0"):
+            training.train(params, TrainConfig(epochs=1, batch_size=1, seed=0), _tiny_scenes(1))
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, before[k])
+
     def test_loss_decreases_on_small_problem(self):
         scenes = _tiny_scenes(8, seed=2)
         cfg = net.NetConfig(d_m=16, heads=2, k=3, seed=1)
