@@ -184,7 +184,7 @@ def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor
     for i in range(layers):
         x = ad.linear(x, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"])
         if i < layers - 1:
-            x = x.relu()
+            x = ad.relu(x)
     return x
 
 
@@ -200,40 +200,46 @@ def mha_block(x: Tensor, y: Tensor, params: ModelParams, block: str, group: int 
     return ad.layer_norm(s + _rff(s, params, f"{block}.ff"), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
 
 
-def local_attention(measurements, landmarks, params: ModelParams) -> Tensor:
+def local_attention(measurements, landmarks, params: ModelParams, record: bool = True) -> Tensor:
     """Per-measurement attention over its k nearest landmarks; rows stack to nu x d_m.
 
     Row i depends only on measurement i and its neighbor group, so rows
     permute exactly as the measurements do. All groups share the block
     weights and have exactly k members, so the per-measurement blocks run
     as one grouped block; the result equals applying mha_block to each
-    (query, neighbor group) pair separately.
+    (query, neighbor group) pair separately. record=False takes the
+    parameters as plain arrays and returns an array.
     """
     cfg = params.config
     m = as_points(measurements)
     _, feats = knn_group(m, landmarks, cfg.k)
     if cfg.neighbor_features == "distance":
         feats = feats[:, 2:3]
-    queries = _rff(Tensor(m), params, "embed_m")  # (nu, d)
-    neighbors = _rff(Tensor(feats), params, "embed_l")  # (nu*k, d)
+    leaf = Tensor if record else ad.finite
+    queries = _rff(leaf(m), params, "embed_m")  # (nu, d)
+    neighbors = _rff(leaf(feats), params, "embed_l")  # (nu*k, d)
     return mha_block(queries, neighbors, params, "local", cfg.k)
 
 
-def forward(measurements, landmarks, params: ModelParams) -> Tensor:
+def forward(measurements, landmarks, params: ModelParams, record: bool = True) -> Tensor:
     """Raw 1x3 offset regression (dx, dy, dphi before wrapping).
 
-    Differentiable path used for training; `predict_offset` wraps the
-    heading for consumers.
+    record=True builds the tape training differentiates; record=False, for
+    inference, runs the same ops on plain arrays and returns the array.
+    Both raise ValueError on a non-finite input and FloatingPointError on a
+    non-finite output.
     """
-    local = local_attention(measurements, landmarks, params)
+    if not record:
+        params = ModelParams(params.config, {name: t.data for name, t in params.items()})
+    local = local_attention(measurements, landmarks, params, record)
     glob = mha_block(local, local, params, "global")
     h = _rff(ad.max_pool_rows(glob), params, "head", len(params.config.head_hidden) + 1)
-    if not np.all(np.isfinite(h.data)):
+    if not np.all(np.isfinite(h.data if record else h)):
         raise FloatingPointError("network output is not finite")
     return h
 
 
 def predict_offset(measurements, landmarks, params: ModelParams) -> PoseOffset:
-    """Predicted pose offset with wrapped heading."""
-    out = forward(measurements, landmarks, params).data[0]
+    """Predicted pose offset with wrapped heading, from an unrecorded forward pass."""
+    out = forward(measurements, landmarks, params, record=False)[0]
     return PoseOffset(out[0], out[1], wrap_angle(out[2]))

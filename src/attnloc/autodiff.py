@@ -5,6 +5,10 @@ its forward value and a closure that routes the upstream gradient to its
 parents. The graph is rebuilt each forward pass, so input cardinalities may
 vary freely between passes. A tensor graph is single-owner during a
 forward/backward pass; leaf values must not be mutated mid-pass.
+
+Given plain arrays, all inputs of one kind, the forward ops (`linear`,
+`relu`, `layer_norm`, `attention`, `max_pool_rows`) run the same value
+expression and checks and return an array: recording follows the inputs.
 """
 
 from __future__ import annotations
@@ -33,8 +37,8 @@ class Tensor:
             arr = arr.reshape(1, -1)
         elif arr.ndim != 2:
             raise ValueError(f"tensors are 2D, got shape {arr.shape}")
-        if _check and not np.all(np.isfinite(arr)):
-            raise ValueError("tensor entries must be finite")
+        if _check:
+            finite(arr)
         self.data = arr
         self.grad: np.ndarray | None = None
         self._parents = _parents
@@ -119,9 +123,7 @@ class Tensor:
         return self * -1.0
 
     def relu(self) -> "Tensor":
-        out = Tensor._make(np.maximum(self.data, 0.0), (self,))
-        out._backward = lambda g: self._accum(g * (self.data > 0.0))
-        return out
+        return relu(self)
 
     def exp(self) -> "Tensor":
         out = Tensor._make(np.exp(self.data), (self,))
@@ -146,6 +148,13 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+
+
+def finite(x: np.ndarray) -> np.ndarray:
+    """x itself; raises ValueError, as a leaf Tensor does, on a NaN or infinite entry."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError("tensor entries must be finite")
+    return x
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -179,8 +188,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul inner dims disagree: {x.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ValueError(f"linear needs a 1x{w.shape[1]} bias row, got {b.shape}")
-    y = x.data @ w.data
-    y += b.data
+    tape = isinstance(x, Tensor)
+    xd, wd, bd = (x.data, w.data, b.data) if tape else (x, w, b)
+    y = xd @ wd
+    y += bd
+    if not tape:
+        return y
     out = Tensor._make(y, (x, w, b))
 
     def _bw(g):
@@ -189,6 +202,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         b._accum(g.sum(axis=0, keepdims=True))
 
     out._backward = _bw
+    return out
+
+
+def relu(x: Tensor) -> Tensor:
+    """Elementwise max(x, 0); `Tensor.relu` is this op."""
+    tape = isinstance(x, Tensor)
+    y = np.maximum(x.data if tape else x, 0.0)
+    if not tape:
+        return y
+    out = Tensor._make(y, (x,))
+    out._backward = lambda g: x._accum(g * (x.data > 0.0))
     return out
 
 
@@ -230,11 +254,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         raise ValueError(f"layer_norm needs width >= 2, got {d}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ValueError(f"gamma/beta must be 1x{d}, got {gamma.shape} and {beta.shape}")
+    tape = isinstance(x, Tensor)
+    xd, gd, bd = (x.data, gamma.data, beta.data) if tape else (x, gamma, beta)
     # the moments as np.mean/np.var compute them, without their dispatch
-    xc = x.data - x.data.sum(axis=1, keepdims=True) / d
+    xc = xd - xd.sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
     xhat = xc * inv
-    out = Tensor._make(xhat * gamma.data + beta.data, (x, gamma, beta))
+    y = xhat * gd + bd
+    if not tape:
+        return y
+    out = Tensor._make(y, (x, gamma, beta))
 
     def _bw(g):
         gamma._accum((g * xhat).sum(axis=0, keepdims=True))
@@ -299,11 +328,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
     dot, mix, outer = _GLOBAL_CONTRACTIONS if group is None else _GROUPED_CONTRACTIONS
     # one block of all rows, or in grouped mode a block per query and per key group
     q_rows, kv_rows = (n, k.shape[0]) if group is None else (1, group)
-    qh = _split_heads(q.data, heads, q_rows)
-    kh = _split_heads(k.data, heads, kv_rows)
-    vh = _split_heads(v.data, heads, kv_rows)
+    tape = isinstance(q, Tensor)
+    qd, kd, vd = (q.data, k.data, v.data) if tape else (q, k, v)
+    qh = _split_heads(qd, heads, q_rows)
+    kh = _split_heads(kd, heads, kv_rows)
+    vh = _split_heads(vd, heads, kv_rows)
     w = _softmax(dot(qh, kh) * scale)
-    out = Tensor._make(_merge_heads(mix(w, vh)), (q, k, v))
+    y = _merge_heads(mix(w, vh))
+    if not tape:
+        return y
+    out = Tensor._make(y, (q, k, v))
 
     def _bw(g):
         gh = _split_heads(g, heads, q_rows)
@@ -326,8 +360,12 @@ def max_pool_rows(x: Tensor) -> Tensor:
     n, d = x.shape
     if n < 1:
         raise ValueError("max_pool_rows needs at least one row")
+    tape = isinstance(x, Tensor)
+    y = (x.data if tape else x).max(axis=0, keepdims=True)
+    if not tape:
+        return y
     idx = np.argmax(x.data, axis=0)  # lowest index wins ties
-    out = Tensor._make(x.data.max(axis=0, keepdims=True), (x,))
+    out = Tensor._make(y, (x,))
 
     def _bw(g):
         gx = np.zeros_like(x.data)

@@ -432,12 +432,13 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     os.makedirs(out_dir, exist_ok=True)
     trains = plan.mode != "icp" and checkpoint is None
     try:
-        eval_scenes = generate_scene_set(plan.sim, *plan.gps_noise, plan.eval.n_eval_scenes, plan.seed + 1)
         drive = drive_map(plan) if plan.mode == "filter" or (trains and plan.train.mix_ratio > 0) else None
         if plan.mode == "filter":
             poses, lmap = drive
             frames = drive_frames(poses, lmap, plan.drive, plan.sim, *plan.gps_noise, plan.seed + 3)
             save_map(lmap, os.path.join(out_dir, "map.csv"))
+        else:
+            eval_scenes = generate_scene_set(plan.sim, *plan.gps_noise, plan.eval.n_eval_scenes, plan.seed + 1)
         if trains:
             train_scenes = training_scenes(plan)
             save_scenes(train_scenes, os.path.join(out_dir, "scenes.jsonl"))

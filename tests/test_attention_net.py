@@ -10,7 +10,8 @@ from attnloc import autodiff as ad
 from attnloc import experiment, simulator
 from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
-from attnloc.geometry import utm_to_vehicle
+from attnloc.geometry import utm_to_vehicle, wrap_angle
+from attnloc.inference import FilterSession
 from autodiff_helpers import check_gradient
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
@@ -338,6 +339,59 @@ class TestForward:
             lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params)[0], subset
         )
         assert worst < 1e-4
+
+
+def _count_tensors(monkeypatch) -> list[int]:
+    """A counter of Tensor constructions from now on, the way perfbench's tracer counts them."""
+    built = [0]
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    return built
+
+
+class TestUnrecordedForward:
+    @pytest.mark.parametrize("cfg", [
+        net.NetConfig(d_m=64, heads=4, k=8),
+        net.NetConfig(d_m=256, heads=4, k=8),
+        net.NetConfig(d_m=16, heads=2, k=3, neighbor_features="distance"),
+    ], ids=["d64", "d256", "distance"])
+    def test_equals_recorded_and_builds_no_tensor(self, cfg, monkeypatch):
+        params = net.init_params(cfg, seed=0)
+        scenes = experiment.generate_scene_set(simulator.SimConfig(distribution="mixture", seed=11),
+                                               1.0, math.radians(4.0), 6, 11)
+        inputs = [(sc.measurements, utm_to_vehicle(sc.landmarks, sc.gps_pose)) for sc in scenes]
+        rng = np.random.default_rng(35)
+        inputs.append((rng.uniform(-20, 20, size=(1, 2)), rng.uniform(-20, 20, size=(6, 2))))  # nu = 1
+        inputs.append((rng.uniform(-20, 20, size=(5, 2)), rng.uniform(-20, 20, size=(cfg.k - 1, 2))))
+        built = _count_tensors(monkeypatch)
+        for m, lm in inputs:
+            recorded = net.forward(m, lm, params).data
+            assert built[0] > 0
+            built[0] = 0
+            plain = net.forward(m, lm, params, record=False)
+            pred = net.predict_offset(m, lm, params)
+            assert built[0] == 0
+            assert type(plain) is np.ndarray and np.array_equal(plain, recorded)
+            assert np.array_equal(pred.as_array()[:2], recorded[0, :2])
+            assert pred.dphi == wrap_angle(recorded[0, 2])
+        for sc in scenes:
+            session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, fov_radius=100.0)
+            session.step(sc.measurements, 0.05)
+        assert built[0] == 0
+
+    # fewer landmarks than k (3), so every landmark is in every neighbor group
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["measurements", "landmarks"])
+    def test_non_finite_input_rejected(self, small_params, where, bad):
+        m, lm = _scene(34, nu=4, mu=2)
+        (m if where == "measurements" else lm)[1, 0] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            net.predict_offset(m, lm, small_params)
 
 
 # predict_offset of the pinned desk checkpoint on generate_scene_set(mixture,

@@ -1,11 +1,13 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from attnloc import attention_net as net
 from attnloc import experiment, inference
-from attnloc.dataset_io import Scene
+from attnloc.dataset_io import Scene, load_checkpoint
 from attnloc.geometry import Pose, PoseOffset, offset_pose
 from attnloc.inference import (
     EkfConfig,
@@ -156,6 +158,16 @@ class TestGpsInference:
         with pytest.raises(ValueError):
             gps_inference(zero_net, lmap, np.zeros((0, 2)), Pose(0, 0, 0))
 
+    # landmarks reach the network only through the FoV query, which never
+    # returns a non-finite point, so the measurements carry the input check
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_measurement_rejected(self, zero_net, bad):
+        lmap, pts = self._map()
+        m = pts.copy()
+        m[3, 1] = bad
+        with pytest.raises(ValueError, match="entries must be finite"):
+            gps_inference(zero_net, lmap, m, Pose(1.0, -0.5, 0.1), fov_radius=100.0)
+
     def test_icp_empty_fov_rejected_alike(self):
         # the ICP baseline runs the same localization step, so it fails the same way
         _, pts = self._map()
@@ -210,3 +222,34 @@ class TestFilterSession:
             return float(np.sqrt((e**2).sum(axis=1).mean()))
 
         assert rmse_pos(filtered) <= rmse_pos(noisy)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# FilterSession with the pinned desk checkpoint over the first 200 frames of
+# the configs/filter_desk.json drive: every 25th pose from frame 24, (x, y, phi)
+DESK_FILTER_POSES = {
+    24: (9.615359943303252, 0.08943878780039197, 0.04112283299615273),
+    49: (19.644276913213734, 0.6781855943298623, 0.07821928200957508),
+    74: (29.527627458656497, 1.513601375357138, 0.10108070626360698),
+    99: (39.51127446961657, 2.6582139997425975, 0.14344417111855187),
+    124: (49.412216621889094, 4.084720497474402, 0.17178649901913728),
+    149: (59.266710128752194, 5.842641376264357, 0.20102828695146516),
+    174: (69.04256988600177, 7.929175416092924, 0.23910357463604265),
+    199: (78.62966055261279, 10.353193671144151, 0.2723168628697232),
+}
+
+
+class TestPinnedFilter:
+    def test_poses_match_recorded_values(self):
+        plan = experiment.parse_config(json.loads((ROOT / "configs" / "filter_desk.json").read_text()))
+        poses, lmap = experiment.drive_map(plan)
+        frames = experiment.drive_frames(poses, lmap, plan.drive, plan.sim, *plan.gps_noise, plan.seed + 3)[:200]
+        params = load_checkpoint(str(ROOT / "perfbench" / "desk_checkpoint.json"))
+        session = FilterSession(params, lmap, frames[0].gps_pose, plan.ekf, plan.eval.fov_radius)
+        got = {}
+        for i in range(1, len(frames)):
+            pose = session.step(frames[i].measurements, frames[i].t - frames[i - 1].t)
+            if i in DESK_FILTER_POSES:
+                got[i] = pose.as_array()
+        np.testing.assert_allclose([got[i] for i in DESK_FILTER_POSES], list(DESK_FILTER_POSES.values()),
+                                   rtol=0, atol=1e-12)
