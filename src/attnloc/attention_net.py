@@ -166,7 +166,7 @@ def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
     landmarks exist, the sorted neighbor list repeats cyclically to length k.
     """
     m = as_points(measurements)
-    lm = as_points(landmarks)
+    lm = ad.finite(as_points(landmarks))  # a bad landmark may fall in no group, out of forward's input check
     if m.shape[0] == 0 or lm.shape[0] == 0:
         raise ValueError("knn_group needs at least one measurement and one landmark")
     if k < 1:

@@ -35,8 +35,8 @@ class CheckpointFormatError(ValueError):
 class Scene:
     """One recorded frame: poses plus vehicle-frame measurements.
 
-    landmarks is None for map-backed scenes (the map supplies them) and an
-    (N, 2) array for self-contained synthetic scenes.
+    landmarks is None for map-backed scenes (a drive map supplies them) and,
+    for self-contained synthetic scenes, the (N, 2) array that is their map.
     """
 
     t: float
@@ -131,6 +131,8 @@ def load_scenes(path: str) -> list[Scene]:
                 meas = np.asarray(_require(rec, "measurements", lineno, path), dtype=np.float64).reshape(-1, 2)
                 lm = rec.get("landmarks")
                 landmarks = None if lm is None else np.asarray(lm, dtype=np.float64).reshape(-1, 2)
+                if not all(np.isfinite(a).all() for a in (meas, landmarks) if a is not None):
+                    raise ValueError("point coordinates must be finite")
             except SceneFormatError:
                 raise
             except (TypeError, ValueError) as exc:

@@ -25,7 +25,7 @@ from .baselines import icp
 from .dataset_io import Scene, _atomic_write, from_dict, save_checkpoint, save_scenes
 from .geometry import Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, gps_inference, localize
-from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, save_map
+from .map_store import DEFAULT_FOV_RADIUS, save_map
 from .metrics import EvalReport, LatencyStats
 from .training import TrainConfig, sample_offset
 
@@ -219,7 +219,7 @@ def drive_trajectory(d: DriveConfig, start: Pose = Pose(0.0, 0.0, 0.0)) -> list[
 
 
 def build_drive_map(poses: list[Pose], d: DriveConfig, sim_cfg: simulator.SimConfig,
-                    rng: np.random.Generator) -> LandmarkMap:
+                    rng: np.random.Generator) -> np.ndarray:
     """Drop landmark clusters from the scene model every cluster_spacing_m of path."""
     pts: list[np.ndarray] = []
     dist = 0.0
@@ -235,18 +235,17 @@ def build_drive_map(poses: list[Pose], d: DriveConfig, sim_cfg: simulator.SimCon
             local = simulator.sample_landmarks(take, rng)
             pts.append(np.asarray([[pose.x, pose.y]]) + local @ rotation(pose.phi).T)
             next_drop += d.cluster_spacing_m
-    allpts = np.vstack(pts)
-    return LandmarkMap(np.arange(allpts.shape[0]), allpts)
+    return np.vstack(pts)
 
 
-def _visible(lmap: LandmarkMap, pose: Pose, d: DriveConfig) -> np.ndarray:
+def _visible(lmap: np.ndarray, pose: Pose, d: DriveConfig) -> np.ndarray:
     """Map landmarks inside the forward sensor box of a pose, in the vehicle frame."""
-    local = utm_to_vehicle(lmap.points, pose)
+    local = utm_to_vehicle(lmap, pose)
     return local[(local[:, 0] >= 0.0) & (local[:, 0] <= d.sensor_range_m)
                  & (np.abs(local[:, 1]) <= d.sensor_half_width_m)]
 
 
-def drive_frames(poses: list[Pose], lmap: LandmarkMap, d: DriveConfig,
+def drive_frames(poses: list[Pose], lmap: np.ndarray, d: DriveConfig,
                  sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot: float,
                  seed: int) -> list[Scene]:
     """Per-step sensor frames: forward-looking detections, degraded, with noisy GPS."""
@@ -262,7 +261,7 @@ def drive_frames(poses: list[Pose], lmap: LandmarkMap, d: DriveConfig,
     return frames
 
 
-def map_backed_scenes(lmap: LandmarkMap, poses: list[Pose], d: DriveConfig,
+def map_backed_scenes(lmap: np.ndarray, poses: list[Pose], d: DriveConfig,
                       sim_cfg: simulator.SimConfig, n: int, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Training pool drawn from a map along a trajectory: (measurements, landmarks)."""
     rng = np.random.default_rng((seed, 1))
@@ -283,10 +282,10 @@ def map_backed_scenes(lmap: LandmarkMap, poses: list[Pose], d: DriveConfig,
 # -- inference over scenes -----------------------------------------------------
 
 
-def scene_map(scene: Scene) -> LandmarkMap:
+def scene_map(scene: Scene) -> np.ndarray:
     if scene.landmarks is None:
         raise ValueError("scene has no landmarks; evaluate against a map instead")
-    return LandmarkMap(np.arange(scene.landmarks.shape[0]), scene.landmarks)
+    return scene.landmarks
 
 
 def _timed(scenes: list[Scene], contexts, locate) -> tuple[list[Pose], list[Pose], LatencyStats]:
@@ -303,9 +302,9 @@ def _timed(scenes: list[Scene], contexts, locate) -> tuple[list[Pose], list[Pose
     return preds, gts, LatencyStats.from_seconds(times)
 
 
-def evaluate_gps(params: net.ModelParams, scenes: list[Scene], lmap: LandmarkMap | None,
+def evaluate_gps(params: net.ModelParams, scenes: list[Scene], lmap: np.ndarray | None,
                  fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
-    """GPS-based inference per scene; scenes carry their own map when lmap is None."""
+    """GPS-based inference per scene against the (N, 2) map lmap, or each scene's own landmarks when it is None."""
     maps = map(scene_map, scenes) if lmap is None else itertools.repeat(lmap)
     return _timed(scenes, maps, lambda sc, m: gps_inference(params, m, sc.measurements, sc.gps_pose, fov_radius))
 
@@ -316,7 +315,7 @@ def evaluate_icp(scenes: list[Scene], fov_radius: float) -> tuple[list[Pose], li
         m, sc.measurements, sc.gps_pose, lambda meas, lm: icp(meas, lm).offset, fov_radius))
 
 
-def evaluate_filter(params: net.ModelParams, lmap: LandmarkMap, frames: list[Scene],
+def evaluate_filter(params: net.ModelParams, lmap: np.ndarray, frames: list[Scene],
                     ekf_cfg: EkfConfig, fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
     """EKF-smoothed inference over a drive; initialized from the first GPS pose."""
     if not frames:
@@ -389,13 +388,13 @@ def write_trace_svg(path: str, rows: list[tuple[float, float, float, float]]) ->
 # -- the experiment driver -----------------------------------------------------
 
 
-def drive_map(plan: Plan) -> tuple[list[Pose], LandmarkMap]:
+def drive_map(plan: Plan) -> tuple[list[Pose], np.ndarray]:
     """The configured drive's trajectory and its landmark map."""
     poses = drive_trajectory(plan.drive)
     return poses, build_drive_map(poses, plan.drive, plan.sim, np.random.default_rng((plan.seed, 2)))
 
 
-def training_pools(plan: Plan, scenes: list[Scene], drive: tuple[list[Pose], LandmarkMap] | None = None):
+def training_pools(plan: Plan, scenes: list[Scene], drive: tuple[list[Pose], np.ndarray] | None = None):
     """(synthetic, map-backed) pools: the scenes with landmarks; with train.mix_ratio > 0, draws along the drive."""
     pool = [(sc.measurements, sc.landmarks) for sc in scenes if sc.landmarks is not None]
     if plan.train.mix_ratio == 0:
@@ -469,7 +468,7 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
         raise StageError("infer", exc) from exc
 
     try:
-        report = EvalReport.from_error_rows(read_trace(os.path.join(out_dir, "trace.csv"))[:, 1:])
+        report = EvalReport.from_error_rows(np.asarray(rows)[:, 1:])
         doc = {"mode": plan.mode, "seed": plan.seed, **report.metrics_dict(), **extra}
         write_json(os.path.join(out_dir, "report.json"), doc)
         write_json(os.path.join(out_dir, "timing.json"),

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attention_net as net
 from .geometry import Pose, correct_pose, utm_to_vehicle, wrap_angle
-from .map_store import DEFAULT_FOV_RADIUS, LandmarkMap, query_fov
+from .map_store import DEFAULT_FOV_RADIUS, query_fov
 from .simulator import OMEGA_EPS, ctrv_step
 
 
@@ -139,7 +139,7 @@ def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
     return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def localize(lmap: LandmarkMap, measurements, prior: Pose, regress,
+def localize(lmap: np.ndarray, measurements, prior: Pose, regress,
              fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
     """The localization step: correct a prior pose by an offset regressed against the map around it.
 
@@ -157,7 +157,7 @@ def localize(lmap: LandmarkMap, measurements, prior: Pose, regress,
     return correct_pose(prior, regress(m, utm_to_vehicle(fov, prior)))
 
 
-def gps_inference(params: net.ModelParams, lmap: LandmarkMap, measurements, p_gps: Pose,
+def gps_inference(params: net.ModelParams, lmap: np.ndarray, measurements, p_gps: Pose,
                   fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
     """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor."""
     return localize(lmap, measurements, p_gps, lambda m, lm: net.predict_offset(m, lm, params), fov_radius)
@@ -174,7 +174,7 @@ class FilterSession:
     def __init__(
         self,
         params: net.ModelParams,
-        lmap: LandmarkMap,
+        lmap: np.ndarray,
         p_init: Pose,
         ekf_cfg: EkfConfig | None = None,
         fov_radius: float = DEFAULT_FOV_RADIUS,

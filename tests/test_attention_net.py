@@ -384,14 +384,16 @@ class TestUnrecordedForward:
             session.step(sc.measurements, 0.05)
         assert built[0] == 0
 
-    # fewer landmarks than k (3), so every landmark is in every neighbor group
+    # with 2 landmarks, fewer than k (3), every landmark is in every neighbor
+    # group; with 7 a bad landmark need not be, and must still be rejected
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["measurements", "landmarks"])
     def test_non_finite_input_rejected(self, small_params, where, bad):
-        m, lm = _scene(34, nu=4, mu=2)
-        (m if where == "measurements" else lm)[1, 0] = bad
-        with pytest.raises(ValueError, match="entries must be finite"):
-            net.predict_offset(m, lm, small_params)
+        for mu in (2, 7):
+            m, lm = _scene(34, nu=4, mu=mu)
+            (m if where == "measurements" else lm)[1, 0] = bad
+            with pytest.raises(ValueError, match="entries must be finite"):
+                net.predict_offset(m, lm, small_params)
 
 
 # predict_offset of the pinned desk checkpoint on generate_scene_set(mixture,

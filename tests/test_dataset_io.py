@@ -72,7 +72,11 @@ class TestSceneRoundTrip:
         with pytest.raises(SceneFormatError, match=":2:"):
             load_scenes(str(path))
 
-    @pytest.mark.parametrize("field, value", [("t", None), ("t", "soon"), ("gt_pose", 5)])
+    @pytest.mark.parametrize("field, value", [
+        ("t", None), ("t", "soon"), ("gt_pose", 5),
+        pytest.param("measurements", [[1.0, float("nan")]], id="measurements-NaN"),
+        pytest.param("landmarks", [[0.0, 1.0], [float("inf"), 2.0]], id="landmarks-Infinity"),
+    ])
     def test_bad_field_value_reports_line(self, tmp_path, field, value):
         path = tmp_path / "badvalue.jsonl"
         good = {"t": 0.0, "gt_pose": [0, 0, 0], "gps_pose": [0, 0, 0], "measurements": []}

@@ -19,7 +19,6 @@ from attnloc.inference import (
     gps_inference,
     init_state,
 )
-from attnloc.map_store import LandmarkMap
 from attnloc.simulator import generate_trajectory
 
 
@@ -128,49 +127,48 @@ class TestEkfUpdate:
 
 class TestGpsInference:
     def _map(self):
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(5, 40, size=(12, 2)) * np.array([1.0, 0.3])
-        return LandmarkMap(np.arange(12), pts), pts
+        # the map's landmarks, also used as noise-free measurements
+        return np.random.default_rng(2).uniform(5, 40, size=(12, 2)) * np.array([1.0, 0.3])
 
     def test_zero_net_returns_gps_pose(self, zero_net):
-        lmap, pts = self._map()
+        pts = self._map()
         p_gps = Pose(1.0, -0.5, 0.1)
-        out = gps_inference(zero_net, lmap, pts, p_gps, fov_radius=100.0)
+        out = gps_inference(zero_net, pts, pts, p_gps, fov_radius=100.0)
         assert out == p_gps
 
     def test_oracle_prediction_recovers_truth(self, zero_net, monkeypatch):
         # an oracle that outputs the exact offset undoes the GPS error
-        lmap, pts = self._map()
+        pts = self._map()
         gt = Pose(0.0, 0.0, 0.0)
         d = PoseOffset(0.4, -0.2, 0.05)
         p_gps = offset_pose(gt, d)
         monkeypatch.setattr(inference.net, "predict_offset", lambda m, lm, p: d)
-        out = gps_inference(zero_net, lmap, pts, p_gps, fov_radius=100.0)
+        out = gps_inference(zero_net, pts, pts, p_gps, fov_radius=100.0)
         assert (out.x, out.y, out.phi) == pytest.approx((gt.x, gt.y, gt.phi), abs=1e-12)
 
     def test_empty_fov_rejected(self, zero_net):
-        lmap, pts = self._map()
+        pts = self._map()
         with pytest.raises(NoLandmarksInFov, match="field of view"):
-            gps_inference(zero_net, lmap, pts, Pose(1e6, 1e6, 0.0), fov_radius=10.0)
+            gps_inference(zero_net, pts, pts, Pose(1e6, 1e6, 0.0), fov_radius=10.0)
 
     def test_empty_measurements_rejected(self, zero_net):
-        lmap, _ = self._map()
+        pts = self._map()
         with pytest.raises(ValueError):
-            gps_inference(zero_net, lmap, np.zeros((0, 2)), Pose(0, 0, 0))
+            gps_inference(zero_net, pts, np.zeros((0, 2)), Pose(0, 0, 0))
 
     # landmarks reach the network only through the FoV query, which never
     # returns a non-finite point, so the measurements carry the input check
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_measurement_rejected(self, zero_net, bad):
-        lmap, pts = self._map()
+        pts = self._map()
         m = pts.copy()
         m[3, 1] = bad
         with pytest.raises(ValueError, match="entries must be finite"):
-            gps_inference(zero_net, lmap, m, Pose(1.0, -0.5, 0.1), fov_radius=100.0)
+            gps_inference(zero_net, pts, m, Pose(1.0, -0.5, 0.1), fov_radius=100.0)
 
     def test_icp_empty_fov_rejected_alike(self):
         # the ICP baseline runs the same localization step, so it fails the same way
-        _, pts = self._map()
+        pts = self._map()
         far = Scene(t=0.0, gt_pose=Pose(0, 0, 0), gps_pose=Pose(1e6, 1e6, 0.0), measurements=pts, landmarks=pts)
         with pytest.raises(NoLandmarksInFov, match="field of view"):
             experiment.evaluate_icp([far], fov_radius=10.0)
@@ -180,9 +178,8 @@ class TestFilterSession:
     def test_stationary_zero_net_fixed_estimate(self, zero_net):
         rng = np.random.default_rng(3)
         pts = rng.uniform(-30, 30, size=(10, 2))
-        lmap = LandmarkMap(np.arange(10), pts)
         init = Pose(0.5, -0.25, 0.02)
-        session = FilterSession(zero_net, lmap, init, fov_radius=100.0)
+        session = FilterSession(zero_net, pts, init, fov_radius=100.0)
         for _ in range(10):
             out = session.step(pts, dt=0.1)
             assert out.x == pytest.approx(init.x, abs=1e-9)
@@ -190,8 +187,7 @@ class TestFilterSession:
             assert out.phi == pytest.approx(init.phi, abs=1e-9)
 
     def test_nonpositive_dt_rejected(self, zero_net):
-        lmap = LandmarkMap([0], [[1.0, 1.0]])
-        session = FilterSession(zero_net, lmap, Pose(0, 0, 0))
+        session = FilterSession(zero_net, np.array([[1.0, 1.0]]), Pose(0, 0, 0))
         with pytest.raises(ValueError):
             session.step([[1.0, 1.0]], dt=0.0)
 
@@ -204,8 +200,7 @@ class TestFilterSession:
         noisy = [Pose(g.x + n[0], g.y + n[1], g.phi + 0.05 * n[2]) for g, n in zip(truth, noise)]
 
         pts = np.vstack([[p.x + 10.0, p.y] for p in poses])
-        lmap = LandmarkMap(np.arange(len(pts)), pts)
-        session = FilterSession(zero_net, lmap, poses[0], fov_radius=1e6)
+        session = FilterSession(zero_net, pts, poses[0], fov_radius=1e6)
 
         z_seq = iter(noisy)
 

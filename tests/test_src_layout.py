@@ -1,0 +1,52 @@
+"""The source tree holds no helper that only tests call.
+
+Every module-level function, class and constant of attnloc must be named
+somewhere in src/ outside its own definition, or in perfbench/*.py.
+Names are matched as identifiers, not resolved, so a name used in one
+module also covers a same-named definition in another. Methods are not
+scanned: a public value type may carry a method only tests call.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = sorted((ROOT / "src" / "attnloc").glob("*.py"))
+BENCH = sorted((ROOT / "perfbench").glob("*.py"))
+
+
+def _names(nodes) -> set[str]:
+    """Identifiers the nodes name: names, attributes, imports and dotted string constants."""
+    out: set[str] = set()
+    for root in nodes:
+        for node in ast.walk(root):
+            if isinstance(node, ast.Name):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                out.add(node.attr)
+            elif isinstance(node, ast.alias):
+                out.add(node.name.rpartition(".")[2])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.update(node.value.split("."))
+    return out
+
+
+def _defined(stmt) -> list[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target] if isinstance(stmt, ast.AnnAssign) else []
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_module_level_names_are_used_outside_tests():
+    assert SRC and BENCH
+    stmts = [(path.name, stmt) for path in SRC for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    named = [_names([stmt]) for _, stmt in stmts]
+    # per name, the number of top-level statements in src/ that name it
+    counts = Counter(n for names in named for n in names)
+    bench = _names(ast.parse(path.read_text(encoding="utf-8")) for path in BENCH)
+    unused = [f"{module}:{n}" for (module, stmt), names in zip(stmts, named)
+              for n in _defined(stmt)
+              if not n.startswith("__") and n not in bench and counts[n] - (n in names) == 0]
+    assert not unused, f"defined in src/ but named only by tests: {unused}"
