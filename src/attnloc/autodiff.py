@@ -1,10 +1,13 @@
 """Reverse-mode automatic differentiation over dense 2D float64 arrays.
 
 Minimal dynamic-tape engine: every operation returns a new Tensor holding
-its forward value and a closure that routes the upstream gradient to its
-parents. The graph is rebuilt each forward pass, so input cardinalities may
-vary freely between passes. A tensor graph is single-owner during a
-forward/backward pass; leaf values must not be mutated mid-pass.
+its forward value and a backward closure, a pure map from the upstream
+gradient to one gradient per parent, in parent order. `Tensor.backward` is
+the one place a gradient reaches a parent: it adds each returned array into
+that parent's `.grad`. The graph is rebuilt each forward pass, so input
+cardinalities may vary freely between passes. A tensor graph is single-owner
+during a forward/backward pass; leaf values must not be mutated mid-pass, so
+a closure may read the arrays its forward read.
 
 Given plain arrays, all inputs of one kind, the forward ops (`linear`,
 `relu`, `layer_norm`, `attention`, `max_pool_rows`) run the same value
@@ -29,7 +32,7 @@ class Tensor:
 
     __slots__ = ("data", "grad", "_parents", "_backward")
 
-    def __init__(self, data, _parents: tuple = (), _check: bool = True):
+    def __init__(self, data, _parents: tuple = (), _backward=None, _check: bool = True):
         arr = np.asarray(data, dtype=np.float64)
         if arr.ndim == 0:
             arr = arr.reshape(1, 1)
@@ -42,11 +45,12 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self._parents = _parents
-        self._backward = None
+        self._backward = _backward
 
     @classmethod
-    def _make(cls, data: np.ndarray, parents: tuple) -> "Tensor":
-        return cls(data, _parents=parents, _check=False)
+    def _make(cls, data: np.ndarray, parents: tuple, backward) -> "Tensor":
+        """An op's output node; backward maps its gradient to one gradient per parent."""
+        return cls(data, parents, backward, _check=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -67,57 +71,27 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
             raise ValueError(f"elementwise add needs equal shapes, got {self.shape} and {other.shape}")
-        out = Tensor._make(self.data + other.data, (self, other))
-
-        def _bw(g):
-            self._accum(g)
-            other._accum(g)
-
-        out._backward = _bw
-        return out
+        return Tensor._make(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
             raise ValueError(f"elementwise sub needs equal shapes, got {self.shape} and {other.shape}")
-        out = Tensor._make(self.data - other.data, (self, other))
-
-        def _bw(g):
-            self._accum(g)
-            other._accum(-g)
-
-        out._backward = _bw
-        return out
+        return Tensor._make(self.data - other.data, (self, other), lambda g: (g, -g))
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             c = float(other)
-            out = Tensor._make(self.data * c, (self,))
-            out._backward = lambda g: self._accum(g * c)
-            return out
+            return Tensor._make(self.data * c, (self,), lambda g: (g * c,))
         if self.shape != other.shape:
             raise ValueError(f"elementwise mul needs equal shapes, got {self.shape} and {other.shape}")
-        out = Tensor._make(self.data * other.data, (self, other))
-
-        def _bw(g):
-            self._accum(g * other.data)
-            other._accum(g * self.data)
-
-        out._backward = _bw
-        return out
+        return Tensor._make(self.data * other.data, (self, other), lambda g: (g * other.data, g * self.data))
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
-        out = Tensor._make(self.data @ other.data, (self, other))
-
-        def _bw(g):
-            self._accum(g @ other.data.T)
-            other._accum(self.data.T @ g)
-
-        out._backward = _bw
-        return out
+        return Tensor._make(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
 
     def __neg__(self) -> "Tensor":
         return self * -1.0
@@ -126,14 +100,11 @@ class Tensor:
         return relu(self)
 
     def exp(self) -> "Tensor":
-        out = Tensor._make(np.exp(self.data), (self,))
-        out._backward = lambda g: self._accum(g * out.data)
-        return out
+        y = np.exp(self.data)
+        return Tensor._make(y, (self,), lambda g: (g * y,))
 
     def sum(self) -> "Tensor":
-        out = Tensor._make(np.array([[self.data.sum()]]), (self,))
-        out._backward = lambda g: self._accum(np.full_like(self.data, g[0, 0]))
-        return out
+        return Tensor._make(np.array([[self.data.sum()]]), (self,), lambda g: (np.full_like(self.data, g[0, 0]),))
 
     def backward(self) -> None:
         """Accumulate dself/dleaf into every reachable tensor's .grad.
@@ -147,7 +118,8 @@ class Tensor:
         self._accum(np.ones((1, 1)))
         for node in reversed(order):
             if node._backward is not None:
-                node._backward(node.grad)
+                for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
+                    parent._accum(g)
 
 
 def finite(x: np.ndarray) -> np.ndarray:
@@ -194,26 +166,17 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     y += bd
     if not tape:
         return y
-    out = Tensor._make(y, (x, w, b))
-
-    def _bw(g):
-        x._accum(g @ w.data.T)
-        w._accum(x.data.T @ g)
-        b._accum(g.sum(axis=0, keepdims=True))
-
-    out._backward = _bw
-    return out
+    return Tensor._make(y, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)))
 
 
 def relu(x: Tensor) -> Tensor:
     """Elementwise max(x, 0); `Tensor.relu` is this op."""
     tape = isinstance(x, Tensor)
-    y = np.maximum(x.data if tape else x, 0.0)
+    xd = x.data if tape else x
+    y = np.maximum(xd, 0.0)
     if not tape:
         return y
-    out = Tensor._make(y, (x,))
-    out._backward = lambda g: x._accum(g * (x.data > 0.0))
-    return out
+    return Tensor._make(y, (x,), lambda g: (g * (xd > 0.0),))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -238,13 +201,7 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for stability."""
     y = _softmax(x.data)
-    out = Tensor._make(y, (x,))
-
-    def _bw(g):
-        x._accum(_softmax_grad(y, g))
-
-    out._backward = _bw
-    return out
+    return Tensor._make(y, (x,), lambda g: (_softmax_grad(y, g),))
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -263,19 +220,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     y = xhat * gd + bd
     if not tape:
         return y
-    out = Tensor._make(y, (x, gamma, beta))
 
     def _bw(g):
-        gamma._accum((g * xhat).sum(axis=0, keepdims=True))
-        beta._accum(g.sum(axis=0, keepdims=True))
-        gh = g * gamma.data
+        gh = g * gd
         # standard layer-norm input gradient, per row
         mean_gh = gh.sum(axis=1, keepdims=True) / d
         mean_gh_xhat = (gh * xhat).sum(axis=1, keepdims=True) / d
-        x._accum(inv * (gh - mean_gh - xhat * mean_gh_xhat))
+        gx = inv * (gh - mean_gh - xhat * mean_gh_xhat)
+        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    out._backward = _bw
-    return out
+    return Tensor._make(y, (x, gamma, beta), _bw)
 
 
 def _split_heads(x: np.ndarray, heads: int, block_rows: int) -> np.ndarray:
@@ -337,18 +291,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
     y = _merge_heads(mix(w, vh))
     if not tape:
         return y
-    out = Tensor._make(y, (q, k, v))
 
     def _bw(g):
         gh = _split_heads(g, heads, q_rows)
-        gw = dot(gh, vh)
-        gs = _softmax_grad(w, gw) * scale
-        q._accum(_merge_heads(mix(gs, kh)))
-        k._accum(_merge_heads(outer(gs, qh)))
-        v._accum(_merge_heads(outer(w, gh)))
+        gs = _softmax_grad(w, dot(gh, vh)) * scale
+        return _merge_heads(mix(gs, kh)), _merge_heads(outer(gs, qh)), _merge_heads(outer(w, gh))
 
-    out._backward = _bw
-    return out
+    return Tensor._make(y, (q, k, v), _bw)
 
 
 def max_pool_rows(x: Tensor) -> Tensor:
@@ -361,19 +310,18 @@ def max_pool_rows(x: Tensor) -> Tensor:
     if n < 1:
         raise ValueError("max_pool_rows needs at least one row")
     tape = isinstance(x, Tensor)
-    y = (x.data if tape else x).max(axis=0, keepdims=True)
+    xd = x.data if tape else x
+    y = xd.max(axis=0, keepdims=True)
     if not tape:
         return y
-    idx = np.argmax(x.data, axis=0)  # lowest index wins ties
-    out = Tensor._make(y, (x,))
+    idx = np.argmax(xd, axis=0)  # lowest index wins ties
 
     def _bw(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros_like(xd)
         gx[idx, np.arange(d)] = g[0, :]
-        x._accum(gx)
+        return (gx,)
 
-    out._backward = _bw
-    return out
+    return Tensor._make(y, (x,), _bw)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -48,9 +48,6 @@ class EkfConfig:
         if len(self.r_diag) != 3 or any(v <= 0 for v in self.r_diag):
             raise ValueError("r_diag must be 3 positive variances")
 
-    def r_matrix(self) -> np.ndarray:
-        return np.diag(np.asarray(self.r_diag, dtype=np.float64))
-
 
 @dataclass
 class EkfState:
@@ -119,22 +116,22 @@ def ekf_predict(s: EkfState, cfg: EkfConfig, dt: float) -> EkfState:
 def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
     """Pose-measurement update, H = [I3 | 0], Joseph-form covariance.
 
+    H selects the pose block, so its products are slices of the covariance.
     The heading innovation is wrapped, so measurements across the +-pi seam
     stay small.
     """
-    h = np.zeros((3, 5))
-    h[:3, :3] = np.eye(3)
-    r = cfg.r_matrix()
+    r = np.diag(cfg.r_diag)
     innov = np.array([z.x - s.mean[0], z.y - s.mean[1], wrap_angle(z.phi - s.mean[2])])
-    s_mat = h @ s.cov @ h.T + r
+    s_mat = s.cov[:3, :3] + r
     try:
         np.linalg.cholesky(s_mat)
     except np.linalg.LinAlgError as exc:
         raise InnovationError("innovation covariance is not positive definite") from exc
-    k = s.cov @ h.T @ np.linalg.inv(s_mat)
+    k = s.cov[:, :3] @ np.linalg.inv(s_mat)
     mean = s.mean + k @ innov
     mean[2] = wrap_angle(mean[2])
-    ikh = np.eye(5) - k @ h
+    ikh = np.eye(5)
+    ikh[:, :3] -= k
     cov = ikh @ s.cov @ ikh.T + k @ r @ k.T
     return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
 

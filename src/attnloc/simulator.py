@@ -58,16 +58,13 @@ class SimConfig:
         if any(len(getattr(self, name)) != 2 for name in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi")):
             raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs")
         for name in ("sigma", "sigma1", "sigma2"):
-            _cholesky_or_raise(np.asarray(getattr(self, name), dtype=np.float64), name)
-
-
-def _cholesky_or_raise(m: np.ndarray, name: str) -> np.ndarray:
-    if m.shape != (2, 2) or not np.allclose(m, m.T):
-        raise ValueError(f"{name} must be a symmetric 2x2 matrix")
-    try:
-        return np.linalg.cholesky(m)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"{name} must be positive definite") from exc
+            m = np.asarray(getattr(self, name), dtype=np.float64)
+            if m.shape != (2, 2) or not np.allclose(m, m.T):
+                raise ValueError(f"{name} must be a symmetric 2x2 matrix")
+            try:
+                np.linalg.cholesky(m)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"{name} must be positive definite") from exc
 
 
 @dataclass
@@ -79,14 +76,16 @@ class SyntheticScene:
 
 
 def sample_landmarks(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw nu ~ U{nu_min..nu_max} landmark positions from the configured model."""
+    """Draw nu ~ U{nu_min..nu_max} landmark positions from the configured model.
+
+    The covariances are factorized without a check: SimConfig checked them.
+    """
     nu = int(rng.integers(cfg.nu_min, cfg.nu_max + 1))
     z = rng.standard_normal((nu, 2))
     if cfg.distribution == "gaussian":
-        chol = _cholesky_or_raise(np.asarray(cfg.sigma), "sigma")
-        return np.asarray(cfg.mu) + z @ chol.T
-    chol1 = _cholesky_or_raise(np.asarray(cfg.sigma1), "sigma1")
-    chol2 = _cholesky_or_raise(np.asarray(cfg.sigma2), "sigma2")
+        return np.asarray(cfg.mu) + z @ np.linalg.cholesky(cfg.sigma).T
+    chol1 = np.linalg.cholesky(cfg.sigma1)
+    chol2 = np.linalg.cholesky(cfg.sigma2)
     second = rng.random(nu) < cfg.lambda2 / (1.0 + cfg.lambda2)
     pts = np.where(second[:, None], np.asarray(cfg.mu2) + z @ chol2.T, np.asarray(cfg.mu1) + z @ chol1.T)
     return pts

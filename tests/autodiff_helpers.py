@@ -50,17 +50,13 @@ def check_gradient(build, params: list[Tensor], h: float = 1e-5) -> float:
 
 def transpose(x: Tensor) -> Tensor:
     """x with rows and columns swapped."""
-    out = Tensor._make(x.data.T, (x,))
-    out._backward = lambda g: x._accum(g.T)
-    return out
+    return Tensor._make(x.data.T, (x,), lambda g: (g.T,))
 
 
 def mean(x: Tensor) -> Tensor:
     """The 1x1 mean of all entries."""
     n = x.data.size
-    out = Tensor._make(np.array([[x.data.mean()]]), (x,))
-    out._backward = lambda g: x._accum(np.full_like(x.data, g[0, 0] / n))
-    return out
+    return Tensor._make(np.array([[x.data.mean()]]), (x,), lambda g: (np.full_like(x.data, g[0, 0] / n),))
 
 
 def concat(tensors: list[Tensor], axis: int) -> Tensor:
@@ -69,13 +65,9 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
         raise ValueError(f"axis must be 0 or 1, got {axis}")
     if not tensors:
         raise ValueError("concat needs at least one tensor")
-    out = Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0] + [t.shape[axis] for t in tensors])
 
     def _bw(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            t._accum(g[lo:hi, :] if axis == 0 else g[:, lo:hi])
+        return [g[lo:hi, :] if axis == 0 else g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
-    out._backward = _bw
-    return out
+    return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)

@@ -250,6 +250,42 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, [[2.0, 2.0]])
 
 
+# every tape op, built on random parents with distinct shapes where the op allows it
+PROTOCOL_OPS = {
+    "add": lambda r: _rand(r, 3, 4) + _rand(r, 3, 4),
+    "sub": lambda r: _rand(r, 3, 4) - _rand(r, 3, 4),
+    "mul": lambda r: _rand(r, 3, 4) * _rand(r, 3, 4),
+    "mul_scalar": lambda r: _rand(r, 3, 4) * 2.5,
+    "matmul": lambda r: _rand(r, 3, 4) @ _rand(r, 4, 2),
+    "exp": lambda r: _rand(r, 3, 4).exp(),
+    "sum": lambda r: _rand(r, 3, 4).sum(),
+    "linear": lambda r: ad.linear(_rand(r, 3, 4), _rand(r, 4, 2), _rand(r, 1, 2)),
+    "relu": lambda r: _rand(r, 3, 4).relu(),
+    "softmax_rows": lambda r: ad.softmax_rows(_rand(r, 3, 4)),
+    "layer_norm": lambda r: ad.layer_norm(_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 1, 4)),
+    "attention": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2),
+    "attention_grouped": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 4), _rand(r, 6, 4), 2, group=2),
+    "max_pool_rows": lambda r: ad.max_pool_rows(_rand(r, 3, 4)),
+    "transpose": lambda r: transpose(_rand(r, 3, 4)),
+    "mean": lambda r: mean(_rand(r, 3, 4)),
+    "concat_rows": lambda r: concat([_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 2, 4)], axis=0),
+    "concat_cols": lambda r: concat([_rand(r, 3, 4), _rand(r, 3, 1)], axis=1),
+}
+
+
+class TestBackwardProtocol:
+    """An op's backward maps the upstream gradient to one gradient per parent, in parent order."""
+
+    @pytest.mark.parametrize("op", sorted(PROTOCOL_OPS))
+    def test_one_gradient_per_parent_of_its_shape(self, op):
+        rng = np.random.default_rng(30)
+        out = PROTOCOL_OPS[op](rng)
+        grads = out._backward(rng.normal(size=out.shape))
+        assert grads is not None and len(grads) == len(out._parents)
+        for parent, g in zip(out._parents, grads):
+            assert isinstance(g, np.ndarray) and g.shape == parent.shape
+
+
 class TestElementwiseOps:
     def test_add_bias_row(self):
         # a bias row goes through ad.linear; + and - need equal shapes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnloc import attention_net as net
-from attnloc import simulator, training
+from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import icp
 from attnloc.geometry import Pose, PoseOffset, correct_pose, offset_pose, utm_to_vehicle
@@ -284,3 +284,25 @@ class TestTrain:
         # the median of the last 10 epochs: one epoch's loss swings by 10x and
         # moves with last-bit changes to the gradients
         assert np.median([h.loss_tran for h in hist[-10:]]) < 1e-3
+
+
+# training.train from init seed 0 (d_m 16, 2 heads, k 4) on
+# generate_scene_set(mixture, seed 0)[:64], TrainConfig(epochs=3,
+# batch_size=8, learning_rate=1e-3, seed=0)
+PINNED_EPOCH_LOSSES = [0.9117288545990765, 0.7206198725971839, 0.6102064022720778]
+PINNED_S_TRAN = -0.010509765552876863
+PINNED_S_ROT = -0.024077248855050862
+PINNED_HEAD_B2 = [0.00509088331080242, 0.002426351710135338, -0.0016402908523181579]
+
+
+class TestPinnedTraining:
+    def test_losses_and_weights_match_recorded_values(self):
+        scenes = experiment.generate_scene_set(simulator.SimConfig(distribution="mixture", seed=0),
+                                               1.0, math.radians(4.0), 64, 0)
+        params, hist = training.train(net.init_params(net.NetConfig(d_m=16, heads=2, k=4, seed=0)),
+                                      TrainConfig(epochs=3, batch_size=8, learning_rate=1e-3, seed=0),
+                                      [(sc.measurements, sc.landmarks) for sc in scenes])
+        np.testing.assert_allclose([h.loss for h in hist], PINNED_EPOCH_LOSSES, rtol=0, atol=1e-12)
+        np.testing.assert_allclose([params["s_tran"].data[0, 0], params["s_rot"].data[0, 0]],
+                                   [PINNED_S_TRAN, PINNED_S_ROT], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(params["head.b2"].data.ravel(), PINNED_HEAD_B2, rtol=0, atol=1e-12)
