@@ -188,52 +188,63 @@ def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor
     return x
 
 
-def mha_block(x: Tensor, y: Tensor, params: ModelParams, block: str, group: int | None = None) -> Tensor:
+def mha_block(x: Tensor, y: Tensor, params: ModelParams, block: str, group: int | None = None,
+              counts: list[int] | None = None) -> Tensor:
     """Set Transformer MAB: LayerNorm(S + rFF(S)), S = LayerNorm(X + Multihead(X, Y, Y)).
 
     group=None: every row of x attends to all rows of y. group=g: row i of x
-    attends only to rows i*g ... i*g+g-1 of y.
+    attends only to rows i*g ... i*g+g-1 of y. counts=(n_1, ..., n_B): x and
+    y stack B sets of rows and a row attends only to the rows of its own set.
     """
     att = ad.attention(x @ params[f"{block}.q"], y @ params[f"{block}.k"], y @ params[f"{block}.v"],
-                       params.config.heads, group)
+                       params.config.heads, group, counts)
     s = ad.layer_norm(x + att @ params[f"{block}.out"], params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
     return ad.layer_norm(s + _rff(s, params, f"{block}.ff"), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
 
 
-def local_attention(measurements, landmarks, params: ModelParams, record: bool = True) -> Tensor:
-    """Per-measurement attention over its k nearest landmarks; rows stack to nu x d_m.
+def local_attention(scenes, params: ModelParams, record: bool = True) -> Tensor:
+    """Per-measurement attention over its k nearest landmarks, for every scene at once.
 
-    Row i depends only on measurement i and its neighbor group, so rows
-    permute exactly as the measurements do. All groups share the block
-    weights and have exactly k members, so the per-measurement blocks run
-    as one grouped block; the result equals applying mha_block to each
-    (query, neighbor group) pair separately. record=False takes the
-    parameters as plain arrays and returns an array.
+    scenes is a list of (measurements, landmarks) pairs; the output stacks
+    each scene's nu rows, in scene order. Row i depends only on measurement
+    i and its neighbor group, so rows permute exactly as the measurements
+    do. kNN grouping runs per scene; all groups share the block weights and
+    have exactly k members, so the per-measurement blocks of every scene run
+    as one grouped block, equal to applying mha_block to each (query,
+    neighbor group) pair separately. record=False takes the parameters as
+    plain arrays and returns an array.
     """
     cfg = params.config
-    m = as_points(measurements)
-    _, feats = knn_group(m, landmarks, cfg.k)
+    ms = [as_points(m) for m, _ in scenes]
+    feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
     if cfg.neighbor_features == "distance":
         feats = feats[:, 2:3]
     leaf = Tensor if record else ad.finite
-    queries = _rff(leaf(m), params, "embed_m")  # (nu, d)
-    neighbors = _rff(leaf(feats), params, "embed_l")  # (nu*k, d)
+    queries = _rff(leaf(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
+    neighbors = _rff(leaf(feats), params, "embed_l")  # (sum nu * k, d)
     return mha_block(queries, neighbors, params, "local", cfg.k)
 
 
-def forward(measurements, landmarks, params: ModelParams, record: bool = True) -> Tensor:
-    """Raw 1x3 offset regression (dx, dy, dphi before wrapping).
+def forward(scenes, params: ModelParams, record: bool = True) -> Tensor:
+    """Raw (B, 3) offset regressions (dx, dy, dphi before wrapping), row b for scene b.
 
-    record=True builds the tape training differentiates; record=False, for
-    inference, runs the same ops on plain arrays and returns the array.
-    Both raise ValueError on a non-finite input and FloatingPointError on a
-    non-finite output.
+    scenes is a list of B (measurements, landmarks) pairs. Their rows stack
+    with no padding: the embeddings and the local block run once over all
+    rows, the global block and the max-pool within each scene, so row b
+    equals scene b's own forward up to rounding, and one scene runs the
+    one-scene ops exactly. record=True builds the tape training
+    differentiates; record=False, for inference, runs the same ops on plain
+    arrays and returns the array. Both raise ValueError on a non-finite
+    input and FloatingPointError on a non-finite output.
     """
+    if not scenes:
+        raise ValueError("forward needs at least one scene")
     if not record:
         params = ModelParams(params.config, {name: t.data for name, t in params.items()})
-    local = local_attention(measurements, landmarks, params, record)
-    glob = mha_block(local, local, params, "global")
-    h = _rff(ad.max_pool_rows(glob), params, "head", len(params.config.head_hidden) + 1)
+    local = local_attention(scenes, params, record)
+    counts = [as_points(m).shape[0] for m, _ in scenes]
+    glob = mha_block(local, local, params, "global", counts=counts)
+    h = _rff(ad.max_pool_rows(glob, counts), params, "head", len(params.config.head_hidden) + 1)
     if not np.all(np.isfinite(h.data if record else h)):
         raise FloatingPointError("network output is not finite")
     return h
@@ -241,5 +252,5 @@ def forward(measurements, landmarks, params: ModelParams, record: bool = True) -
 
 def predict_offset(measurements, landmarks, params: ModelParams) -> PoseOffset:
     """Predicted pose offset with wrapped heading, from an unrecorded forward pass."""
-    out = forward(measurements, landmarks, params, record=False)[0]
+    out = forward([(measurements, landmarks)], params, record=False)[0]
     return PoseOffset(out[0], out[1], wrap_angle(out[2]))

@@ -17,6 +17,7 @@ expression and checks and return an array: recording follows the inputs.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -73,11 +74,6 @@ class Tensor:
             raise ValueError(f"elementwise add needs equal shapes, got {self.shape} and {other.shape}")
         return Tensor._make(self.data + other.data, (self, other), lambda g: (g, g))
 
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        if self.shape != other.shape:
-            raise ValueError(f"elementwise sub needs equal shapes, got {self.shape} and {other.shape}")
-        return Tensor._make(self.data - other.data, (self, other), lambda g: (g, -g))
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             c = float(other)
@@ -93,21 +89,19 @@ class Tensor:
             raise ValueError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
         return Tensor._make(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
     def relu(self) -> "Tensor":
         return relu(self)
-
-    def exp(self) -> "Tensor":
-        y = np.exp(self.data)
-        return Tensor._make(y, (self,), lambda g: (g * y,))
 
     def sum(self) -> "Tensor":
         return Tensor._make(np.array([[self.data.sum()]]), (self,), lambda g: (np.full_like(self.data, g[0, 0]),))
 
     def backward(self) -> None:
-        """Accumulate dself/dleaf into every reachable tensor's .grad.
+        """Accumulate dself/dleaf into every reachable tensor's .grad, freeing the tape as it goes.
+
+        Once a node has handed its gradients to its parents it drops its
+        closure, its parents and, below the root, its own gradient, so each
+        array only the pass needed is freed as soon as the pass is done with
+        it. A graph is differentiated once; leaves keep their gradients.
 
         Raises:
             ValueError: if self is not 1x1 (loss must be scalar).
@@ -116,10 +110,14 @@ class Tensor:
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
         order = _toposort(self)
         self._accum(np.ones((1, 1)))
-        for node in reversed(order):
+        while order:
+            node = order.pop()
             if node._backward is not None:
                 for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
                     parent._accum(g)
+            node._parents, node._backward = (), None
+            if node is not self:
+                node.grad = None
 
 
 def finite(x: np.ndarray) -> np.ndarray:
@@ -259,7 +257,28 @@ _GROUPED_CONTRACTIONS = tuple(
 )
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = None) -> Tensor:
+def _padded_rows(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked sets of rows padded to the largest: where each row lands, and the key mask.
+
+    Row r of set b, which starts at row s_b, lands at row b*m + r - s_b of
+    the padded stack, m the largest count. The mask, shaped to add to a
+    (sets, heads, m, m) score stack, is -inf on every padded key.
+    """
+    counts = np.asarray(counts)
+    m = counts.max()
+    rows = np.repeat(np.arange(counts.size) * m - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+    mask = np.where(np.arange(m) < counts[:, None], 0.0, -np.inf)
+    return rows, mask[:, None, None, :]
+
+
+def _pad(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
+    out = np.zeros((size, x.shape[1]))
+    out[rows] = x
+    return out
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = None,
+              counts: list[int] | None = None) -> Tensor:
     """Multi-head scaled dot-product attention, heads side by side in the columns.
 
     q is (n, d); k and v have equal shapes and width d, which heads must
@@ -267,7 +286,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
     computes softmax(Q_j K_j^T / sqrt(d/h)) V_j; the (n, d) output holds the
     heads in the same columns. group=None: every query attends to all rows of
     k. group=g: k has n*g rows and query i attends only to rows
-    i*g ... i*g+g-1.
+    i*g ... i*g+g-1. counts=(n_1, ..., n_B): q, k and v each stack B sets of
+    rows, set b in n_b consecutive rows, and a query attends only to the
+    keys of its own set. Sets of equal size are reshaped into a stack of
+    blocks; unequal ones are padded to the largest, with the padded keys
+    masked to -inf.
     """
     n, d = q.shape
     if k.shape[1] != d or v.shape != k.shape:
@@ -278,50 +301,104 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
         raise ValueError("attention needs at least one query and one key")
     if group is not None and (group < 1 or k.shape[0] != n * group):
         raise ValueError(f"grouped keys must have n*group = {n}*{group} rows, got {k.shape[0]}")
+    if counts is not None and (group is not None or k.shape[0] != n or min(counts) < 1 or sum(counts) != n):
+        raise ValueError(f"set counts must be >= 1 and sum to the {n} query and key rows, got {list(counts)}")
     scale = 1.0 / math.sqrt(d // heads)
     dot, mix, outer = _GLOBAL_CONTRACTIONS if group is None else _GROUPED_CONTRACTIONS
-    # one block of all rows, or in grouped mode a block per query and per key group
-    q_rows, kv_rows = (n, k.shape[0]) if group is None else (1, group)
+    # one block of all rows, a block per set, or in grouped mode a block per query and per key group
+    if group is not None:
+        q_rows, kv_rows = 1, group
+    elif counts is None:
+        q_rows, kv_rows = n, k.shape[0]
+    else:
+        q_rows = kv_rows = max(counts)
+    padded = counts is not None and min(counts) != q_rows
     tape = isinstance(q, Tensor)
     qd, kd, vd = (q.data, k.data, v.data) if tape else (q, k, v)
+    if padded:
+        rows, mask = _padded_rows(counts)
+        size = len(counts) * q_rows
+        qd, kd, vd = (_pad(x, rows, size) for x in (qd, kd, vd))
     qh = _split_heads(qd, heads, q_rows)
     kh = _split_heads(kd, heads, kv_rows)
     vh = _split_heads(vd, heads, kv_rows)
-    w = _softmax(dot(qh, kh) * scale)
+    s = dot(qh, kh) * scale
+    if padded:
+        s += mask
+    w = _softmax(s)
     y = _merge_heads(mix(w, vh))
+    if padded:
+        y = y[rows]
     if not tape:
         return y
 
     def _bw(g):
-        gh = _split_heads(g, heads, q_rows)
+        gh = _split_heads(_pad(g, rows, size) if padded else g, heads, q_rows)
         gs = _softmax_grad(w, dot(gh, vh)) * scale
-        return _merge_heads(mix(gs, kh)), _merge_heads(outer(gs, qh)), _merge_heads(outer(w, gh))
+        grads = _merge_heads(mix(gs, kh)), _merge_heads(outer(gs, qh)), _merge_heads(outer(w, gh))
+        return tuple(x[rows] for x in grads) if padded else grads
 
     return Tensor._make(y, (q, k, v), _bw)
 
 
-def max_pool_rows(x: Tensor) -> Tensor:
-    """Columnwise maximum over rows; 1xd output.
+def max_pool_rows(x: Tensor, counts: list[int] | None = None) -> Tensor:
+    """Columnwise maximum over each set of rows; (B, d) output.
 
-    The gradient routes to the argmax row per column; ties go to the
-    lowest row index.
+    counts=(n_1, ..., n_B) splits the rows into B consecutive sets, by
+    default one set of all rows. The gradient routes to the argmax row per
+    set and column; ties go to the lowest row index.
     """
     n, d = x.shape
     if n < 1:
         raise ValueError("max_pool_rows needs at least one row")
+    counts = (n,) if counts is None else counts
+    if min(counts) < 1 or sum(counts) != n:
+        raise ValueError(f"set counts must be >= 1 and sum to the {n} rows, got {list(counts)}")
     tape = isinstance(x, Tensor)
     xd = x.data if tape else x
-    y = xd.max(axis=0, keepdims=True)
+    starts = [0, *itertools.accumulate(counts)][:-1]
+    if min(counts) == max(counts):  # a stack of equal blocks, which reduceat would pool far slower
+        y = xd.reshape(len(counts), -1, d).max(axis=1)
+    else:
+        y = np.maximum.reduceat(xd, starts, axis=0)
     if not tape:
         return y
-    idx = np.argmax(xd, axis=0)  # lowest index wins ties
+    idx = np.stack([lo + np.argmax(xd[lo:lo + c], axis=0) for lo, c in zip(starts, counts)])  # lowest index wins ties
 
     def _bw(g):
         gx = np.zeros_like(xd)
-        gx[idx, np.arange(d)] = g[0, :]
+        gx[idx, np.arange(d)] = g
         return (gx,)
 
     return Tensor._make(y, (x,), _bw)
+
+
+def homoscedastic_loss(pred: Tensor, target: np.ndarray, s_tran: Tensor, s_rot: Tensor) -> tuple[Tensor, np.ndarray]:
+    """The homoscedastic two-task pose loss, summed over rows, as one node.
+
+    pred and target are (B, 3) rows (dx, dy, dphi). Row i's residual
+    r = pred_i - target_i gives l_tran = r_x^2 + r_y^2, l_rot = r_phi^2
+    and the row loss l_tran e^-s_tran + s_tran + l_rot e^-s_rot + s_rot
+    (Kendall, Gal & Cipolla 2018). Returns the 1x1 sum of the row losses
+    and the (B, 3) array of (loss, l_tran, l_rot) per row. The backward is
+    closed-form: 2 r [e^-s_tran, e^-s_tran, e^-s_rot] g to each row of pred,
+    and the sum over rows of (1 - l e^-s) g to s_tran and s_rot.
+    """
+    if pred.shape[1] != 3 or target.shape != pred.shape:
+        raise ValueError(f"loss needs (B, 3) predictions and targets, got {pred.shape} and {target.shape}")
+    r = pred.data - target
+    sq = r * r
+    l_tran, l_rot = sq[:, 0] + sq[:, 1], sq[:, 2]
+    e_tran, e_rot = np.exp(-s_tran.data[0, 0]), np.exp(-s_rot.data[0, 0])
+    losses = l_tran * e_tran + s_tran.data[0, 0] + l_rot * e_rot + s_rot.data[0, 0]
+
+    def _bw(g):
+        g = g[0, 0]
+        return (r * (g * np.array([e_tran, e_tran, e_rot])) * 2.0,
+                np.array([[(g - g * l_tran * e_tran).sum()]]), np.array([[(g - g * l_rot * e_rot).sum()]]))
+
+    loss = Tensor._make(np.array([[losses.sum()]]), (pred, s_tran, s_rot), _bw)
+    return loss, np.stack((losses, l_tran, l_rot), axis=1)
 
 
 def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:

@@ -16,11 +16,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention_net as net
+from . import autodiff as ad
 from .autodiff import Tensor
 from .geometry import Pose, PoseOffset, as_points, offset_pose, utm_to_vehicle, wrap_angle
 
-_MASK_TRAN = np.array([[1.0, 1.0, 0.0]])
-_MASK_ROT = np.array([[0.0, 0.0, 1.0]])
+# Scenes per forward/backward tape. A batch runs as tapes of this many
+# scenes: more scenes per tape cut the per-node overhead, but a tape's arrays
+# live until its backward frees them, so peak memory grows with the tape.
+TAPE_SCENES = 4
 
 
 @dataclass(frozen=True)
@@ -95,28 +98,21 @@ def make_training_sample(
     return TrainSample(measurements=m, landmarks=utm_to_vehicle(lm, noisy_pose), label=d)
 
 
-def multitask_loss_graph(pred: Tensor, label: PoseOffset,
-                         params: net.ModelParams) -> tuple[Tensor, float, float]:
-    """Homoscedastic multi-task loss on the raw 1x3 network output.
+def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
+                         params: net.ModelParams) -> tuple[Tensor, np.ndarray]:
+    """Homoscedastic multi-task loss on the raw (B, 3) network output, one label per row.
 
-    Returns (l_multi, l_tran, l_rot): the differentiable 1x1 loss
-    l_multi = l_tran * e^-s_tran + s_tran + l_rot * e^-s_rot + s_rot, and
-    the values of its squared translation residual and squared wrapped
-    heading residual. The heading residual is wrapped by folding the
-    (locally constant) 2*pi shift into the label, so gradients stay exact
-    across the seam.
+    Returns (l_multi, rows): the differentiable 1x1 sum over rows of
+    l_tran * e^-s_tran + s_tran + l_rot * e^-s_rot + s_rot, one tape node,
+    and the (B, 3) array of each row's (l_multi, l_tran, l_rot), its
+    squared translation residual and squared wrapped heading residual. The
+    heading residual is wrapped by folding the (locally constant) 2*pi shift
+    into the label, so gradients stay exact across the seam.
     """
-    raw_dphi = float(pred.data[0, 2]) - label.dphi
-    shift = wrap_angle(raw_dphi) - raw_dphi
-    target = Tensor([[label.dx, label.dy, label.dphi - shift]])
-    res = pred - target
-    res_t = res * Tensor(_MASK_TRAN)
-    res_r = res * Tensor(_MASK_ROT)
-    l_tran = (res_t * res_t).sum()
-    l_rot = (res_r * res_r).sum()
-    s_tran, s_rot = params["s_tran"], params["s_rot"]
-    loss = l_tran * (-s_tran).exp() + s_tran + l_rot * (-s_rot).exp() + s_rot
-    return loss, float(l_tran.data[0, 0]), float(l_rot.data[0, 0])
+    target = np.array([(d.dx, d.dy, d.dphi) for d in labels])
+    raw_dphi = pred.data[:, 2] - target[:, 2]
+    target[:, 2] -= [wrap_angle(x) - x for x in raw_dphi]
+    return ad.homoscedastic_loss(pred, target, params["s_tran"], params["s_rot"])
 
 
 class AdamState:
@@ -169,12 +165,13 @@ def train(
     """Train in place over (measurements, landmarks) scene pairs.
 
     Landmarks are true-vehicle-frame positions; a fresh offset is sampled
-    per scene per epoch. Scenes are processed one at a time; gradients
-    average over a logical batch before each Adam step. Deterministic for a
-    fixed (cfg.seed, params, scenes) triple. A non-finite loss raises
-    FloatingPointError naming the epoch and the sample, and a non-finite
-    batch gradient one naming the epoch and the step, before any weight
-    changes.
+    per scene per epoch. Each logical batch draws all its samples first,
+    then runs them as tapes of TAPE_SCENES scenes, one stacked forward and
+    backward each; gradients average over the batch before each Adam step.
+    Deterministic for a fixed (cfg.seed, params, scenes) triple. A
+    non-finite loss raises FloatingPointError naming the epoch and the
+    sample, and a non-finite batch gradient one naming the epoch and the
+    step, before any weight changes.
     """
     syn = list(synthetic_scenes)
     mapped = list(map_scenes)
@@ -189,27 +186,28 @@ def train(
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
-        in_batch = 0
-        params.zero_grads()
-        for j in range(n_per_epoch):
-            use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
-            pool = mapped if use_map else syn
-            meas, lm = pool[rng.integers(len(pool))]
-            sample = make_training_sample(lm, origin, meas, cfg, rng)
-            pred = net.forward(sample.measurements, sample.landmarks, params)
-            loss, l_tran, l_rot = multitask_loss_graph(pred, sample.label, params)
-            if not math.isfinite(loss.data[0, 0]):
-                raise FloatingPointError(f"loss is not finite at epoch {epoch}, sample {j}")
-            loss.backward()
-            sums += (loss.data[0, 0], l_tran, l_rot)
-            in_batch += 1
-            if in_batch == cfg.batch_size or j == n_per_epoch - 1:
-                grads = {k: t.grad / in_batch for k, t in params.items()}
-                if not all(np.isfinite(g).all() for g in grads.values()):
-                    raise FloatingPointError(f"gradient is not finite at epoch {epoch}, step {j // cfg.batch_size}")
-                adam_step(params, grads, state, cfg.learning_rate)
-                params.zero_grads()
-                in_batch = 0
+        for first in range(0, n_per_epoch, cfg.batch_size):
+            batch = []
+            for _ in range(min(cfg.batch_size, n_per_epoch - first)):
+                use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
+                pool = mapped if use_map else syn
+                meas, lm = pool[rng.integers(len(pool))]
+                batch.append(make_training_sample(lm, origin, meas, cfg, rng))
+            params.zero_grads()
+            for lo in range(0, len(batch), TAPE_SCENES):
+                tape = batch[lo:lo + TAPE_SCENES]
+                pred = net.forward([(s.measurements, s.landmarks) for s in tape], params)
+                loss, rows = multitask_loss_graph(pred, [s.label for s in tape], params)
+                bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
+                if bad.size:
+                    raise FloatingPointError(f"loss is not finite at epoch {epoch}, sample {first + lo + bad[0]}")
+                loss.backward()
+                for row in rows:
+                    sums += row
+            grads = {k: t.grad / len(batch) for k, t in params.items()}
+            if not all(np.isfinite(g).all() for g in grads.values()):
+                raise FloatingPointError(f"gradient is not finite at epoch {epoch}, step {first // cfg.batch_size}")
+            adam_step(params, grads, state, cfg.learning_rate)
         stats = EpochStats(*(sums / n_per_epoch))
         history.append(stats)
         if progress is not None:

@@ -48,6 +48,19 @@ def check_gradient(build, params: list[Tensor], h: float = 1e-5) -> float:
     return worst
 
 
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a - b of equal shapes."""
+    if a.shape != b.shape:
+        raise ValueError(f"elementwise sub needs equal shapes, got {a.shape} and {b.shape}")
+    return Tensor._make(a.data - b.data, (a, b), lambda g: (g, -g))
+
+
+def exp(x: Tensor) -> Tensor:
+    """Elementwise e^x."""
+    y = np.exp(x.data)
+    return Tensor._make(y, (x,), lambda g: (g * y,))
+
+
 def transpose(x: Tensor) -> Tensor:
     """x with rows and columns swapped."""
     return Tensor._make(x.data.T, (x,), lambda g: (g.T,))

@@ -23,7 +23,7 @@ from attnloc.geometry import Pose, PoseOffset
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import save_map
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
-from autodiff_helpers import check_gradient, concat, mean, transpose
+from autodiff_helpers import check_gradient, concat, exp, mean, sub, transpose
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
 from map_store_helpers import read_map
@@ -88,11 +88,11 @@ class TestAcceptance:
         keys = Tensor(rng.normal(size=(6, 5)))
         vals = Tensor(rng.normal(size=(6, 5)))
         fd(lambda: ((a @ c) * w).sum(), [a, c])
-        fd(lambda: ((a + b) * (a - b)).sum(), [a, b])
+        fd(lambda: ((a + b) * sub(a, b)).sum(), [a, b])
         fd(lambda: mean(ad.linear(a, Tensor(np.eye(6)), bias)), [a, bias])
         fd(lambda: ((a * b) * 1.7).sum(), [a, b])
         fd(lambda: a.relu().sum(), [a])
-        fd(lambda: (a * 0.1).exp().sum(), [a])
+        fd(lambda: exp(a * 0.1).sum(), [a])
         fd(lambda: (transpose(a) @ b).sum(), [a, b])
         fd(lambda: mean(concat([a, b], axis=0)), [a, b])
         fd(lambda: mean(concat([a, b], axis=1)), [a, b])
@@ -104,6 +104,10 @@ class TestAcceptance:
         # its own generator, so the draws above and below stay as they were
         lin_bias = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
         fd(lambda: (ad.linear(a, c, lin_bias) * w).sum(), [a, c, lin_bias])
+        loss_rng = np.random.default_rng(11)
+        pred, target = Tensor(loss_rng.normal(size=(4, 3))), loss_rng.normal(size=(4, 3))
+        s_tran, s_rot = Tensor(loss_rng.normal(scale=0.5)), Tensor(loss_rng.normal(scale=0.5))
+        fd(lambda: ad.homoscedastic_loss(pred, target, s_tran, s_rot)[0], [pred, s_tran, s_rot])
 
         # the full network at nu=3, mu=5, d_m=16, h=2
         cfg = net.NetConfig(d_m=16, heads=2, k=3, seed=1)
@@ -111,7 +115,7 @@ class TestAcceptance:
         m = rng.uniform(-20, 20, size=(3, 2))
         lm = rng.uniform(-20, 20, size=(5, 2))
         label = PoseOffset(0.3, -0.2, 0.05)
-        fd(lambda: training.multitask_loss_graph(net.forward(m, lm, params), label, params)[0],
+        fd(lambda: training.multitask_loss_graph(net.forward([(m, lm)], params), [label], params)[0],
            [t for _, t in params.items()])
         elapsed = time.perf_counter() - t0
         _announce(1, worst < 1e-4 and elapsed < 60.0,

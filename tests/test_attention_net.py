@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from attnloc import attention_net as net
 from attnloc import autodiff as ad
@@ -12,7 +13,7 @@ from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
 from attnloc.inference import FilterSession
-from autodiff_helpers import check_gradient
+from autodiff_helpers import check_gradient, relative_error
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
 
@@ -257,18 +258,18 @@ class TestMhaBlock:
 class TestLocalAttention:
     def test_single_measurement_shape(self, small_params):
         m, lm = _scene(26, nu=1, mu=5)
-        assert net.local_attention(m, lm, small_params).shape == (1, 16)
+        assert net.local_attention([(m, lm)], small_params).shape == (1, 16)
 
     def test_rows_equivariant_under_measurement_permutation(self, small_params):
         m, lm = _scene(27, nu=5, mu=8)
         perm = np.random.default_rng(1).permutation(5)
-        a = net.local_attention(m, lm, small_params).data
-        b = net.local_attention(m[perm], lm, small_params).data
+        a = net.local_attention([(m, lm)], small_params).data
+        b = net.local_attention([(m[perm], lm)], small_params).data
         np.testing.assert_allclose(b, a[perm], atol=1e-12)
 
     def test_matches_per_measurement_blocks(self, small_params):
         m, lm = _scene(28, nu=4, mu=9)
-        fast = net.local_attention(m, lm, small_params).data
+        fast = net.local_attention([(m, lm)], small_params).data
         _, feats = net.knn_group(m, lm, SMALL.k)
         rows = []
         for i, g in enumerate(feats.reshape(-1, SMALL.k, 3)):
@@ -282,18 +283,18 @@ class TestLocalAttention:
         idx, _ = net.knn_group(m, lm, SMALL.k)
         neighbors_of_0 = set(idx[0].tolist())
         far = next(i for i in range(10) if i not in neighbors_of_0)
-        before = net.local_attention(m, lm, small_params).data
+        before = net.local_attention([(m, lm)], small_params).data
         lm2 = lm.copy()
         lm2[far] += 0.5  # stays a non-neighbor of measurement 0
         assert far not in set(net.knn_group(m, lm2, SMALL.k)[0][0].tolist())
-        after = net.local_attention(m, lm2, small_params).data
+        after = net.local_attention([(m, lm2)], small_params).data
         np.testing.assert_array_equal(before[0], after[0])
 
     def test_distance_only_mode_runs(self):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, neighbor_features="distance", seed=0)
         params = net.init_params(cfg)
         m, lm = _scene(30)
-        assert net.local_attention(m, lm, params).shape == (4, 8)
+        assert net.local_attention([(m, lm)], params).shape == (4, 8)
 
 
 class TestForward:
@@ -311,8 +312,8 @@ class TestForward:
 
     def test_deterministic(self, small_params):
         m, lm = _scene(32)
-        a = net.forward(m, lm, small_params).data
-        b = net.forward(m, lm, small_params).data
+        a = net.forward([(m, lm)], small_params).data
+        b = net.forward([(m, lm)], small_params).data
         np.testing.assert_array_equal(a, b)
 
     def test_finite_over_many_random_scenes(self, small_params):
@@ -321,12 +322,12 @@ class TestForward:
             nu, mu = int(rng.integers(1, 7)), int(rng.integers(1, 9))
             m = rng.uniform(-100, 100, size=(nu, 2))
             lm = rng.uniform(-100, 100, size=(mu, 2))
-            out = net.forward(m, lm, small_params).data
+            out = net.forward([(m, lm)], small_params).data
             assert np.all(np.isfinite(out))
 
     def test_empty_inputs_rejected(self, small_params):
         with pytest.raises(ValueError):
-            net.forward(np.zeros((0, 2)), [[1.0, 0.0]], small_params)
+            net.forward([(np.zeros((0, 2)), [[1.0, 0.0]])], small_params)
 
     def test_gradient_subset(self, small_params):
         from attnloc.geometry import PoseOffset
@@ -336,9 +337,55 @@ class TestForward:
         label = PoseOffset(0.2, -0.1, 0.05)
         subset = [small_params[n] for n in ("embed_m.w0", "local.q", "global.v", "head.w2", "s_tran", "s_rot")]
         worst = check_gradient(
-            lambda: multitask_loss_graph(net.forward(m, lm, small_params), label, small_params)[0], subset
+            lambda: multitask_loss_graph(net.forward([(m, lm)], small_params), [label], small_params)[0], subset
         )
         assert worst < 1e-4
+
+
+def _scene_grads(scenes, labels, params) -> dict[str, np.ndarray]:
+    """Every parameter's gradient of the summed loss of the scenes, on one tape."""
+    from attnloc.training import multitask_loss_graph
+
+    for t in params.tensors.values():
+        t.grad = None
+    multitask_loss_graph(net.forward(scenes, params), labels, params)[0].backward()
+    return {name: t.grad for name, t in params.items()}
+
+
+class TestBatchedForward:
+    """Scenes stacked on one tape: each row as its own scene's forward, the gradient as the sum of theirs."""
+
+    @pytest.mark.parametrize("features", ["offsets", "distance"])
+    def test_rows_equal_one_scene_forwards(self, features):
+        cfg = net.NetConfig(d_m=16, heads=2, k=4, neighbor_features=features, seed=0)
+        params = net.init_params(cfg)
+        scenes = [_scene(40, nu=5, mu=9), _scene(41, nu=1, mu=6), _scene(42, nu=3, mu=cfg.k - 1),
+                  _scene(43, nu=8, mu=12), _scene(44, nu=5, mu=2)]
+        for batch in (scenes, scenes[:1], [scenes[0], scenes[4]]):  # mixed nu, one scene, equal nu
+            for record in (True, False):
+                out = net.forward(batch, params, record)
+                rows = out.data if record else out
+                assert rows.shape == (len(batch), 3)
+                for row, scene in zip(rows, batch):
+                    one = net.forward([scene], params, record)
+                    np.testing.assert_allclose(row, (one.data if record else one)[0], rtol=0, atol=1e-12)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 8)), min_size=1, max_size=5),
+           st.integers(0, 2**32 - 1))
+    def test_batch_gradient_is_the_sum_of_scene_gradients(self, sizes, seed):
+        from attnloc.geometry import PoseOffset
+
+        params = net.init_params(net.NetConfig(d_m=8, heads=2, k=3, seed=1))
+        rng = np.random.default_rng(seed)
+        params["s_tran"].data[...] = rng.uniform(-1, 1)
+        params["s_rot"].data[...] = rng.uniform(-1, 1)
+        scenes = [(rng.uniform(-20, 20, size=(nu, 2)), rng.uniform(-20, 20, size=(mu, 2))) for nu, mu in sizes]
+        labels = [PoseOffset(*rng.uniform(-1, 1, size=3)) for _ in sizes]
+        batch = _scene_grads(scenes, labels, params)
+        per_scene = [_scene_grads([sc], [lb], params) for sc, lb in zip(scenes, labels)]
+        for name, g in batch.items():
+            assert relative_error(g, sum(grads[name] for grads in per_scene)) < 1e-10, name
 
 
 def _count_tensors(monkeypatch) -> list[int]:
@@ -370,10 +417,10 @@ class TestUnrecordedForward:
         inputs.append((rng.uniform(-20, 20, size=(5, 2)), rng.uniform(-20, 20, size=(cfg.k - 1, 2))))
         built = _count_tensors(monkeypatch)
         for m, lm in inputs:
-            recorded = net.forward(m, lm, params).data
+            recorded = net.forward([(m, lm)], params).data
             assert built[0] > 0
             built[0] = 0
-            plain = net.forward(m, lm, params, record=False)
+            plain = net.forward([(m, lm)], params, record=False)
             pred = net.predict_offset(m, lm, params)
             assert built[0] == 0
             assert type(plain) is np.ndarray and np.array_equal(plain, recorded)

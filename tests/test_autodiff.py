@@ -1,11 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
-from autodiff_helpers import check_gradient, concat, mean, relative_error, transpose
+from autodiff_helpers import check_gradient, concat, exp, mean, relative_error, sub, transpose
 
 H = 1e-5
 TOL = 1e-5
@@ -199,6 +200,29 @@ class TestMaxPoolRows:
         w = Tensor(rng.normal(size=(1, 6)))
         _fd_check(lambda: (ad.max_pool_rows(x) * w).sum(), [x])
 
+    def test_sets_pool_separately(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(6, 4))
+        out = ad.max_pool_rows(Tensor(x), [2, 3, 1]).data
+        np.testing.assert_array_equal(out, [x[:2].max(axis=0), x[2:5].max(axis=0), x[5]])
+        np.testing.assert_array_equal(ad.max_pool_rows(x, [2, 3, 1]), out)
+
+    def test_sets_tie_gradient_to_lowest_row_of_each_set(self):
+        x = Tensor([[2.0, 1.0], [2.0, 0.0], [0.0, 3.0], [0.0, 3.0]])
+        ad.max_pool_rows(x, [2, 2]).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+
+    def test_sets_gradient(self):
+        rng = np.random.default_rng(9)
+        x = _rand(rng, 6, 5)
+        w = Tensor(rng.normal(size=(3, 5)))
+        _fd_check(lambda: (ad.max_pool_rows(x, [1, 3, 2]) * w).sum(), [x])
+
+    @pytest.mark.parametrize("counts", [[2, 1], [3, 0, 1], [5]])
+    def test_bad_set_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="set counts"):
+            ad.max_pool_rows(Tensor(np.zeros((4, 2))), counts)
+
 
 class TestBackward:
     def test_sum_of_squares(self):
@@ -230,10 +254,24 @@ class TestBackward:
         # path must reach a before a's own backward runs
         x = Tensor([[0.3, -1.2], [0.7, 0.1]])
         a = x * x
-        deep = (a * 2.0).exp()
+        deep = exp(a * 2.0)
         (((a + deep) if shared_first else (deep + a)).sum()).backward()
         expect = 2.0 * x.data * (1.0 + 2.0 * np.exp(2.0 * x.data**2))
         np.testing.assert_allclose(x.grad, expect, rtol=1e-14)
+
+    def test_tape_is_freed_as_backward_runs(self):
+        rng = np.random.default_rng(17)
+        a, w = _rand(rng, 3, 4), _rand(rng, 4, 4)
+        mid = a @ w
+        freed = weakref.ref(mid.data)
+        loss = (mid.relu() * 2.0).sum()
+        del mid
+        assert freed() is not None  # the tape holds it until backward has used it
+        loss.backward()
+        assert freed() is None
+        assert loss._parents == () and loss._backward is None
+        np.testing.assert_array_equal(loss.grad, [[1.0]])
+        assert a.grad is not None and w.grad is not None
 
     def test_parents_get_distinct_grad_arrays(self):
         a = Tensor([[1.0, 2.0]])
@@ -253,11 +291,11 @@ class TestBackward:
 # every tape op, built on random parents with distinct shapes where the op allows it
 PROTOCOL_OPS = {
     "add": lambda r: _rand(r, 3, 4) + _rand(r, 3, 4),
-    "sub": lambda r: _rand(r, 3, 4) - _rand(r, 3, 4),
+    "sub": lambda r: sub(_rand(r, 3, 4), _rand(r, 3, 4)),
     "mul": lambda r: _rand(r, 3, 4) * _rand(r, 3, 4),
     "mul_scalar": lambda r: _rand(r, 3, 4) * 2.5,
     "matmul": lambda r: _rand(r, 3, 4) @ _rand(r, 4, 2),
-    "exp": lambda r: _rand(r, 3, 4).exp(),
+    "exp": lambda r: exp(_rand(r, 3, 4)),
     "sum": lambda r: _rand(r, 3, 4).sum(),
     "linear": lambda r: ad.linear(_rand(r, 3, 4), _rand(r, 4, 2), _rand(r, 1, 2)),
     "relu": lambda r: _rand(r, 3, 4).relu(),
@@ -265,7 +303,11 @@ PROTOCOL_OPS = {
     "layer_norm": lambda r: ad.layer_norm(_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 1, 4)),
     "attention": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2),
     "attention_grouped": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 4), _rand(r, 6, 4), 2, group=2),
+    "attention_sets": lambda r: ad.attention(_rand(r, 5, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2, counts=[3, 2]),
     "max_pool_rows": lambda r: ad.max_pool_rows(_rand(r, 3, 4)),
+    "max_pool_sets": lambda r: ad.max_pool_rows(_rand(r, 5, 4), [1, 4]),
+    "homoscedastic_loss": lambda r: ad.homoscedastic_loss(_rand(r, 2, 3), r.normal(size=(2, 3)),
+                                                          _rand(r, 1, 1), _rand(r, 1, 1))[0],
     "transpose": lambda r: transpose(_rand(r, 3, 4)),
     "mean": lambda r: mean(_rand(r, 3, 4)),
     "concat_rows": lambda r: concat([_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 2, 4)], axis=0),
@@ -288,13 +330,13 @@ class TestBackwardProtocol:
 
 class TestElementwiseOps:
     def test_add_bias_row(self):
-        # a bias row goes through ad.linear; + and - need equal shapes
+        # a bias row goes through ad.linear; + and sub need equal shapes
         a = Tensor([[1.0, 2.0], [3.0, 4.0]])
         b = Tensor([[10.0, 20.0]])
         with pytest.raises(ValueError, match="equal shapes"):
             a + b
         with pytest.raises(ValueError, match="equal shapes"):
-            a - b
+            sub(a, b)
 
     def test_add_shape_error(self):
         with pytest.raises(ValueError):
@@ -312,11 +354,11 @@ class TestElementwiseOps:
         b = _rand(rng, *shapes[0])
         bias = _rand(rng, 1, shapes[0][1])
         _fd_check(lambda: ((a + b) * a).sum(), [a, b])
-        _fd_check(lambda: mean((a - b) * b), [a, b])
+        _fd_check(lambda: mean(sub(a, b) * b), [a, b])
         _fd_check(lambda: ad.linear(a, Tensor(np.eye(shapes[0][1])), bias).sum(), [a, bias])
         _fd_check(lambda: (a * 2.5).sum(), [a])
         _fd_check(lambda: a.relu().sum(), [a])
-        _fd_check(lambda: ((a * 0.1).exp()).sum(), [a])
+        _fd_check(lambda: exp(a * 0.1).sum(), [a])
         _fd_check(lambda: (transpose(a) @ b).sum(), [a, b])
 
     def test_concat_gradients(self):
@@ -378,6 +420,68 @@ class TestGroupedOps:
         w = _rand(rng, n, d)
         _fd_check(lambda: (ad.attention(q, keys, v, 2, group=k) * w).sum(), [q, keys, v])
         _fd_check(lambda: (ad.attention(q, keys, v, 2) * w).sum(), [q, keys, v])
+
+
+class TestAttentionSets:
+    """ad.attention with counts: each set of rows attends only within itself."""
+
+    @pytest.mark.parametrize("counts", [[2, 4, 1], [3, 3], [5]])
+    def test_each_set_equals_its_own_attention(self, counts):
+        rng = np.random.default_rng(18)
+        n, d = sum(counts), 6
+        q, keys, v = (rng.normal(size=(n, d)) for _ in range(3))
+        out = ad.attention(Tensor(q), Tensor(keys), Tensor(v), 2, counts=counts).data
+        np.testing.assert_array_equal(ad.attention(q, keys, v, 2, counts=counts), out)
+        lo = 0
+        for c in counts:
+            rows = slice(lo, lo + c)
+            expect = ad.attention(Tensor(q[rows]), Tensor(keys[rows]), Tensor(v[rows]), 2).data
+            np.testing.assert_allclose(out[rows], expect, rtol=0, atol=1e-12)
+            lo += c
+
+    def test_one_set_is_global_attention_bit_for_bit(self):
+        rng = np.random.default_rng(19)
+        q, keys, v = (rng.normal(size=(5, 4)) for _ in range(3))
+        np.testing.assert_array_equal(ad.attention(q, keys, v, 2, counts=[5]), ad.attention(q, keys, v, 2))
+
+    @pytest.mark.parametrize("counts", [[2, 4, 1], [3, 3]])
+    def test_gradients(self, counts):
+        rng = np.random.default_rng(20)
+        n = sum(counts)
+        q, keys, v, w = (_rand(rng, n, 4) for _ in range(4))
+        _fd_check(lambda: (ad.attention(q, keys, v, 2, counts=counts) * w).sum(), [q, keys, v])
+
+    def test_validation(self):
+        x = Tensor(np.zeros((4, 2)))
+        for counts in ([2, 1], [4, 0], [2, 2, 1]):
+            with pytest.raises(ValueError, match="set counts"):
+                ad.attention(x, x, x, 1, counts=counts)
+        with pytest.raises(ValueError, match="set counts"):
+            ad.attention(x, Tensor(np.zeros((8, 2))), Tensor(np.zeros((8, 2))), 1, group=2, counts=[4])
+
+
+class TestHomoscedasticLoss:
+    def test_rows_and_sum(self):
+        pred = Tensor([[1.0, 1.0, 1.0], [0.5, 0.0, -0.5]])
+        target = np.zeros((2, 3))
+        s_tran, s_rot = Tensor([[math.log(2.0)]]), Tensor([[0.0]])
+        loss, rows = ad.homoscedastic_loss(pred, target, s_tran, s_rot)
+        np.testing.assert_allclose(rows[:, 1:], [[2.0, 1.0], [0.25, 0.25]])
+        np.testing.assert_allclose(rows[:, 0], [1.0 + math.log(2.0) + 1.0, 0.125 + math.log(2.0) + 0.25])
+        assert loss.data[0, 0] == pytest.approx(rows[:, 0].sum(), rel=1e-15)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(21)
+        pred = _rand(rng, 4, 3)
+        target = rng.normal(size=(4, 3))
+        s_tran, s_rot = _rand(rng, 1, 1, 0.5), _rand(rng, 1, 1, 0.5)
+        _fd_check(lambda: ad.homoscedastic_loss(pred, target, s_tran, s_rot)[0], [pred, s_tran, s_rot])
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            ad.homoscedastic_loss(Tensor(np.zeros((2, 3))), np.zeros((1, 3)), Tensor(0.0), Tensor(0.0))
+        with pytest.raises(ValueError):
+            ad.homoscedastic_loss(Tensor(np.zeros((2, 2))), np.zeros((2, 2)), Tensor(0.0), Tensor(0.0))
 
 
 class TestNumericOracle:

@@ -104,8 +104,8 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(1)
         m = rng.uniform(-20, 20, size=(4, 2))
         lm = rng.uniform(-20, 20, size=(6, 2))
-        a = net.forward(m, lm, params).data
-        b = net.forward(m, lm, loaded).data
+        a = net.forward([(m, lm)], params).data
+        b = net.forward([(m, lm)], loaded).data
         np.testing.assert_array_equal(a, b)
 
     def test_format_1_per_head_arrays_load_fused(self, tmp_path):
@@ -135,7 +135,7 @@ class TestCheckpointRoundTrip:
         rng = np.random.default_rng(2)
         m = rng.uniform(-20, 20, size=(4, 2))
         lm = rng.uniform(-20, 20, size=(6, 2))
-        np.testing.assert_array_equal(net.forward(m, lm, loaded).data, net.forward(m, lm, params).data)
+        np.testing.assert_array_equal(net.forward([(m, lm)], loaded).data, net.forward([(m, lm)], params).data)
 
     def test_truncated_file_rejected(self, tmp_path):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
