@@ -8,6 +8,7 @@ a feed-forward head regressing the pose offset (dx, dy, dphi).
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -84,27 +85,21 @@ def _rff_shapes(widths: list[int]) -> list[tuple[int, int]]:
     return list(zip(widths[:-1], widths[1:]))
 
 
-def param_shapes(cfg: NetConfig, per_head: bool = False) -> dict[str, tuple[int, int]]:
+def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
     """Shape of every named parameter array for a configuration.
 
     Each block keeps one fused (d, d) `{block}.q/k/v` projection, head i in
-    columns i*d/h ... (i+1)*d/h - 1. per_head=True gives the per-head layout
-    of format-1 checkpoints instead: (d, d/h) arrays `{block}.q{i}/k{i}/v{i}`.
+    columns i*d/h ... (i+1)*d/h - 1.
     """
-    d, dh = cfg.d_m, cfg.d_m // cfg.heads
+    d = cfg.d_m
     shapes: dict[str, tuple[int, int]] = {}
     for prefix, width_in in (("embed_m", 2), ("embed_l", cfg.feature_width)):
         for i, (fi, fo) in enumerate(_rff_shapes([width_in, cfg.rff_hidden, d])):
             shapes[f"{prefix}.w{i}"] = (fi, fo)
             shapes[f"{prefix}.b{i}"] = (1, fo)
     for block in BLOCKS:
-        if per_head:
-            for i in range(cfg.heads):
-                for p in "qkv":
-                    shapes[f"{block}.{p}{i}"] = (d, dh)
-        else:
-            for p in "qkv":
-                shapes[f"{block}.{p}"] = (d, d)
+        for p in "qkv":
+            shapes[f"{block}.{p}"] = (d, d)
         shapes[f"{block}.out"] = (d, d)
         shapes[f"{block}.ln1.g"] = (1, d)
         shapes[f"{block}.ln1.b"] = (1, d)
@@ -122,38 +117,36 @@ def param_shapes(cfg: NetConfig, per_head: bool = False) -> dict[str, tuple[int,
     return shapes
 
 
-def fuse_heads(arrays: dict[str, np.ndarray], heads: int) -> dict[str, np.ndarray]:
-    """Per-head layout to fused layout: `{block}.q0 ... q{h-1}` side by side become `{block}.q`.
+def init_params(cfg: NetConfig) -> ModelParams:
+    """Glorot-uniform weights, zero biases, unit layer-norm gains, s_* = 0, drawn from cfg.seed.
 
-    Likewise k and v; every other array passes through, in the same order.
+    Weights are drawn in parameter order. Each block's q/k/v projections are
+    drawn head by head (q head 0, k head 0, v head 0, q head 1, ...) at
+    (d, d/h), and each fused array is its heads side by side.
     """
-    fused = {}
-    for name, arr in arrays.items():
-        block, _, leaf = name.rpartition(".")
-        if block not in BLOCKS or leaf == "out":
-            fused[name] = arr
-        elif leaf[1:] == "0":
-            fused[f"{block}.{leaf[0]}"] = np.concatenate(
-                [arrays[f"{block}.{leaf[0]}{i}"] for i in range(heads)], axis=1)
-    return fused
+    rng = np.random.default_rng(cfg.seed)
 
+    def glorot(fan_in: int, fan_out: int) -> np.ndarray:
+        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
-def init_params(cfg: NetConfig, seed: int | None = None) -> ModelParams:
-    """Glorot-uniform weights, zero biases, unit layer-norm gains, s_* = 0.
-
-    The q/k/v projections are drawn per head at (d, d/h), then fused.
-    """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    d, dh = cfg.d_m, cfg.d_m // cfg.heads
     arrays: dict[str, np.ndarray] = {}
-    for name, (r, c) in param_shapes(cfg, per_head=True).items():
-        leaf = name.rsplit(".", 1)[-1]
-        if leaf[0] in "wqkv" or leaf == "out":
-            arrays[name] = ad.glorot_uniform(rng, r, c)
+    for name, (r, c) in param_shapes(cfg).items():
+        block, _, leaf = name.rpartition(".")
+        if leaf == "q":
+            heads = [[glorot(d, dh) for _ in "qkv"] for _ in range(cfg.heads)]
+            for p, parts in zip("qkv", zip(*heads)):
+                arrays[f"{block}.{p}"] = np.concatenate(parts, axis=1)
+        elif leaf in ("k", "v"):
+            continue  # drawn with q
+        elif leaf[0] == "w" or leaf == "out":
+            arrays[name] = glorot(r, c)
         elif leaf == "g":
             arrays[name] = np.ones((r, c))
         else:  # biases, layer-norm shifts, s_tran, s_rot
             arrays[name] = np.zeros((r, c))
-    return ModelParams(cfg, {name: Tensor(arr) for name, arr in fuse_heads(arrays, cfg.heads).items()})
+    return ModelParams(cfg, {name: Tensor(arr) for name, arr in arrays.items()})
 
 
 def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -400,8 +400,3 @@ def homoscedastic_loss(pred: Tensor, target: np.ndarray, s_tran: Tensor, s_rot: 
     loss = Tensor._make(np.array([[losses.sum()]]), (pred, s_tran, s_rot), _bw)
     return loss, np.stack((losses, l_tran, l_rot), axis=1)
 
-
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform init for a fan_in x fan_out weight matrix."""
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=(fan_in, fan_out))

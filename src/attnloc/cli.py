@@ -1,6 +1,6 @@
 """Command-line entry points for batch experiments.
 
-Subcommands: simulate, train, infer, eval, icp. Every artifact is written
+Subcommands: simulate, train, infer, eval. Every artifact is written
 under --out. On failure the process exits nonzero after printing one
 machine-parseable line `error:<category>: <message>` to stderr.
 """
@@ -18,7 +18,8 @@ from .experiment import ConfigError, StageError, run_experiment
 from .metrics import EvalReport
 
 
-def _load_config(path: str, seed: int | None) -> dict:
+def _load_config(path: str, **overrides) -> dict:
+    """The config document at path, with each override that is not None set at the top level."""
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -26,13 +27,12 @@ def _load_config(path: str, seed: int | None) -> dict:
         raise ConfigError(f"{path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    if seed is not None:
-        cfg["seed"] = seed
+    cfg.update((key, value) for key, value in overrides.items() if value is not None)
     return cfg
 
 
 def _cmd_simulate(args) -> int:
-    plan = experiment.parse_config(_load_config(args.config, args.seed))
+    plan = experiment.parse_config(_load_config(args.config, seed=args.seed))
     os.makedirs(args.out, exist_ok=True)
     scenes = experiment.training_scenes(plan)
     save_scenes(scenes, os.path.join(args.out, "scenes.jsonl"))
@@ -41,7 +41,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    plan = experiment.parse_config(_load_config(args.config, args.seed))
+    plan = experiment.parse_config(_load_config(args.config, seed=args.seed))
     scenes = load_scenes(args.scenes) if args.scenes else experiment.training_scenes(plan)
     pool, map_pool = experiment.training_pools(plan, scenes)
     if not pool:
@@ -57,9 +57,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_infer(args) -> int:
-    """Run the experiment in args.mode: gps or filter, or icp from the icp subcommand."""
-    cfg = _load_config(args.config, args.seed)
-    cfg["mode"] = args.mode
+    """Run the experiment in the config's mode, or in --mode when it is given."""
+    cfg = _load_config(args.config, seed=args.seed, mode=args.mode)
     checkpoint = load_checkpoint(args.checkpoint) if args.checkpoint else None
     report = run_experiment(cfg, args.out, checkpoint=checkpoint)
     print(json.dumps(report, sort_keys=True))
@@ -80,8 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="attnloc", description="Landmark localization experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_required=True):
-        p.add_argument("--config", required=config_required, help="experiment config JSON")
+    def common(p):
+        p.add_argument("--config", required=True, help="experiment config JSON")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", required=True, help="output directory")
 
@@ -97,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infer", help="run an inference experiment")
     common(p)
-    p.add_argument("--mode", choices=("gps", "filter"), required=True)
+    p.add_argument("--mode", choices=experiment.MODES, default=None, help="override config mode")
     p.add_argument("--checkpoint", default=None, help="reuse a trained checkpoint")
     p.set_defaults(fn=_cmd_infer)
 
@@ -105,10 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", required=True, help="trace.csv from a previous run")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("icp", help="run the ICP baseline experiment")
-    common(p)
-    p.set_defaults(fn=_cmd_infer, mode="icp", checkpoint=None)
     return parser
 
 

@@ -176,12 +176,10 @@ def load_checkpoint(path: str) -> net.ModelParams:
     arrays = doc.get("arrays")
     if not isinstance(arrays, dict):
         raise CheckpointFormatError(f"{path}: missing arrays")
-    expected = net.param_shapes(cfg, per_head=version == 1)
-    missing = sorted(set(expected) - set(arrays))
-    if missing:
-        raise CheckpointFormatError(f"{path}: missing array {missing[0]!r}")
-    loaded = {}
-    for name, shape in expected.items():
+
+    def array(name: str, shape: tuple[int, int]) -> np.ndarray:
+        if name not in arrays:
+            raise CheckpointFormatError(f"{path}: missing array {name!r}")
         try:
             got = tuple(arrays[name]["shape"])
             data = np.asarray(arrays[name]["data"], dtype=np.float64)
@@ -191,7 +189,16 @@ def load_checkpoint(path: str) -> net.ModelParams:
             raise CheckpointFormatError(f"{path}: array {name!r} has shape {got}, expected {shape}")
         if data.size != shape[0] * shape[1]:
             raise CheckpointFormatError(f"{path}: array {name!r} has {data.size} values, expected {shape[0] * shape[1]}")
-        loaded[name] = data.reshape(shape)
-    if version == 1:
-        loaded = net.fuse_heads(loaded, cfg.heads)
+        if not np.isfinite(data).all():
+            raise CheckpointFormatError(f"{path}: array {name!r} has a non-finite value")
+        return data.reshape(shape)
+
+    loaded = {}
+    for name, (r, c) in net.param_shapes(cfg).items():
+        if version == 1 and name.rpartition(".")[2] in ("q", "k", "v"):
+            # format 1 keeps head i of a fused projection as its own (d, d/h) array `{name}{i}`
+            heads = [array(f"{name}{i}", (r, c // cfg.heads)) for i in range(cfg.heads)]
+            loaded[name] = np.concatenate(heads, axis=1)
+        else:
+            loaded[name] = array(name, (r, c))
     return net.ModelParams(cfg, {name: net.Tensor(arr) for name, arr in loaded.items()})

@@ -162,7 +162,7 @@ class Plan:
     def __post_init__(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode: must be one of {MODES}, got {self.mode!r}")
-        if self.plot_svg not in (False, True):
+        if not isinstance(self.plot_svg, bool):
             raise ConfigError(f"plot_svg: must be true or false, got {self.plot_svg!r}")
 
 
@@ -173,11 +173,27 @@ _READERS = {"seed": _seed, "net": net_config, "sim": sim_config, "gps_noise": gp
             "ekf": ekf_config}
 
 
+def _check_numbers(value, where: str = "") -> None:
+    """Raise ValueError on a boolean or a non-finite number anywhere in a JSON value."""
+    if isinstance(value, dict):
+        for key, v in value.items():
+            _check_numbers(v, f"{where}{key}: ")
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            _check_numbers(v, where)
+    elif isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"{where}must be a finite number, got {json.dumps(value)}")
+
+
 def parse_config(cfg: dict) -> Plan:
     """Parse and check the whole config document; ConfigError("<key>: ...") names the bad top-level key."""
     unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(Plan)})
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown top-level key")
+    try:
+        _check_numbers({name: value for name, value in cfg.items() if name != "plot_svg"})  # Plan checks plot_svg
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     parsed = {k: cfg[k] for k in ("mode", "plot_svg") if k in cfg}
     for name, read in _READERS.items():
         try:
@@ -343,16 +359,25 @@ def write_trace(path: str, rows: list[tuple[float, float, float, float]]) -> Non
 
 
 def read_trace(path: str) -> np.ndarray:
-    """Trace rows back as (t, ex, ey, ephi_deg) float columns."""
+    """Trace rows back as (t, ex, ey, ephi_deg) float columns; each row must be four finite numbers."""
     with open(path, encoding="utf-8") as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln]
-    if not lines or lines[0] != "t,ex,ey,ephi":
+        lines = [(n, ln) for n, ln in enumerate(fh.read().splitlines(), start=1) if ln]
+    if not lines or lines[0][1] != "t,ex,ey,ephi":
         raise ValueError(f"{path}: not a trace CSV")
-    return np.asarray([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=np.float64)
+    rows = []
+    for n, ln in lines[1:]:
+        try:
+            row = [float(v) for v in ln.split(",")]
+            if len(row) != 4 or not all(map(math.isfinite, row)):
+                raise ValueError(f"a trace row must be four finite numbers, got {ln!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from exc
+        rows.append(row)
+    return np.asarray(rows, dtype=np.float64).reshape(-1, 4)
 
 
 def write_json(path: str, doc: dict) -> None:
-    _atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+    _atomic_write(path, json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 def write_trace_svg(path: str, rows: list[tuple[float, float, float, float]]) -> None:

@@ -28,19 +28,21 @@ class InnovationError(FloatingPointError):
     """Innovation covariance lost positive definiteness."""
 
 
+# initial variance of the speed and turn-rate states, which one pose does not observe
+INIT_RATE_VAR = 100.0
+
+
 @dataclass(frozen=True)
 class EkfConfig:
     """Filter tuning: white accel/yaw-accel process noise and measurement noise.
 
     r_diag is the diagonal of the pose measurement covariance
-    (m^2, m^2, rad^2). Velocity and turn-rate states initialize with
-    variance init_rate_var.
+    (m^2, m^2, rad^2).
     """
 
     sigma_accel: float = 0.5
     sigma_yaw_accel: float = 0.1
     r_diag: tuple = (0.25, 0.25, math.radians(2.0) ** 2)
-    init_rate_var: float = 100.0
 
     def __post_init__(self) -> None:
         if self.sigma_accel <= 0 or self.sigma_yaw_accel <= 0:
@@ -61,9 +63,9 @@ class EkfState:
 
 
 def init_state(p: Pose, cfg: EkfConfig) -> EkfState:
-    """Start a filter from a single (GPS) pose with zero rates."""
+    """Start a filter from a single (GPS) pose with zero rates of variance INIT_RATE_VAR."""
     mean = np.array([p.x, p.y, p.phi, 0.0, 0.0])
-    cov = np.diag([cfg.r_diag[0], cfg.r_diag[1], cfg.r_diag[2], cfg.init_rate_var, cfg.init_rate_var])
+    cov = np.diag([cfg.r_diag[0], cfg.r_diag[1], cfg.r_diag[2], INIT_RATE_VAR, INIT_RATE_VAR])
     return EkfState(mean=mean, cov=cov)
 
 

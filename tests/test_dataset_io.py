@@ -227,6 +227,25 @@ class TestCheckpointRoundTrip:
             load_checkpoint(path)
 
 
+    @pytest.mark.parametrize("version,name", [(2, "local.q"), (2, "s_rot"), (1, "global.v1"), (1, "head.w2")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_value_names_file_and_array(self, tmp_path, version, name, value):
+        path = tmp_path / "nonfinite.json"
+        save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if version == 1:  # head i of each fused q/k/v projection, columns 4i ... 4i+3, as its own array
+            doc["format_version"] = 1
+            for fused in [n for n in doc["arrays"] if n.rpartition(".")[2] in ("q", "k", "v")]:
+                arr = np.reshape(doc["arrays"].pop(fused)["data"], (8, 8))
+                for i in range(2):
+                    doc["arrays"][f"{fused}{i}"] = {"shape": [8, 4], "data": arr[:, 4 * i:4 * i + 4].ravel().tolist()}
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            load_checkpoint(str(path))
+        doc["arrays"][name]["data"][-1] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match=rf"nonfinite\.json: array '{name}' has a non-finite value"):
+            load_checkpoint(str(path))
+
 class TestFromDict:
     def test_nested_lists_become_tuples(self):
         cfg = from_dict(SimConfig, {"mu1": [1.0, 2.0], "sigma1": [[2.0, 0.0], [0.0, 3.0]]},

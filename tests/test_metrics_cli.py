@@ -286,7 +286,11 @@ class TestCli:
             ("eval.n_eval_scenes", 0), ("eval.n_eval_scenes", 4.5), ("net.heads", 3), ("net.seed", 1),
             ("sim.seed", 1), ("sim.mu1", [1.0]), ("net.d_m", 16.0), ("train.epochs", 1.5), ("net.rff_hidden", 0),
             ("net.head_hidden", [0]), ("train.batch_size", 2.5), ("train.samples_per_epoch", -3),
-            ("sim.nu_max", 10.5))],
+            ("sim.nu_max", 10.5), ("train.learning_rate", math.nan), ("gps_noise.sigma_pos", math.inf),
+            ("drive.dt", math.inf), ("drive.v", math.nan), ("ekf.r_pos_var", math.inf),
+            ("eval.fov_radius", math.inf), ("sim.sigma_noise", math.nan), ("sim.mu1", [20.0, -math.inf]),
+            ("train.epochs", True), ("net.k", True), ("seed", True), ("plot_svg", 1))],
+        (["simulate"], "sim.sigma_noise", math.nan),
         (["simulate"], "ekf.sigma_accel", -1),
         (["train"], "train.lr", 1e-2),
     ]
@@ -318,10 +322,43 @@ class TestCli:
 
     def test_icp_matches_run_experiment(self, tmp_path, capsys):
         out = str(tmp_path / "cli")
-        assert cli.main(["icp", "--config", self._write_cfg(tmp_path), "--out", out]) == 0
+        cfg = self._write_cfg(tmp_path, dict(TINY_CFG, mode="icp"))
+        assert cli.main(["infer", "--config", cfg, "--out", out]) == 0
         run_experiment(dict(TINY_CFG, mode="icp"), str(tmp_path / "api"))
         for name in ("report.json", "trace.csv"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "api" / name).read_bytes()
+
+    @pytest.mark.parametrize("doc_mode,ran", [("gps", "icp"), ("icp", "gps")])
+    def test_mode_flag_overrides_the_config_mode(self, tmp_path, capsys, doc_mode, ran):
+        cfg = self._write_cfg(tmp_path, dict(TINY_CFG, mode=doc_mode))
+        out = tmp_path / "o"
+        assert cli.main(["infer", "--config", cfg, "--out", str(out), "--mode", ran]) == 0
+        assert json.loads((out / "report.json").read_text(encoding="utf-8"))["mode"] == ran
+        assert (out / "checkpoint.json").exists() == (ran != "icp")
+
+    @pytest.mark.parametrize("row", ["0.0,nan,0.1,0.2", "0.0,0.1,inf,0.2", "0.0,0.1,0.2", "0.0,0.1,0.2,0.3,0.4",
+                                     "0.0,0.1,x,0.2"], ids=["nan", "inf", "three-columns", "five-columns", "text"])
+    def test_eval_rejects_a_bad_trace_row(self, tmp_path, capsys, row):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(f"t,ex,ey,ephi\n0.0,0.1,0.1,0.5\n{row}\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert cli.main(["eval", "--trace", str(trace), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error:io: {trace}:3:")
+        assert not (out / "report.json").exists()
+
+    def test_eval_of_a_trace_without_rows_is_io_error(self, tmp_path, capsys):
+        trace = tmp_path / "trace.csv"
+        trace.write_text("t,ex,ey,ephi\n", encoding="utf-8")
+        assert cli.main(["eval", "--trace", str(trace), "--out", str(tmp_path / "o")]) == 1
+        assert self._last_err_line(capsys).startswith("error:io:")
+
+    def test_json_artifacts_refuse_non_finite_numbers(self, tmp_path):
+        path = tmp_path / "report.json"
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                experiment.write_json(str(path), {"rmse_x_m": value})
+        assert not list(tmp_path.iterdir())
 
     def test_seed_override(self, tmp_path):
         cfg = self._write_cfg(tmp_path)

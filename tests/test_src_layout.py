@@ -1,10 +1,13 @@
-"""The source tree holds no helper that only tests call.
+"""The source tree holds no helper that only tests call, and no unused import.
 
 Every module-level function, class and constant of attnloc must be named
 somewhere in src/ outside its own definition, or in perfbench/*.py.
 Names are matched as identifiers, not resolved, so a name used in one
 module also covers a same-named definition in another. Methods are not
 scanned: a public value type may carry a method only tests call.
+
+Every name a src/ module imports must be used in that module, except
+`__future__` imports and the names the module exports in `__all__`.
 """
 
 import ast
@@ -50,3 +53,17 @@ def test_module_level_names_are_used_outside_tests():
               for n in _defined(stmt)
               if not n.startswith("__") and n not in bench and counts[n] - (n in names) == 0]
     assert not unused, f"defined in src/ but named only by tests: {unused}"
+
+
+def test_every_imported_name_is_used():
+    assert SRC
+    unused = []
+    for path in SRC:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = [alias.asname or alias.name.partition(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+                    for alias in node.names]
+        exported = [name for stmt in tree.body if "__all__" in _defined(stmt) for name in ast.literal_eval(stmt.value)]
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported)
+        unused += [f"{path.name}:{name}" for name in imported if name not in used]
+    assert not unused, f"imported but never used: {unused}"
