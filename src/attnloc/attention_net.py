@@ -9,6 +9,7 @@ a feed-forward head regressing the pose offset (dx, dy, dphi).
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -41,8 +42,9 @@ class NetConfig:
     def __post_init__(self) -> None:
         widths = (self.d_m, self.heads, self.k, self.rff_hidden, *self.head_hidden,
                   *(() if self.block_hidden is None else (self.block_hidden,)))
-        if min(map(operator.index, widths)) < 1:
+        if any(isinstance(w, bool) for w in widths) or min(map(operator.index, widths)) < 1:
             raise ValueError("d_m, heads, k, rff_hidden, head_hidden and block_hidden must be integers >= 1")
+        check_seed(self.seed)
         if self.d_m % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_m ({self.d_m})")
         if self.neighbor_features not in ("offsets", "distance"):
@@ -55,6 +57,13 @@ class NetConfig:
     @property
     def ff_hidden(self) -> int:
         return self.block_hidden if self.block_hidden is not None else self.d_m
+
+
+def check_seed(seed) -> int:
+    """seed as an int; ValueError unless it is an integer >= 0, which a boolean is not."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    return int(seed)
 
 
 class ModelParams:
@@ -181,21 +190,57 @@ def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor
     return x
 
 
-def mha_block(x: Tensor, y: Tensor, params: ModelParams, block: str, group: int | None = None,
+def mha_block(x: Tensor, k: Tensor, v: Tensor, params: ModelParams, block: str, group: int | None = None,
               counts: list[int] | None = None) -> Tensor:
     """Set Transformer MAB: LayerNorm(S + rFF(S)), S = LayerNorm(X + Multihead(X, Y, Y)).
 
-    group=None: every row of x attends to all rows of y. group=g: row i of x
-    attends only to rows i*g ... i*g+g-1 of y. counts=(n_1, ..., n_B): x and
-    y stack B sets of rows and a row attends only to the rows of its own set.
+    k and v are the projected keys Y Wk and values Y Wv; the block projects
+    the queries X Wq itself. group=None: every row of x attends to all rows
+    of k. group=g: row i of x attends only to rows i*g ... i*g+g-1 of k.
+    counts=(n_1, ..., n_B): x, k and v stack B sets of rows and a row attends
+    only to the rows of its own set.
     """
-    att = ad.attention(x @ params[f"{block}.q"], y @ params[f"{block}.k"], y @ params[f"{block}.v"],
-                       params.config.heads, group, counts)
+    att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, group, counts)
     s = ad.layer_norm(x + att @ params[f"{block}.out"], params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
     return ad.layer_norm(s + _rff(s, params, f"{block}.ff"), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
 
 
-def local_attention(scenes, params: ModelParams, record: bool = True) -> Tensor:
+def _local_kv(params) -> tuple:
+    """(W1 Wk, b1 Wk, W1 Wv, b1 Wv): the local key and value projections folded into the neighbor embedding.
+
+    The embedding ends in the affine map N = H W1 + b1, and N feeds only
+    N Wk and N Wv, so N Wk = H (W1 Wk) + b1 Wk, and likewise for Wv.
+    """
+    w1, b1 = params["embed_l.w1"], params["embed_l.b1"]
+    return tuple(x @ params[f"local.{p}"] for p in "kv" for x in (w1, b1))
+
+
+@dataclass(frozen=True, eq=False)
+class InferenceWeights:
+    """What forward(record=False) runs on: every parameter's array, and _local_kv of those arrays.
+
+    Derived by inference_weights, not parameters: never saved, counted or
+    trained. Training replaces a parameter's array, so updates made after
+    the derivation do not reach it.
+    """
+
+    config: NetConfig
+    arrays: dict[str, np.ndarray]
+    local_kv: tuple[np.ndarray, ...]
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.arrays[name]
+
+
+def inference_weights(params: ModelParams | InferenceWeights) -> InferenceWeights:
+    """The plain arrays and folded maps of params for unrecorded forwards; derived weights come back unchanged."""
+    if isinstance(params, InferenceWeights):
+        return params
+    arrays = {name: t.data for name, t in params.items()}
+    return InferenceWeights(params.config, arrays, _local_kv(arrays))
+
+
+def local_attention(scenes, params: ModelParams | InferenceWeights, record: bool = True) -> Tensor:
     """Per-measurement attention over its k nearest landmarks, for every scene at once.
 
     scenes is a list of (measurements, landmarks) pairs; the output stacks
@@ -204,21 +249,27 @@ def local_attention(scenes, params: ModelParams, record: bool = True) -> Tensor:
     do. kNN grouping runs per scene; all groups share the block weights and
     have exactly k members, so the per-measurement blocks of every scene run
     as one grouped block, equal to applying mha_block to each (query,
-    neighbor group) pair separately. record=False takes the parameters as
-    plain arrays and returns an array.
+    neighbor group) pair separately. The neighbor embedding's last layer is
+    folded into the key and value projections (_local_kv), so the
+    (sum nu * k, d) embedding is never built. record=False runs on
+    inference_weights(params) and returns an array.
     """
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
     if cfg.neighbor_features == "distance":
         feats = feats[:, 2:3]
-    leaf = Tensor if record else ad.finite
+    if record:
+        leaf, (wk, bk, wv, bv) = Tensor, _local_kv(params)
+    else:
+        params = inference_weights(params)
+        leaf, (wk, bk, wv, bv) = ad.finite, params.local_kv
     queries = _rff(leaf(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
-    neighbors = _rff(leaf(feats), params, "embed_l")  # (sum nu * k, d)
-    return mha_block(queries, neighbors, params, "local", cfg.k)
+    hidden = ad.relu(ad.linear(leaf(feats), params["embed_l.w0"], params["embed_l.b0"]))  # (sum nu * k, rff_hidden)
+    return mha_block(queries, ad.linear(hidden, wk, bk), ad.linear(hidden, wv, bv), params, "local", cfg.k)
 
 
-def forward(scenes, params: ModelParams, record: bool = True) -> Tensor:
+def forward(scenes, params: ModelParams | InferenceWeights, record: bool = True) -> Tensor:
     """Raw (B, 3) offset regressions (dx, dy, dphi before wrapping), row b for scene b.
 
     scenes is a list of B (measurements, landmarks) pairs. Their rows stack
@@ -226,24 +277,24 @@ def forward(scenes, params: ModelParams, record: bool = True) -> Tensor:
     rows, the global block and the max-pool within each scene, so row b
     equals scene b's own forward up to rounding, and one scene runs the
     one-scene ops exactly. record=True builds the tape training
-    differentiates; record=False, for inference, runs the same ops on plain
-    arrays and returns the array. Both raise ValueError on a non-finite
-    input and FloatingPointError on a non-finite output.
+    differentiates; record=False, for inference, runs the same ops on
+    inference_weights(params) and returns the array. Both raise ValueError
+    on a non-finite input and FloatingPointError on a non-finite output.
     """
     if not scenes:
         raise ValueError("forward needs at least one scene")
     if not record:
-        params = ModelParams(params.config, {name: t.data for name, t in params.items()})
+        params = inference_weights(params)
     local = local_attention(scenes, params, record)
     counts = [as_points(m).shape[0] for m, _ in scenes]
-    glob = mha_block(local, local, params, "global", counts=counts)
+    glob = mha_block(local, local @ params["global.k"], local @ params["global.v"], params, "global", counts=counts)
     h = _rff(ad.max_pool_rows(glob, counts), params, "head", len(params.config.head_hidden) + 1)
     if not np.all(np.isfinite(h.data if record else h)):
         raise FloatingPointError("network output is not finite")
     return h
 
 
-def predict_offset(measurements, landmarks, params: ModelParams) -> PoseOffset:
+def predict_offset(measurements, landmarks, params: ModelParams | InferenceWeights) -> PoseOffset:
     """Predicted pose offset with wrapped heading, from an unrecorded forward pass."""
     out = forward([(measurements, landmarks)], params, record=False)[0]
     return PoseOffset(out[0], out[1], wrap_angle(out[2]))

@@ -62,7 +62,7 @@ def _dataclass_section(cls, cfg: dict, name: str, base=None, **top):
 
 
 def _seed(cfg: dict) -> int:
-    return operator.index(cfg.get("seed", 0))
+    return net.check_seed(cfg.get("seed", 0))
 
 
 def net_config(cfg: dict) -> net.NetConfig:
@@ -320,9 +320,13 @@ def _timed(scenes: list[Scene], contexts, locate) -> tuple[list[Pose], list[Pose
 
 def evaluate_gps(params: net.ModelParams, scenes: list[Scene], lmap: np.ndarray | None,
                  fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
-    """GPS-based inference per scene against the (N, 2) map lmap, or each scene's own landmarks when it is None."""
+    """GPS-based inference per scene against the (N, 2) map lmap, or each scene's own landmarks when it is None.
+
+    The network's inference weights are derived once per call; each scene runs its own forward.
+    """
+    weights = net.inference_weights(params)
     maps = map(scene_map, scenes) if lmap is None else itertools.repeat(lmap)
-    return _timed(scenes, maps, lambda sc, m: gps_inference(params, m, sc.measurements, sc.gps_pose, fov_radius))
+    return _timed(scenes, maps, lambda sc, m: gps_inference(weights, m, sc.measurements, sc.gps_pose, fov_radius))
 
 
 def evaluate_icp(scenes: list[Scene], fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:

@@ -156,9 +156,12 @@ def localize(lmap: np.ndarray, measurements, prior: Pose, regress,
     return correct_pose(prior, regress(m, utm_to_vehicle(fov, prior)))
 
 
-def gps_inference(params: net.ModelParams, lmap: np.ndarray, measurements, p_gps: Pose,
+def gps_inference(params: net.ModelParams | net.InferenceWeights, lmap: np.ndarray, measurements, p_gps: Pose,
                   fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
-    """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor."""
+    """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor.
+
+    Given a ModelParams, the call derives net.inference_weights; a caller of many derives them once.
+    """
     return localize(lmap, measurements, p_gps, lambda m, lm: net.predict_offset(m, lm, params), fov_radius)
 
 
@@ -167,18 +170,20 @@ class FilterSession:
 
     Each step corrects the previous estimate by the network offset, as
     gps_inference does a GPS pose, and feeds the corrected pose to the
-    filter as a measurement.
+    filter as a measurement. The session derives the network's inference
+    weights once, at construction, and holds that snapshot: later updates
+    to params do not reach it.
     """
 
     def __init__(
         self,
-        params: net.ModelParams,
+        params: net.ModelParams | net.InferenceWeights,
         lmap: np.ndarray,
         p_init: Pose,
         ekf_cfg: EkfConfig | None = None,
         fov_radius: float = DEFAULT_FOV_RADIUS,
     ):
-        self.params = params
+        self.weights = net.inference_weights(params)
         self.lmap = lmap
         self.cfg = ekf_cfg if ekf_cfg is not None else EkfConfig()
         self.fov_radius = fov_radius
@@ -188,7 +193,7 @@ class FilterSession:
         """Advance one frame; returns the smoothed pose estimate."""
         if dt <= 0:
             raise ValueError(f"dt must be > 0, got {dt}")
-        z = gps_inference(self.params, self.lmap, measurements, self.state.pose(), self.fov_radius)
+        z = gps_inference(self.weights, self.lmap, measurements, self.state.pose(), self.fov_radius)
         self.state = ekf_predict(self.state, self.cfg, dt)
         self.state = ekf_update(self.state, z, self.cfg)
         return self.state.pose()

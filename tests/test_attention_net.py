@@ -189,7 +189,7 @@ class TestMultiHead:
         plain = (w / w.sum(axis=1, keepdims=True)) @ y
         s = ad.layer_norm(Tensor(x + plain), params["local.ln1.g"], params["local.ln1.b"])
         expect = ad.layer_norm(s + net._rff(s, params, "local.ff"), params["local.ln2.g"], params["local.ln2.b"])
-        got = net.mha_block(Tensor(x), Tensor(y), params, "local")
+        got = net.mha_block(Tensor(x), Tensor(y) @ params["local.k"], Tensor(y) @ params["local.v"], params, "local")
         np.testing.assert_allclose(got.data, expect.data, atol=1e-12)
 
     def test_heads_side_by_side_in_columns(self):
@@ -207,15 +207,17 @@ class TestMultiHead:
             x = Tensor(rng.normal(size=(4, 16)))
             y = Tensor(rng.normal(size=(nk, 16)))
             assert ad.attention(x, y, y, small_params.config.heads).shape == (4, 16)
-            assert net.mha_block(x, y, small_params, "local").shape == (4, 16)
+            assert net.mha_block(x, y @ small_params["local.k"], y @ small_params["local.v"], small_params,
+                                 "local").shape == (4, 16)
 
     def test_invariant_to_key_value_row_permutation(self, small_params):
         rng = np.random.default_rng(22)
         x = rng.normal(size=(3, 16))
         y = rng.normal(size=(6, 16))
         perm = rng.permutation(6)
-        a = net.mha_block(Tensor(x), Tensor(y), small_params, "global").data
-        b = net.mha_block(Tensor(x), Tensor(y[perm]), small_params, "global").data
+        wk, wv = small_params["global.k"], small_params["global.v"]
+        a = net.mha_block(Tensor(x), Tensor(y) @ wk, Tensor(y) @ wv, small_params, "global").data
+        b = net.mha_block(Tensor(x), Tensor(y[perm]) @ wk, Tensor(y[perm]) @ wv, small_params, "global").data
         np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -224,7 +226,8 @@ class TestMhaBlock:
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(5, 16)))
         y = Tensor(rng.normal(size=(3, 16)))
-        assert net.mha_block(x, y, small_params, "local").shape == (5, 16)
+        assert net.mha_block(x, y @ small_params["local.k"], y @ small_params["local.v"], small_params,
+                             "local").shape == (5, 16)
 
     def test_zero_rff_weights_reduce_to_bias_path(self):
         params = net.init_params(dataclasses.replace(SMALL, seed=4))
@@ -240,7 +243,7 @@ class TestMhaBlock:
         s = ad.layer_norm(x + att @ params["global.out"], params["global.ln1.g"], params["global.ln1.b"])
         expect = ad.layer_norm(s + Tensor(np.broadcast_to(bias, (4, 16)).copy()),
                                params["global.ln2.g"], params["global.ln2.b"]).data
-        got = net.mha_block(x, y, params, "global").data
+        got = net.mha_block(x, y @ params["global.k"], y @ params["global.v"], params, "global").data
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_gradient_through_block(self):
@@ -251,7 +254,8 @@ class TestMhaBlock:
         y = Tensor(rng.normal(size=(3, 8)))
         w = Tensor(rng.normal(size=(2, 8)))
         block_params = [t for name, t in params.items() if name.startswith("global.")]
-        worst = check_gradient(lambda: (net.mha_block(x, y, params, "global") * w).sum(),
+        worst = check_gradient(lambda: (net.mha_block(x, y @ params["global.k"], y @ params["global.v"], params,
+                                                      "global") * w).sum(),
                                   block_params + [x, y])
         assert worst < 1e-4
 
@@ -276,7 +280,8 @@ class TestLocalAttention:
         for i, g in enumerate(feats.reshape(-1, SMALL.k, 3)):
             q = net._rff(Tensor(m[i : i + 1]), small_params, "embed_m")
             nb = net._rff(Tensor(g), small_params, "embed_l")
-            rows.append(net.mha_block(q, nb, small_params, "local").data)
+            rows.append(net.mha_block(q, nb @ small_params["local.k"], nb @ small_params["local.v"], small_params,
+                                      "local").data)
         np.testing.assert_allclose(fast, np.vstack(rows), atol=1e-12)
 
     def test_row_depends_only_on_neighbors(self, small_params):
@@ -296,6 +301,48 @@ class TestLocalAttention:
         params = net.init_params(cfg)
         m, lm = _scene(30)
         assert net.local_attention([(m, lm)], params).shape == (4, 8)
+
+
+def _max_relative(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / max |b|."""
+    return float(np.abs(a - b).max() / np.abs(b).max())
+
+
+class TestFoldedNeighborEmbedding:
+    """local_attention folds embed_l's last layer into the local key/value maps; the unfolded block is the reference."""
+
+    @pytest.mark.parametrize("cfg", [
+        net.NetConfig(d_m=64, heads=4, k=8),
+        net.NetConfig(d_m=256, heads=4, k=8),
+        net.NetConfig(d_m=16, heads=2, k=3, neighbor_features="distance"),
+    ], ids=["d64", "d256", "distance"])
+    def test_equals_the_block_over_the_built_embedding(self, cfg):
+        params = net.init_params(dataclasses.replace(cfg, seed=3))
+        scenes = [_scene(50, nu=5, mu=11), _scene(51, nu=2, mu=cfg.k - 1), _scene(52, nu=7, mu=20)]
+        rng = np.random.default_rng(53)
+
+        def unfolded():
+            feats = np.concatenate([net.knn_group(m, lm, cfg.k)[1] for m, lm in scenes])[:, 3 - cfg.feature_width:]
+            neighbors = net._rff(Tensor(feats), params, "embed_l")  # N = embed_l(F), (sum nu * k, d)
+            queries = net._rff(Tensor(np.concatenate([m for m, _ in scenes])), params, "embed_m")
+            return net.mha_block(queries, neighbors @ params["local.k"], neighbors @ params["local.v"], params,
+                                 "local", cfg.k)
+
+        weights = Tensor(rng.normal(size=(sum(m.shape[0] for m, _ in scenes), cfg.d_m)))
+        results = []
+        for build in (lambda: net.local_attention(scenes, params), unfolded):
+            params.zero_grads()
+            out = build()
+            (out * weights).sum().backward()
+            results.append((out.data, {name: t.grad.copy() for name, t in params.items()}))
+        (folded, folded_grads), (ref, ref_grads) = results
+        assert _max_relative(folded, ref) < 1e-12
+        np.testing.assert_array_equal(net.local_attention(scenes, params, record=False), folded)
+        for name, g in folded_grads.items():
+            if name.startswith(("embed_", "local.")):
+                assert _max_relative(g, ref_grads[name]) < 1e-12, name
+            else:  # the global block and the head are not in the local block
+                assert not g.any() and not ref_grads[name].any(), name
 
 
 class TestForward:

@@ -198,6 +198,18 @@ class TestCheckpointRoundTrip:
         with pytest.raises(CheckpointFormatError, match=f"missing field '{key}'"):
             load_checkpoint(str(path))
 
+    @pytest.mark.parametrize("key,value", [("k", True), ("heads", True), ("seed", math.nan), ("seed", -1),
+                                           ("seed", 1.5), ("seed", True)])
+    def test_config_value_rules_name_the_file(self, tmp_path, key, value):
+        # a boolean is no width, and the seed is an integer >= 0, as in a config document
+        path = tmp_path / "badvalue.json"
+        save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match="badvalue.json: invalid config"):
+            load_checkpoint(str(path))
+
     def test_config_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "extra.json"
         save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))

@@ -19,7 +19,7 @@ from attnloc.inference import (
     gps_inference,
     init_state,
 )
-from attnloc.simulator import generate_trajectory
+from attnloc.simulator import SimConfig, generate_trajectory
 
 
 def _state(x=0.0, y=0.0, phi=0.0, v=0.0, omega=0.0, var=1.0):
@@ -217,6 +217,55 @@ class TestFilterSession:
             return float(np.sqrt((e**2).sum(axis=1).mean()))
 
         assert rmse_pos(filtered) <= rmse_pos(noisy)
+
+
+def _count_derivations(monkeypatch) -> list:
+    """Every InferenceWeights that net.inference_weights derives from now on."""
+    derived = []
+    derive = net.inference_weights
+
+    def counted(params):
+        weights = derive(params)
+        if weights is not params:
+            derived.append(weights)
+        return weights
+
+    monkeypatch.setattr(net, "inference_weights", counted)
+    return derived
+
+
+class TestInferenceWeights:
+    @pytest.fixture(scope="class")
+    def setup(self):
+        params = net.init_params(net.NetConfig(d_m=16, heads=2, k=3, seed=2))
+        scenes = experiment.generate_scene_set(SimConfig(distribution="mixture", seed=6), 1.0, math.radians(4.0), 8, 6)
+        return params, scenes
+
+    def test_evaluate_gps_equals_per_call_gps_inference(self, setup):
+        params, scenes = setup
+        preds, _, _ = experiment.evaluate_gps(params, scenes, None, 60.0)
+        assert preds == [gps_inference(params, experiment.scene_map(sc), sc.measurements, sc.gps_pose, 60.0)
+                         for sc in scenes]
+
+    def test_evaluate_gps_derives_once(self, setup, monkeypatch):
+        params, scenes = setup
+        derived = _count_derivations(monkeypatch)
+        experiment.evaluate_gps(params, scenes, None, 60.0)
+        assert len(derived) == 1
+
+    def test_filter_session_derives_once(self, setup, monkeypatch):
+        params, scenes = setup
+        derived = _count_derivations(monkeypatch)
+        sc = scenes[0]
+        session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, fov_radius=100.0)
+        for _ in range(5):
+            session.step(sc.measurements, 0.05)
+        assert len(derived) == 1
+
+    def test_derived_weights_come_back_unchanged(self, setup):
+        weights = net.inference_weights(setup[0])
+        assert net.inference_weights(weights) is weights
+        assert set(weights.arrays) == set(setup[0].tensors)
 
 
 ROOT = Path(__file__).resolve().parent.parent

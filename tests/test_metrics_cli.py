@@ -291,6 +291,10 @@ class TestCli:
             ("eval.fov_radius", math.inf), ("sim.sigma_noise", math.nan), ("sim.mu1", [20.0, -math.inf]),
             ("train.epochs", True), ("net.k", True), ("seed", True), ("plot_svg", 1))],
         (["simulate"], "sim.sigma_noise", math.nan),
+        (["simulate"], "seed", -1),
+        (["infer", "--mode", "icp"], "seed", -1),
+        (["simulate", "--seed", "-1"], "seed", 0),
+        (["infer", "--mode", "icp", "--seed", "-1"], "seed", 0),
         (["simulate"], "ekf.sigma_accel", -1),
         (["train"], "train.lr", 1e-2),
     ]
