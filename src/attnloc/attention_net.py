@@ -30,7 +30,7 @@ class NetConfig:
     ("distance", 1 input).
     """
 
-    d_m: int = 256
+    d_m: int = 64
     heads: int = 4
     k: int = 8
     rff_hidden: int = 64
@@ -217,7 +217,7 @@ def _local_kv(params) -> tuple:
 
 @dataclass(frozen=True, eq=False)
 class InferenceWeights:
-    """What forward(record=False) runs on: every parameter's array, and _local_kv of those arrays.
+    """What an unrecorded forward runs on: every parameter's array, and _local_kv of those arrays.
 
     Derived by inference_weights, not parameters: never saved, counted or
     trained. Training replaces a parameter's array, so updates made after
@@ -240,7 +240,7 @@ def inference_weights(params: ModelParams | InferenceWeights) -> InferenceWeight
     return InferenceWeights(params.config, arrays, _local_kv(arrays))
 
 
-def local_attention(scenes, params: ModelParams | InferenceWeights, record: bool = True) -> Tensor:
+def local_attention(scenes, params: ModelParams | InferenceWeights):
     """Per-measurement attention over its k nearest landmarks, for every scene at once.
 
     scenes is a list of (measurements, landmarks) pairs; the output stacks
@@ -251,50 +251,44 @@ def local_attention(scenes, params: ModelParams | InferenceWeights, record: bool
     as one grouped block, equal to applying mha_block to each (query,
     neighbor group) pair separately. The neighbor embedding's last layer is
     folded into the key and value projections (_local_kv), so the
-    (sum nu * k, d) embedding is never built. record=False runs on
-    inference_weights(params) and returns an array.
+    (sum nu * k, d) embedding is never built.
     """
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
     if cfg.neighbor_features == "distance":
         feats = feats[:, 2:3]
-    if record:
-        leaf, (wk, bk, wv, bv) = Tensor, _local_kv(params)
-    else:
-        params = inference_weights(params)
-        leaf, (wk, bk, wv, bv) = ad.finite, params.local_kv
-    queries = _rff(leaf(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
-    hidden = ad.relu(ad.linear(leaf(feats), params["embed_l.w0"], params["embed_l.b0"]))  # (sum nu * k, rff_hidden)
+    wk, bk, wv, bv = params.local_kv if isinstance(params, InferenceWeights) else _local_kv(params)
+    queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
+    hidden = ad.relu(ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"]))  # (sum nu * k, rff_hidden)
     return mha_block(queries, ad.linear(hidden, wk, bk), ad.linear(hidden, wv, bv), params, "local", cfg.k)
 
 
-def forward(scenes, params: ModelParams | InferenceWeights, record: bool = True) -> Tensor:
+def forward(scenes, params: ModelParams | InferenceWeights):
     """Raw (B, 3) offset regressions (dx, dy, dphi before wrapping), row b for scene b.
 
     scenes is a list of B (measurements, landmarks) pairs. Their rows stack
     with no padding: the embeddings and the local block run once over all
     rows, the global block and the max-pool within each scene, so row b
     equals scene b's own forward up to rounding, and one scene runs the
-    one-scene ops exactly. record=True builds the tape training
-    differentiates; record=False, for inference, runs the same ops on
-    inference_weights(params) and returns the array. Both raise ValueError
-    on a non-finite input and FloatingPointError on a non-finite output.
+    one-scene ops exactly. Recording follows the weights: a ModelParams
+    builds the Tensor tape training differentiates, and the InferenceWeights
+    of inference_weights(params) run the same ops on arrays and return the
+    array. Both raise ValueError on a non-finite input and
+    FloatingPointError on a non-finite output.
     """
     if not scenes:
         raise ValueError("forward needs at least one scene")
-    if not record:
-        params = inference_weights(params)
-    local = local_attention(scenes, params, record)
+    local = local_attention(scenes, params)
     counts = [as_points(m).shape[0] for m, _ in scenes]
     glob = mha_block(local, local @ params["global.k"], local @ params["global.v"], params, "global", counts=counts)
     h = _rff(ad.max_pool_rows(glob, counts), params, "head", len(params.config.head_hidden) + 1)
-    if not np.all(np.isfinite(h.data if record else h)):
+    if not np.all(np.isfinite(h.data if isinstance(h, Tensor) else h)):
         raise FloatingPointError("network output is not finite")
     return h
 
 
 def predict_offset(measurements, landmarks, params: ModelParams | InferenceWeights) -> PoseOffset:
     """Predicted pose offset with wrapped heading, from an unrecorded forward pass."""
-    out = forward([(measurements, landmarks)], params, record=False)[0]
+    out = forward([(measurements, landmarks)], inference_weights(params))[0]
     return PoseOffset(out[0], out[1], wrap_angle(out[2]))

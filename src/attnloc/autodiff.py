@@ -9,9 +9,9 @@ cardinalities may vary freely between passes. A tensor graph is single-owner
 during a forward/backward pass; leaf values must not be mutated mid-pass, so
 a closure may read the arrays its forward read.
 
-Given plain arrays, all inputs of one kind, the forward ops (`linear`,
-`relu`, `layer_norm`, `attention`, `max_pool_rows`) run the same value
-expression and checks and return an array: recording follows the inputs.
+The ops made by `_op` follow one rule: given no Tensor input they return
+the plain array and record nothing; given any, they record one node, and
+each plain array input is a constant leaf. Recording follows the inputs.
 """
 
 from __future__ import annotations
@@ -82,8 +82,6 @@ class Tensor:
             raise ValueError(f"elementwise mul needs equal shapes, got {self.shape} and {other.shape}")
         return Tensor._make(self.data * other.data, (self, other), lambda g: (g * other.data, g * self.data))
 
-    __rmul__ = __mul__
-
     def __matmul__(self, other: "Tensor") -> "Tensor":
         if self.shape[1] != other.shape[0]:
             raise ValueError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
@@ -152,29 +150,42 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+def _op(arity: int):
+    """Lift fn(*arrays, *options) -> (value, backward) into an op whose first `arity` arguments are its inputs.
+
+    Given no Tensor input the op returns the value and records nothing. Given any, it records one node
+    whose parents are the inputs, each plain array as a constant leaf. fn always receives arrays.
+    """
+    def lift(fn):
+        @functools.wraps(fn)
+        def op(*args, **options):
+            inputs = args[:arity]
+            for x in inputs:
+                if type(x) is Tensor:
+                    parents = tuple([a if type(a) is Tensor else Tensor(a, _check=False) for a in inputs])
+                    y, backward = fn(*[p.data for p in parents], *args[arity:], **options)
+                    return Tensor._make(y, parents, backward)
+            return fn(*args, **options)[0]
+        return op
+    return lift
+
+
+@_op(3)
+def linear(x, w, b):
     """Affine map x @ w + b as one node; b is a 1xd bias row added to every row."""
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {x.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ValueError(f"linear needs a 1x{w.shape[1]} bias row, got {b.shape}")
-    tape = isinstance(x, Tensor)
-    xd, wd, bd = (x.data, w.data, b.data) if tape else (x, w, b)
-    y = xd @ wd
-    y += bd
-    if not tape:
-        return y
-    return Tensor._make(y, (x, w, b), lambda g: (g @ wd.T, xd.T @ g, g.sum(axis=0, keepdims=True)))
+    y = x @ w
+    y += b
+    return y, lambda g: (g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True))
 
 
-def relu(x: Tensor) -> Tensor:
+@_op(1)
+def relu(x):
     """Elementwise max(x, 0); `Tensor.relu` is this op."""
-    tape = isinstance(x, Tensor)
-    xd = x.data if tape else x
-    y = np.maximum(xd, 0.0)
-    if not tape:
-        return y
-    return Tensor._make(y, (x,), lambda g: (g * (xd > 0.0),))
+    return np.maximum(x, 0.0), lambda g: (g * (x > 0.0),)
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -196,38 +207,35 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
     return (y2 * (g2 - (g2 * y2).sum(axis=1, keepdims=True))).reshape(y.shape)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
+@_op(1)
+def softmax_rows(x):
     """Row-wise softmax with per-row max subtraction for stability."""
-    y = _softmax(x.data)
-    return Tensor._make(y, (x,), lambda g: (_softmax_grad(y, g),))
+    y = _softmax(x)
+    return y, lambda g: (_softmax_grad(y, g),)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+@_op(3)
+def layer_norm(x, gamma, beta, eps: float = 1e-5):
     """Per-row normalization: (x - mean) / sqrt(var + eps) * gamma + beta."""
     n, d = x.shape
     if d < 2:
         raise ValueError(f"layer_norm needs width >= 2, got {d}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ValueError(f"gamma/beta must be 1x{d}, got {gamma.shape} and {beta.shape}")
-    tape = isinstance(x, Tensor)
-    xd, gd, bd = (x.data, gamma.data, beta.data) if tape else (x, gamma, beta)
     # the moments as np.mean/np.var compute them, without their dispatch
-    xc = xd - xd.sum(axis=1, keepdims=True) / d
+    xc = x - x.sum(axis=1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
     xhat = xc * inv
-    y = xhat * gd + bd
-    if not tape:
-        return y
 
     def _bw(g):
-        gh = g * gd
+        gh = g * gamma
         # standard layer-norm input gradient, per row
         mean_gh = gh.sum(axis=1, keepdims=True) / d
         mean_gh_xhat = (gh * xhat).sum(axis=1, keepdims=True) / d
         gx = inv * (gh - mean_gh - xhat * mean_gh_xhat)
         return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    return Tensor._make(y, (x, gamma, beta), _bw)
+    return xhat * gamma + beta, _bw
 
 
 def _split_heads(x: np.ndarray, heads: int, block_rows: int) -> np.ndarray:
@@ -277,8 +285,8 @@ def _pad(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = None,
-              counts: list[int] | None = None) -> Tensor:
+@_op(3)
+def attention(q, k, v, heads: int, group: int | None = None, counts: list[int] | None = None):
     """Multi-head scaled dot-product attention, heads side by side in the columns.
 
     q is (n, d); k and v have equal shapes and width d, which heads must
@@ -313,15 +321,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
     else:
         q_rows = kv_rows = max(counts)
     padded = counts is not None and min(counts) != q_rows
-    tape = isinstance(q, Tensor)
-    qd, kd, vd = (q.data, k.data, v.data) if tape else (q, k, v)
     if padded:
         rows, mask = _padded_rows(counts)
         size = len(counts) * q_rows
-        qd, kd, vd = (_pad(x, rows, size) for x in (qd, kd, vd))
-    qh = _split_heads(qd, heads, q_rows)
-    kh = _split_heads(kd, heads, kv_rows)
-    vh = _split_heads(vd, heads, kv_rows)
+        q, k, v = (_pad(x, rows, size) for x in (q, k, v))
+    qh = _split_heads(q, heads, q_rows)
+    kh = _split_heads(k, heads, kv_rows)
+    vh = _split_heads(v, heads, kv_rows)
     s = dot(qh, kh) * scale
     if padded:
         s += mask
@@ -329,8 +335,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
     y = _merge_heads(mix(w, vh))
     if padded:
         y = y[rows]
-    if not tape:
-        return y
 
     def _bw(g):
         gh = _split_heads(_pad(g, rows, size) if padded else g, heads, q_rows)
@@ -338,10 +342,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, group: int | None = N
         grads = _merge_heads(mix(gs, kh)), _merge_heads(outer(gs, qh)), _merge_heads(outer(w, gh))
         return tuple(x[rows] for x in grads) if padded else grads
 
-    return Tensor._make(y, (q, k, v), _bw)
+    return y, _bw
 
 
-def max_pool_rows(x: Tensor, counts: list[int] | None = None) -> Tensor:
+@_op(1)
+def max_pool_rows(x, counts: list[int] | None = None):
     """Columnwise maximum over each set of rows; (B, d) output.
 
     counts=(n_1, ..., n_B) splits the rows into B consecutive sets, by
@@ -354,23 +359,19 @@ def max_pool_rows(x: Tensor, counts: list[int] | None = None) -> Tensor:
     counts = (n,) if counts is None else counts
     if min(counts) < 1 or sum(counts) != n:
         raise ValueError(f"set counts must be >= 1 and sum to the {n} rows, got {list(counts)}")
-    tape = isinstance(x, Tensor)
-    xd = x.data if tape else x
     starts = [0, *itertools.accumulate(counts)][:-1]
     if min(counts) == max(counts):  # a stack of equal blocks, which reduceat would pool far slower
-        y = xd.reshape(len(counts), -1, d).max(axis=1)
+        y = x.reshape(len(counts), -1, d).max(axis=1)
     else:
-        y = np.maximum.reduceat(xd, starts, axis=0)
-    if not tape:
-        return y
-    idx = np.stack([lo + np.argmax(xd[lo:lo + c], axis=0) for lo, c in zip(starts, counts)])  # lowest index wins ties
+        y = np.maximum.reduceat(x, starts, axis=0)
 
     def _bw(g):
-        gx = np.zeros_like(xd)
+        idx = np.stack([lo + np.argmax(x[lo:lo + c], axis=0) for lo, c in zip(starts, counts)])  # lowest index wins ties
+        gx = np.zeros_like(x)
         gx[idx, np.arange(d)] = g
         return (gx,)
 
-    return Tensor._make(y, (x,), _bw)
+    return y, _bw
 
 
 def homoscedastic_loss(pred: Tensor, target: np.ndarray, s_tran: Tensor, s_rot: Tensor) -> tuple[Tensor, np.ndarray]:

@@ -125,7 +125,9 @@ def load_scenes(path: str) -> list[Scene]:
             if not isinstance(rec, dict):
                 raise SceneFormatError(f"{path}:{lineno}: scene record must be an object")
             try:
-                t = float(_require(rec, "t", lineno, path))
+                t = _require(rec, "t", lineno, path)
+                if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t):
+                    raise ValueError(f"t must be a finite number, got {t!r}")
                 gt = Pose(*_require(rec, "gt_pose", lineno, path))
                 gps = Pose(*_require(rec, "gps_pose", lineno, path))
                 meas = np.asarray(_require(rec, "measurements", lineno, path), dtype=np.float64).reshape(-1, 2)
@@ -137,7 +139,7 @@ def load_scenes(path: str) -> list[Scene]:
                 raise
             except (TypeError, ValueError) as exc:
                 raise SceneFormatError(f"{path}:{lineno}: {exc}") from exc
-            scenes.append(Scene(t=t, gt_pose=gt, gps_pose=gps, measurements=meas, landmarks=landmarks))
+            scenes.append(Scene(t=float(t), gt_pose=gt, gps_pose=gps, measurements=meas, landmarks=landmarks))
     return scenes
 
 
@@ -164,7 +166,7 @@ def load_checkpoint(path: str) -> net.ModelParams:
     if not isinstance(doc, dict):
         raise CheckpointFormatError(f"{path}: checkpoint must be a JSON object")
     version = doc.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, CHECKPOINT_VERSION):
         raise CheckpointFormatError(f"{path}: unsupported format_version {version!r}")
     raw_cfg = doc.get("config")
     if not isinstance(raw_cfg, dict):

@@ -55,10 +55,10 @@ def _section(cfg: dict, name: str, keys) -> dict:
     return value
 
 
-def _dataclass_section(cls, cfg: dict, name: str, base=None, **top):
-    """Section name as a cls: absent keys take base's values (cls's defaults); top sets the top-level fields."""
+def _dataclass_section(cls, cfg: dict, name: str, **top):
+    """Section name as a cls: absent keys take cls's defaults; top sets the top-level fields."""
     s = _section(cfg, name, [f.name for f in dataclasses.fields(cls) if f.name not in top])
-    return from_dict(cls, {**s, **top}, **dataclasses.asdict(base or cls()))
+    return from_dict(cls, {**s, **top}, **dataclasses.asdict(cls()))
 
 
 def _seed(cfg: dict) -> int:
@@ -66,8 +66,8 @@ def _seed(cfg: dict) -> int:
 
 
 def net_config(cfg: dict) -> net.NetConfig:
-    """The net section: absent keys take the NetConfig defaults but d_m 64; the top-level seed."""
-    return _dataclass_section(net.NetConfig, cfg, "net", net.NetConfig(d_m=64), seed=_seed(cfg))
+    """The net section: absent keys take the NetConfig defaults; the top-level seed."""
+    return _dataclass_section(net.NetConfig, cfg, "net", seed=_seed(cfg))
 
 
 def sim_config(cfg: dict) -> simulator.SimConfig:

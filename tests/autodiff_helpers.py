@@ -1,4 +1,4 @@
-"""The finite-difference gradient oracle the tests check the tape against, and the tape ops only tests use."""
+"""The finite-difference oracle the tests check the tape against, the tape ops only tests use, a Tensor counter."""
 
 import numpy as np
 
@@ -22,6 +22,19 @@ def numeric_gradient(f, x: Tensor, h: float = 1e-5) -> np.ndarray:
         flat[i] = orig
         g.ravel()[i] = (fp - fm) / (2.0 * h)
     return g
+
+
+def count_tensors(monkeypatch) -> list[int]:
+    """A counter of Tensor constructions from now on, the way perfbench's tracer counts them."""
+    built = [0]
+    init = Tensor.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counted)
+    return built
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

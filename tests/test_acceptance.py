@@ -9,6 +9,7 @@ import json
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,8 +269,8 @@ class TestAcceptance:
         experiment.run_experiment(dict(cfg), out2)
         same = True
         for name in ("report.json", "checkpoint.json", "trace.csv", "scenes.jsonl"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             same &= a == b
         _announce(8, same, "seeded pipeline twice: report, checkpoint, trace, scenes byte-identical")
 

@@ -14,7 +14,7 @@ from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
 from attnloc.inference import FilterSession
-from autodiff_helpers import check_gradient, relative_error
+from autodiff_helpers import check_gradient, count_tensors, relative_error
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
 
@@ -337,7 +337,7 @@ class TestFoldedNeighborEmbedding:
             results.append((out.data, {name: t.grad.copy() for name, t in params.items()}))
         (folded, folded_grads), (ref, ref_grads) = results
         assert _max_relative(folded, ref) < 1e-12
-        np.testing.assert_array_equal(net.local_attention(scenes, params, record=False), folded)
+        np.testing.assert_array_equal(net.local_attention(scenes, net.inference_weights(params)), folded)
         for name, g in folded_grads.items():
             if name.startswith(("embed_", "local.")):
                 assert _max_relative(g, ref_grads[name]) < 1e-12, name
@@ -411,11 +411,12 @@ class TestBatchedForward:
                   _scene(43, nu=8, mu=12), _scene(44, nu=5, mu=2)]
         for batch in (scenes, scenes[:1], [scenes[0], scenes[4]]):  # mixed nu, one scene, equal nu
             for record in (True, False):
-                out = net.forward(batch, params, record)
+                weights = params if record else net.inference_weights(params)
+                out = net.forward(batch, weights)
                 rows = out.data if record else out
                 assert rows.shape == (len(batch), 3)
                 for row, scene in zip(rows, batch):
-                    one = net.forward([scene], params, record)
+                    one = net.forward([scene], weights)
                     np.testing.assert_allclose(row, (one.data if record else one)[0], rtol=0, atol=1e-12)
 
     @settings(max_examples=15, deadline=None)
@@ -436,19 +437,6 @@ class TestBatchedForward:
             assert relative_error(g, sum(grads[name] for grads in per_scene)) < 1e-10, name
 
 
-def _count_tensors(monkeypatch) -> list[int]:
-    """A counter of Tensor constructions from now on, the way perfbench's tracer counts them."""
-    built = [0]
-    init = Tensor.__init__
-
-    def counted(self, *args, **kwargs):
-        built[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Tensor, "__init__", counted)
-    return built
-
-
 class TestUnrecordedForward:
     @pytest.mark.parametrize("cfg", [
         net.NetConfig(d_m=64, heads=4, k=8),
@@ -463,12 +451,12 @@ class TestUnrecordedForward:
         rng = np.random.default_rng(35)
         inputs.append((rng.uniform(-20, 20, size=(1, 2)), rng.uniform(-20, 20, size=(6, 2))))  # nu = 1
         inputs.append((rng.uniform(-20, 20, size=(5, 2)), rng.uniform(-20, 20, size=(cfg.k - 1, 2))))
-        built = _count_tensors(monkeypatch)
+        built = count_tensors(monkeypatch)
         for m, lm in inputs:
             recorded = net.forward([(m, lm)], params).data
             assert built[0] > 0
             built[0] = 0
-            plain = net.forward([(m, lm)], params, record=False)
+            plain = net.forward([(m, lm)], net.inference_weights(params))
             pred = net.predict_offset(m, lm, params)
             assert built[0] == 0
             assert type(plain) is np.ndarray and np.array_equal(plain, recorded)

@@ -6,7 +6,7 @@ import pytest
 
 from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
-from autodiff_helpers import check_gradient, concat, exp, mean, relative_error, sub, transpose
+from autodiff_helpers import check_gradient, concat, count_tensors, exp, mean, relative_error, sub, transpose
 
 H = 1e-5
 TOL = 1e-5
@@ -326,6 +326,52 @@ class TestBackwardProtocol:
         assert grads is not None and len(grads) == len(out._parents)
         for parent, g in zip(out._parents, grads):
             assert isinstance(g, np.ndarray) and g.shape == parent.shape
+
+
+# every op autodiff._op lifts: the op, its options, and the shapes of its array inputs
+LIFTED_OPS = {
+    "linear": (ad.linear, (), [(3, 4), (4, 2), (1, 2)]),
+    "relu": (ad.relu, (), [(3, 4)]),
+    "softmax_rows": (ad.softmax_rows, (), [(3, 4)]),
+    "layer_norm": (ad.layer_norm, (), [(3, 4), (1, 4), (1, 4)]),
+    "attention": (ad.attention, (2,), [(3, 4), (5, 4), (5, 4)]),
+    "attention_grouped": (ad.attention, (2, 2), [(3, 4), (6, 4), (6, 4)]),
+    "attention_sets": (ad.attention, (2, None, [3, 2]), [(5, 4)] * 3),
+    "max_pool_rows": (ad.max_pool_rows, ([2, 2],), [(4, 4)]),
+    "max_pool_sets": (ad.max_pool_rows, ([1, 4],), [(5, 4)]),
+}
+
+
+class TestOpRule:
+    """A lifted op given no Tensor records nothing; given any, it records one node, arrays as constant leaves."""
+
+    @pytest.mark.parametrize("op", sorted(LIFTED_OPS))
+    def test_recording_follows_the_inputs(self, op, monkeypatch):
+        fn, options, shapes = LIFTED_OPS[op]
+        rng = np.random.default_rng(32)
+        arrays = [rng.normal(size=s) for s in shapes]
+        built = count_tensors(monkeypatch)
+        value = fn(*arrays, *options)
+        assert type(value) is np.ndarray and built[0] == 0
+        upstream = Tensor(rng.normal(size=value.shape))
+
+        def run(plain: int | None):
+            """Value and Tensor-input gradients, input `plain` passed as an array and the rest as Tensors."""
+            inputs = [a if i == plain else Tensor(a) for i, a in enumerate(arrays)]
+            out = fn(*inputs, *options)
+            assert len(out._parents) == len(inputs)
+            for x, parent in zip(inputs, out._parents):
+                assert parent is x or (not parent._parents and parent.data is x)
+            (out * upstream).sum().backward()
+            return out.data, {i: x.grad for i, x in enumerate(inputs) if i != plain}
+
+        ref, ref_grads = run(None)
+        np.testing.assert_array_equal(value, ref)
+        for plain in range(len(arrays)) if len(arrays) > 1 else ():  # one input as an array, the rest Tensors
+            out, grads = run(plain)
+            np.testing.assert_array_equal(out, ref)
+            for i, g in grads.items():
+                np.testing.assert_array_equal(g, ref_grads[i])
 
 
 class TestElementwiseOps:

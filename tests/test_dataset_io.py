@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,7 +74,7 @@ class TestSceneRoundTrip:
             load_scenes(str(path))
 
     @pytest.mark.parametrize("field, value", [
-        ("t", None), ("t", "soon"), ("gt_pose", 5),
+        ("t", None), ("t", "soon"), ("t", float("nan")), ("t", float("inf")), ("t", True), ("gt_pose", 5),
         pytest.param("measurements", [[1.0, float("nan")]], id="measurements-NaN"),
         pytest.param("landmarks", [[0.0, 1.0], [float("inf"), 2.0]], id="landmarks-Infinity"),
     ])
@@ -141,14 +142,15 @@ class TestCheckpointRoundTrip:
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         path = str(tmp_path / "trunc.json")
         save_checkpoint(net.init_params(cfg), path)
-        raw = open(path, encoding="utf-8").read()
-        open(path, "w", encoding="utf-8").write(raw[: len(raw) // 2])
+        raw = Path(path).read_text(encoding="utf-8")
+        Path(path).write_text(raw[: len(raw) // 2], encoding="utf-8")
         with pytest.raises(CheckpointFormatError):
             load_checkpoint(path)
 
-    def test_version_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize("version", [3, True, 2.0])
+    def test_version_mismatch_rejected(self, tmp_path, version):
         path = tmp_path / "v3.json"
-        path.write_text(json.dumps({"format_version": 3, "config": {}, "arrays": {}}), encoding="utf-8")
+        path.write_text(json.dumps({"format_version": version, "config": {}, "arrays": {}}), encoding="utf-8")
         with pytest.raises(CheckpointFormatError, match="format_version"):
             load_checkpoint(str(path))
 
@@ -156,9 +158,9 @@ class TestCheckpointRoundTrip:
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         path = str(tmp_path / "badcfg.json")
         save_checkpoint(net.init_params(cfg), path)
-        doc = json.loads(open(path, encoding="utf-8").read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         doc["config"]["heads"] = 3  # does not divide d_m = 8
-        open(path, "w", encoding="utf-8").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CheckpointFormatError, match="invalid config"):
             load_checkpoint(path)
 
@@ -166,9 +168,9 @@ class TestCheckpointRoundTrip:
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         path = str(tmp_path / "badshape.json")
         save_checkpoint(net.init_params(cfg), path)
-        doc = json.loads(open(path, encoding="utf-8").read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         doc["arrays"]["embed_m.w0"]["shape"] = [3, 64]
-        open(path, "w", encoding="utf-8").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CheckpointFormatError, match="embed_m.w0"):
             load_checkpoint(path)
 
@@ -232,9 +234,9 @@ class TestCheckpointRoundTrip:
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         path = str(tmp_path / "missing_arr.json")
         save_checkpoint(net.init_params(cfg), path)
-        doc = json.loads(open(path, encoding="utf-8").read())
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
         del doc["arrays"]["s_tran"]
-        open(path, "w", encoding="utf-8").write(json.dumps(doc))
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(CheckpointFormatError, match="s_tran"):
             load_checkpoint(path)
 

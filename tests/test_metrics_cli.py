@@ -99,8 +99,8 @@ class TestRunExperiment:
         r2 = run_experiment(dict(TINY_CFG), out2)
         assert r1 == r2
         for name in ("report.json", "trace.csv", "checkpoint.json", "scenes.jsonl", "loss_history.csv"):
-            a = open(os.path.join(out1, name), "rb").read()
-            b = open(os.path.join(out2, name), "rb").read()
+            a = Path(out1, name).read_bytes()
+            b = Path(out2, name).read_bytes()
             assert a == b, f"{name} differs between identical runs"
 
     def test_loss_history_holds_the_epoch_losses(self, tmp_path):
@@ -190,7 +190,7 @@ class TestRunExperiment:
         cfg["plot_svg"] = True
         out = str(tmp_path / "svg")
         run_experiment(cfg, out)
-        svg = open(os.path.join(out, "trace.svg"), encoding="utf-8").read()
+        svg = Path(out, "trace.svg").read_text(encoding="utf-8")
         assert svg.startswith("<svg") and "polyline" in svg
 
 
@@ -210,10 +210,10 @@ class TestCli:
         cfg = self._write_cfg(tmp_path)
         out = str(tmp_path / "run")
         assert cli.main(["infer", "--mode", "gps", "--config", cfg, "--out", out]) == 0
-        report = json.loads(open(os.path.join(out, "report.json"), encoding="utf-8").read())
+        report = json.loads(Path(out, "report.json").read_text(encoding="utf-8"))
         out2 = str(tmp_path / "eval")
         assert cli.main(["eval", "--trace", os.path.join(out, "trace.csv"), "--out", out2]) == 0
-        recomputed = json.loads(open(os.path.join(out2, "report.json"), encoding="utf-8").read())
+        recomputed = json.loads(Path(out2, "report.json").read_text(encoding="utf-8"))
         for key, value in recomputed.items():
             assert report[key] == value
 
@@ -236,8 +236,8 @@ class TestCli:
                          "--checkpoint", os.path.join(out, "checkpoint.json")]) == 0
         assert os.path.exists(os.path.join(out, "scenes.jsonl"))
         assert not os.path.exists(os.path.join(out2, "scenes.jsonl"))
-        a = open(os.path.join(out, "report.json"), "rb").read()
-        b = open(os.path.join(out2, "report.json"), "rb").read()
+        a = Path(out, "report.json").read_bytes()
+        b = Path(out2, "report.json").read_bytes()
         assert a == b
 
     def test_bad_config_exit_code(self, tmp_path, capsys):
@@ -370,6 +370,6 @@ class TestCli:
         out2 = str(tmp_path / "s2")
         cli.main(["simulate", "--config", cfg, "--seed", "123", "--out", out1])
         cli.main(["simulate", "--config", cfg, "--seed", "123", "--out", out2])
-        a = open(os.path.join(out1, "scenes.jsonl"), "rb").read()
-        b = open(os.path.join(out2, "scenes.jsonl"), "rb").read()
+        a = Path(out1, "scenes.jsonl").read_bytes()
+        b = Path(out2, "scenes.jsonl").read_bytes()
         assert a == b
