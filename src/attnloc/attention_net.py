@@ -24,10 +24,8 @@ from .geometry import PoseOffset, as_points, wrap_angle
 class NetConfig:
     """Architecture hyperparameters.
 
-    d_m: model width. heads must divide d_m. k: neighbors per measurement.
-    neighbor_features selects what feeds the neighbor embedding: relative
-    offsets plus distance ("offsets", 3 inputs) or distance only
-    ("distance", 1 input).
+    d_m: model width, also the block feed-forward width. heads must divide
+    d_m. k: neighbors per measurement, each embedded from its knn_group row.
     """
 
     d_m: int = 64
@@ -35,33 +33,19 @@ class NetConfig:
     k: int = 8
     rff_hidden: int = 64
     head_hidden: tuple[int, ...] = (128, 64)
-    block_hidden: int | None = None
-    neighbor_features: str = "offsets"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        widths = (self.d_m, self.heads, self.k, self.rff_hidden, *self.head_hidden,
-                  *(() if self.block_hidden is None else (self.block_hidden,)))
-        if any(isinstance(w, bool) for w in widths) or min(map(operator.index, widths)) < 1:
-            raise ValueError("d_m, heads, k, rff_hidden, head_hidden and block_hidden must be integers >= 1")
+        if min(map(operator.index, (self.d_m, self.heads, self.k, self.rff_hidden, *self.head_hidden))) < 1:
+            raise ValueError("d_m, heads, k, rff_hidden and head_hidden must be integers >= 1")
         check_seed(self.seed)
         if self.d_m % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_m ({self.d_m})")
-        if self.neighbor_features not in ("offsets", "distance"):
-            raise ValueError(f"unknown neighbor_features mode {self.neighbor_features!r}")
-
-    @property
-    def feature_width(self) -> int:
-        return 3 if self.neighbor_features == "offsets" else 1
-
-    @property
-    def ff_hidden(self) -> int:
-        return self.block_hidden if self.block_hidden is not None else self.d_m
 
 
 def check_seed(seed) -> int:
-    """seed as an int; ValueError unless it is an integer >= 0, which a boolean is not."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    """seed as an int; ValueError unless it is an integer >= 0."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     return int(seed)
 
@@ -102,7 +86,7 @@ def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
     """
     d = cfg.d_m
     shapes: dict[str, tuple[int, int]] = {}
-    for prefix, width_in in (("embed_m", 2), ("embed_l", cfg.feature_width)):
+    for prefix, width_in in (("embed_m", 2), ("embed_l", 3)):
         for i, (fi, fo) in enumerate(_rff_shapes([width_in, cfg.rff_hidden, d])):
             shapes[f"{prefix}.w{i}"] = (fi, fo)
             shapes[f"{prefix}.b{i}"] = (1, fo)
@@ -112,7 +96,7 @@ def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
         shapes[f"{block}.out"] = (d, d)
         shapes[f"{block}.ln1.g"] = (1, d)
         shapes[f"{block}.ln1.b"] = (1, d)
-        for i, (fi, fo) in enumerate(_rff_shapes([d, cfg.ff_hidden, d])):
+        for i, (fi, fo) in enumerate(_rff_shapes([d, d, d])):
             shapes[f"{block}.ff.w{i}"] = (fi, fo)
             shapes[f"{block}.ff.b{i}"] = (1, fo)
         shapes[f"{block}.ln2.g"] = (1, d)
@@ -256,8 +240,6 @@ def local_attention(scenes, params: ModelParams | InferenceWeights):
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
-    if cfg.neighbor_features == "distance":
-        feats = feats[:, 2:3]
     wk, bk, wv, bv = params.local_kv if isinstance(params, InferenceWeights) else _local_kv(params)
     queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
     hidden = ad.relu(ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"]))  # (sum nu * k, rff_hidden)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -21,6 +22,9 @@ from .geometry import Pose
 # 2: fused (d, d) q/k/v projections per block. 1: per-head (d, d/h) arrays,
 # still loaded by concatenating them in head order.
 CHECKPOINT_VERSION = 2
+# config entries both formats hold, each at the one value the network supports:
+# written as is, and loaded only when absent or equal
+FIXED_CONFIG = {"block_hidden": None, "neighbor_features": "offsets"}
 
 
 class SceneFormatError(ValueError):
@@ -57,6 +61,26 @@ def _atomic_write(path: str, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def check_numbers(value, where: str = "") -> None:
+    """Raise ValueError on a boolean, a non-finite number or an array entry that is neither a number nor an array.
+
+    A flat array of one number type takes C-level passes: a checkpoint holds 10^5 values.
+    """
+    if isinstance(value, dict):
+        for key, v in value.items():
+            check_numbers(v, f"{where}{key}: ")
+    elif isinstance(value, (list, tuple)):
+        kinds = set(map(type, value))
+        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, value))):
+            return
+        for v in value:
+            if not isinstance(v, (int, float, list, tuple)):
+                raise ValueError(f"{where}must be a number or an array, got {json.dumps(v)}")
+            check_numbers(v, where)
+    elif isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+        raise ValueError(f"{where}must be a finite number, got {json.dumps(value)}")
 
 
 def _tuples(value):
@@ -112,7 +136,7 @@ def _require(rec: dict, key: str, lineno: int, path: str):
 
 
 def load_scenes(path: str) -> list[Scene]:
-    """Parse a JSONL scene file; unknown extra fields are ignored."""
+    """Parse a JSONL scene file; unknown extra fields are ignored, the others follow check_numbers."""
     scenes: list[Scene] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -125,21 +149,17 @@ def load_scenes(path: str) -> list[Scene]:
             if not isinstance(rec, dict):
                 raise SceneFormatError(f"{path}:{lineno}: scene record must be an object")
             try:
-                t = _require(rec, "t", lineno, path)
-                if isinstance(t, bool) or not isinstance(t, (int, float)) or not np.isfinite(t):
-                    raise ValueError(f"t must be a finite number, got {t!r}")
-                gt = Pose(*_require(rec, "gt_pose", lineno, path))
-                gps = Pose(*_require(rec, "gps_pose", lineno, path))
-                meas = np.asarray(_require(rec, "measurements", lineno, path), dtype=np.float64).reshape(-1, 2)
-                lm = rec.get("landmarks")
-                landmarks = None if lm is None else np.asarray(lm, dtype=np.float64).reshape(-1, 2)
-                if not all(np.isfinite(a).all() for a in (meas, landmarks) if a is not None):
-                    raise ValueError("point coordinates must be finite")
+                keys = ("t", "gt_pose", "gps_pose", "measurements", "landmarks")
+                t, gt, gps, meas = (_require(rec, key, lineno, path) for key in keys[:4])
+                lm = rec.get("landmarks")  # null is absent
+                check_numbers({key: [v] for key, v in zip(keys, (t, gt, gps, meas, [] if lm is None else lm))})
+                scene = Scene(float(t), Pose(*gt), Pose(*gps), np.asarray(meas, dtype=np.float64).reshape(-1, 2),
+                              None if lm is None else np.asarray(lm, dtype=np.float64).reshape(-1, 2))
             except SceneFormatError:
                 raise
             except (TypeError, ValueError) as exc:
                 raise SceneFormatError(f"{path}:{lineno}: {exc}") from exc
-            scenes.append(Scene(t=float(t), gt_pose=gt, gps_pose=gps, measurements=meas, landmarks=landmarks))
+            scenes.append(scene)
     return scenes
 
 
@@ -147,7 +167,7 @@ def save_checkpoint(params: net.ModelParams, path: str) -> None:
     """Write the full model (config plus named arrays) to one JSON document."""
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "config": dataclasses.asdict(params.config),
+        "config": {**dataclasses.asdict(params.config), **FIXED_CONFIG},
         "arrays": {
             name: {"shape": list(t.data.shape), "data": t.data.reshape(-1).tolist()}
             for name, t in sorted(params.items())
@@ -172,7 +192,11 @@ def load_checkpoint(path: str) -> net.ModelParams:
     if not isinstance(raw_cfg, dict):
         raise CheckpointFormatError(f"{path}: missing config")
     try:
-        cfg = from_dict(net.NetConfig, raw_cfg, block_hidden=None, neighbor_features="offsets", seed=0)
+        check_numbers(raw_cfg)
+        for key, value in FIXED_CONFIG.items():
+            if raw_cfg.pop(key, value) != value:
+                raise ValueError(f"{key!r} must be {json.dumps(value)} or absent")
+        cfg = from_dict(net.NetConfig, raw_cfg, seed=0)
     except (TypeError, ValueError) as exc:
         raise CheckpointFormatError(f"{path}: invalid config: {exc}") from exc
     arrays = doc.get("arrays")
@@ -183,16 +207,18 @@ def load_checkpoint(path: str) -> net.ModelParams:
         if name not in arrays:
             raise CheckpointFormatError(f"{path}: missing array {name!r}")
         try:
-            got = tuple(arrays[name]["shape"])
-            data = np.asarray(arrays[name]["data"], dtype=np.float64)
+            raw = arrays[name]["data"]
+            got, data = tuple(arrays[name]["shape"]), np.asarray(raw, dtype=np.float64)
+            finite = np.isfinite(data).all()
+            check_numbers([got, raw] if finite else got)  # a non-finite value is reported below, by name
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointFormatError(f"{path}: array {name!r} needs numeric shape and data: {exc!r}") from exc
+        if not finite:
+            raise CheckpointFormatError(f"{path}: array {name!r} has a non-finite value")
         if got != shape:
             raise CheckpointFormatError(f"{path}: array {name!r} has shape {got}, expected {shape}")
         if data.size != shape[0] * shape[1]:
             raise CheckpointFormatError(f"{path}: array {name!r} has {data.size} values, expected {shape[0] * shape[1]}")
-        if not np.isfinite(data).all():
-            raise CheckpointFormatError(f"{path}: array {name!r} has a non-finite value")
         return data.reshape(shape)
 
     loaded = {}

@@ -22,7 +22,7 @@ import numpy as np
 from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
-from .dataset_io import Scene, _atomic_write, from_dict, save_checkpoint, save_scenes
+from .dataset_io import Scene, _atomic_write, check_numbers, from_dict, save_checkpoint, save_scenes
 from .geometry import Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, gps_inference, localize
 from .map_store import DEFAULT_FOV_RADIUS, save_map
@@ -173,25 +173,13 @@ _READERS = {"seed": _seed, "net": net_config, "sim": sim_config, "gps_noise": gp
             "ekf": ekf_config}
 
 
-def _check_numbers(value, where: str = "") -> None:
-    """Raise ValueError on a boolean or a non-finite number anywhere in a JSON value."""
-    if isinstance(value, dict):
-        for key, v in value.items():
-            _check_numbers(v, f"{where}{key}: ")
-    elif isinstance(value, (list, tuple)):
-        for v in value:
-            _check_numbers(v, where)
-    elif isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
-        raise ValueError(f"{where}must be a finite number, got {json.dumps(value)}")
-
-
 def parse_config(cfg: dict) -> Plan:
     """Parse and check the whole config document; ConfigError("<key>: ...") names the bad top-level key."""
     unknown = sorted(set(cfg) - {f.name for f in dataclasses.fields(Plan)})
     if unknown:
         raise ConfigError(f"{unknown[0]}: unknown top-level key")
     try:
-        _check_numbers({name: value for name, value in cfg.items() if name != "plot_svg"})  # Plan checks plot_svg
+        check_numbers({name: value for name, value in cfg.items() if name != "plot_svg"})  # Plan checks plot_svg
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     parsed = {k: cfg[k] for k in ("mode", "plot_svg") if k in cfg}
@@ -246,9 +234,7 @@ def build_drive_map(poses: list[Pose], d: DriveConfig, sim_cfg: simulator.SimCon
         prev = pose
         if dist >= next_drop:
             n_pts = 1 + int(rng.poisson(d.cluster_rate))
-            take = dataclasses.replace(sim_cfg, nu_min=n_pts, nu_max=n_pts, lambda_clutter=0.0,
-                                       lambda_miss=0.0, sigma_noise=0.0)
-            local = simulator.sample_landmarks(take, rng)
+            local = simulator.sample_landmarks(dataclasses.replace(sim_cfg, nu_min=n_pts, nu_max=n_pts), rng)
             pts.append(np.asarray([[pose.x, pose.y]]) + local @ rotation(pose.phi).T)
             next_drop += d.cluster_spacing_m
     return np.vstack(pts)

@@ -40,12 +40,6 @@ class TestNetConfig:
         with pytest.raises(ValueError):
             net.NetConfig(k=0)
 
-    def test_feature_mode(self):
-        assert net.NetConfig(neighbor_features="distance").feature_width == 1
-        assert net.NetConfig().feature_width == 3
-        with pytest.raises(ValueError):
-            net.NetConfig(neighbor_features="bearings")
-
 
 class TestInitParams:
     def test_same_seed_identical(self):
@@ -296,12 +290,6 @@ class TestLocalAttention:
         after = net.local_attention([(m, lm2)], small_params).data
         np.testing.assert_array_equal(before[0], after[0])
 
-    def test_distance_only_mode_runs(self):
-        cfg = net.NetConfig(d_m=8, heads=2, k=2, neighbor_features="distance", seed=0)
-        params = net.init_params(cfg)
-        m, lm = _scene(30)
-        assert net.local_attention([(m, lm)], params).shape == (4, 8)
-
 
 def _max_relative(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| / max |b|."""
@@ -314,15 +302,15 @@ class TestFoldedNeighborEmbedding:
     @pytest.mark.parametrize("cfg", [
         net.NetConfig(d_m=64, heads=4, k=8),
         net.NetConfig(d_m=256, heads=4, k=8),
-        net.NetConfig(d_m=16, heads=2, k=3, neighbor_features="distance"),
-    ], ids=["d64", "d256", "distance"])
+        net.NetConfig(d_m=16, heads=2, k=3),
+    ], ids=["d64", "d256", "d16"])
     def test_equals_the_block_over_the_built_embedding(self, cfg):
         params = net.init_params(dataclasses.replace(cfg, seed=3))
         scenes = [_scene(50, nu=5, mu=11), _scene(51, nu=2, mu=cfg.k - 1), _scene(52, nu=7, mu=20)]
         rng = np.random.default_rng(53)
 
         def unfolded():
-            feats = np.concatenate([net.knn_group(m, lm, cfg.k)[1] for m, lm in scenes])[:, 3 - cfg.feature_width:]
+            feats = np.concatenate([net.knn_group(m, lm, cfg.k)[1] for m, lm in scenes])
             neighbors = net._rff(Tensor(feats), params, "embed_l")  # N = embed_l(F), (sum nu * k, d)
             queries = net._rff(Tensor(np.concatenate([m for m, _ in scenes])), params, "embed_m")
             return net.mha_block(queries, neighbors @ params["local.k"], neighbors @ params["local.v"], params,
@@ -403,9 +391,8 @@ def _scene_grads(scenes, labels, params) -> dict[str, np.ndarray]:
 class TestBatchedForward:
     """Scenes stacked on one tape: each row as its own scene's forward, the gradient as the sum of theirs."""
 
-    @pytest.mark.parametrize("features", ["offsets", "distance"])
-    def test_rows_equal_one_scene_forwards(self, features):
-        cfg = net.NetConfig(d_m=16, heads=2, k=4, neighbor_features=features, seed=0)
+    def test_rows_equal_one_scene_forwards(self):
+        cfg = net.NetConfig(d_m=16, heads=2, k=4, seed=0)
         params = net.init_params(cfg)
         scenes = [_scene(40, nu=5, mu=9), _scene(41, nu=1, mu=6), _scene(42, nu=3, mu=cfg.k - 1),
                   _scene(43, nu=8, mu=12), _scene(44, nu=5, mu=2)]
@@ -441,8 +428,8 @@ class TestUnrecordedForward:
     @pytest.mark.parametrize("cfg", [
         net.NetConfig(d_m=64, heads=4, k=8),
         net.NetConfig(d_m=256, heads=4, k=8),
-        net.NetConfig(d_m=16, heads=2, k=3, neighbor_features="distance"),
-    ], ids=["d64", "d256", "distance"])
+        net.NetConfig(d_m=16, heads=2, k=3),
+    ], ids=["d64", "d256", "d16"])
     def test_equals_recorded_and_builds_no_tensor(self, cfg, monkeypatch):
         params = net.init_params(cfg)
         scenes = experiment.generate_scene_set(simulator.SimConfig(distribution="mixture", seed=11),

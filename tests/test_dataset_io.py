@@ -8,6 +8,7 @@ import pytest
 
 from attnloc import attention_net as net
 from attnloc.dataset_io import (
+    FIXED_CONFIG,
     CheckpointFormatError,
     Scene,
     SceneFormatError,
@@ -77,6 +78,13 @@ class TestSceneRoundTrip:
         ("t", None), ("t", "soon"), ("t", float("nan")), ("t", float("inf")), ("t", True), ("gt_pose", 5),
         pytest.param("measurements", [[1.0, float("nan")]], id="measurements-NaN"),
         pytest.param("landmarks", [[0.0, 1.0], [float("inf"), 2.0]], id="landmarks-Infinity"),
+        # a boolean or a text is no number, though numpy would convert it
+        pytest.param("measurements", [[True, False]], id="measurements-booleans"),
+        pytest.param("measurements", [["1.5", "2"]], id="measurements-texts"),
+        pytest.param("gt_pose", [True, 0, 0], id="gt_pose-boolean"),
+        pytest.param("landmarks", [[0.0, None]], id="landmarks-null"),
+        pytest.param("t", [0.5], id="t-array"),
+        pytest.param("gps_pose", {"x": 0, "y": 0, "phi": 0}, id="gps_pose-object"),
     ])
     def test_bad_field_value_reports_line(self, tmp_path, field, value):
         path = tmp_path / "badvalue.jsonl"
@@ -181,7 +189,11 @@ class TestCheckpointRoundTrip:
         lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"embed_m.w0": {"shape": [2, 64]}})),
         lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"embed_m.w0": {"shape": 7, "data": []}})),
         lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": ["x"]}})),
-    ], ids=["top-level-list", "entry-number", "entry-list", "entry-without-data", "shape-number", "data-text"])
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": [True]}})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": ["0.5"]}})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [True, True], "data": [0.5]}})),
+    ], ids=["top-level-list", "entry-number", "entry-list", "entry-without-data", "shape-number", "data-text",
+            "data-boolean", "data-number-text", "shape-booleans"])
     def test_malformed_document_rejected(self, tmp_path, corrupt):
         path = tmp_path / "malformed.json"
         save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
@@ -222,13 +234,35 @@ class TestCheckpointRoundTrip:
             load_checkpoint(str(path))
 
     def test_config_written_as_asdict(self, tmp_path):
-        cfg = net.NetConfig(d_m=8, heads=2, k=2, head_hidden=(5, 3), block_hidden=6, seed=4)
+        # the format holds the FIXED_CONFIG entries, each at its one value
+        cfg = net.NetConfig(d_m=8, heads=2, k=2, head_hidden=(5, 3), seed=4)
         path = tmp_path / "cfg.json"
         save_checkpoint(net.init_params(cfg), str(path))
         written = json.loads(path.read_text(encoding="utf-8"))["config"]
         assert written == {"d_m": 8, "heads": 2, "k": 2, "rff_hidden": 64, "head_hidden": [5, 3],
-                           "block_hidden": 6, "neighbor_features": "offsets", "seed": 4}
-        assert from_dict(net.NetConfig, written) == cfg
+                           "block_hidden": None, "neighbor_features": "offsets", "seed": 4}
+        assert load_checkpoint(str(path)).config == cfg
+
+    @pytest.mark.parametrize("key,value", [("neighbor_features", "distance"), ("block_hidden", 32)])
+    def test_fixed_config_entry_other_value_rejected(self, tmp_path, key, value):
+        # a distance-only embedding or another block width needs arrays this network does not have
+        path = tmp_path / "fixed.json"
+        save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(CheckpointFormatError, match=f"fixed.json: invalid config: '{key}'"):
+            load_checkpoint(str(path))
+
+    def test_fixed_config_entries_may_be_absent(self, tmp_path):
+        cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
+        path = tmp_path / "absent.json"
+        save_checkpoint(net.init_params(cfg), str(path))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for key in FIXED_CONFIG:
+            del doc["config"][key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_checkpoint(str(path)).config == cfg
 
     def test_missing_array_rejected(self, tmp_path):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)

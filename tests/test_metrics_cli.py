@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from attnloc.experiment import ConfigError, run_experiment
 from attnloc.geometry import Pose
 from attnloc.inference import EkfConfig
 from attnloc.metrics import EvalReport
+from attnloc.simulator import SimConfig
 from attnloc.training import TrainConfig
 from metrics_helpers import max_error, rmse
 
@@ -154,6 +156,15 @@ class TestRunExperiment:
             plan = experiment.parse_config(doc)
             assert (plan.mode, plan.seed) == (doc["mode"], doc["seed"]), path.name
 
+    def test_readme_config_block_is_every_key_at_its_default(self):
+        readme = (CONFIGS.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("Every accepted key, with its default:", 1)[1].split("```json", 1)[1].split("```", 1)[0]
+        doc = json.loads(block)
+        assert experiment.parse_config(doc) == experiment.parse_config({})
+        for name, cls in (("net", net.NetConfig), ("sim", SimConfig), ("eval", experiment.EvalConfig),
+                          ("drive", experiment.DriveConfig)):
+            assert set(doc[name]) == {f.name for f in dataclasses.fields(cls)} - {"seed"}, name
+
     def test_paper_noise_rows_accepted(self):
         # table rows a) - c): sigma in {2, 1, 0.5} m and {10, 4, 2} deg
         for sp, sphi in ((2.0, 10.0), (1.0, 4.0), (0.5, 2.0)):
@@ -289,7 +300,9 @@ class TestCli:
             ("sim.nu_max", 10.5), ("train.learning_rate", math.nan), ("gps_noise.sigma_pos", math.inf),
             ("drive.dt", math.inf), ("drive.v", math.nan), ("ekf.r_pos_var", math.inf),
             ("eval.fov_radius", math.inf), ("sim.sigma_noise", math.nan), ("sim.mu1", [20.0, -math.inf]),
-            ("train.epochs", True), ("net.k", True), ("seed", True), ("plot_svg", 1))],
+            ("train.epochs", True), ("net.k", True), ("seed", True), ("plot_svg", 1),
+            ("net.block_hidden", 32), ("net.neighbor_features", "distance"), ("sim.mu1", ["20", "-2"]),
+            ("sim.clutter_lo", ["-10", "-20"]), ("sim.mu", [None, 0]))],
         (["simulate"], "sim.sigma_noise", math.nan),
         (["simulate"], "seed", -1),
         (["infer", "--mode", "icp"], "seed", -1),
