@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
 
@@ -66,20 +67,20 @@ def _atomic_write(path: str, text: str) -> None:
 def check_numbers(value, where: str = "") -> None:
     """Raise ValueError on a boolean, a non-finite number or an array entry that is neither a number nor an array.
 
-    A flat array of one number type takes C-level passes: a checkpoint holds 10^5 values.
+    NaN, the infinities and integers beyond the float64 range are non-finite.
+    A flat array of floats takes a C-level pass: a checkpoint holds 10^5 values.
     """
     if isinstance(value, dict):
         for key, v in value.items():
             check_numbers(v, f"{where}{key}: ")
     elif isinstance(value, (list, tuple)):
-        kinds = set(map(type, value))
-        if kinds == {int} or (kinds == {float} and all(map(math.isfinite, value))):
+        if set(map(type, value)) == {float} and all(map(math.isfinite, value)):
             return
         for v in value:
             if not isinstance(v, (int, float, list, tuple)):
                 raise ValueError(f"{where}must be a number or an array, got {json.dumps(v)}")
             check_numbers(v, where)
-    elif isinstance(value, bool) or (isinstance(value, float) and not math.isfinite(value)):
+    elif isinstance(value, bool) or (isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max):
         raise ValueError(f"{where}must be a finite number, got {json.dumps(value)}")
 
 
@@ -211,7 +212,7 @@ def load_checkpoint(path: str) -> net.ModelParams:
             got, data = tuple(arrays[name]["shape"]), np.asarray(raw, dtype=np.float64)
             finite = np.isfinite(data).all()
             check_numbers([got, raw] if finite else got)  # a non-finite value is reported below, by name
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise CheckpointFormatError(f"{path}: array {name!r} needs numeric shape and data: {exc!r}") from exc
         if not finite:
             raise CheckpointFormatError(f"{path}: array {name!r} has a non-finite value")

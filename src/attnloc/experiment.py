@@ -16,6 +16,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -23,9 +24,9 @@ from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, check_numbers, from_dict, save_checkpoint, save_scenes
-from .geometry import Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
+from .geometry import ORIGIN, Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, gps_inference, localize
-from .map_store import DEFAULT_FOV_RADIUS, save_map
+from .map_store import save_map
 from .metrics import EvalReport, LatencyStats
 from .training import TrainConfig, sample_offset
 
@@ -96,15 +97,14 @@ def train_config(cfg: dict) -> TrainConfig:
 
 @dataclass(frozen=True)
 class EvalConfig:
-    """Training and evaluation set sizes and the map query radius (m)."""
+    """Training and evaluation set sizes."""
 
     n_train_scenes: int = 2000
     n_eval_scenes: int = 200
-    fov_radius: float = DEFAULT_FOV_RADIUS
 
     def __post_init__(self) -> None:
-        if min(operator.index(self.n_train_scenes), operator.index(self.n_eval_scenes)) < 1 or self.fov_radius <= 0:
-            raise ValueError("scene counts must be integers >= 1 and fov_radius > 0")
+        if min(operator.index(self.n_train_scenes), operator.index(self.n_eval_scenes)) < 1:
+            raise ValueError("scene counts must be integers >= 1")
 
 
 def ekf_config(cfg: dict) -> EkfConfig:
@@ -126,15 +126,16 @@ class DriveConfig:
     v: float = 8.0
     dt: float = 0.05
     segments: tuple = ((20.0, 1.5), (20.0, -1.5), (20.0, 1.5), (20.0, -1.5), (20.0, 1.5), (20.0, -1.5))
-    cluster_spacing_m: float = 12.0
-    cluster_rate: float = 2.0
-    sensor_range_m: float = 40.0
-    sensor_half_width_m: float = 20.0
+    # one cluster of 1 + Poisson(cluster_rate) landmarks every cluster_spacing_m of path
+    cluster_spacing_m: ClassVar[float] = 12.0
+    cluster_rate: ClassVar[float] = 2.0
+    # the sensor sees landmarks up to sensor_range_m ahead and sensor_half_width_m to either side
+    sensor_range_m: ClassVar[float] = 40.0
+    sensor_half_width_m: ClassVar[float] = 20.0
 
     def __post_init__(self) -> None:
-        if min(self.dt, self.cluster_spacing_m, self.sensor_range_m, self.sensor_half_width_m) <= 0 \
-                or min(self.v, self.cluster_rate) < 0:
-            raise ValueError("dt and the lengths must be > 0, v and cluster_rate >= 0")
+        if self.dt <= 0 or self.v < 0:
+            raise ValueError("dt must be > 0 and v >= 0")
         if not self.segments or not all(len(seg) == 2 and seg[0] > 0 and math.isfinite(seg[1])
                                         for seg in self.segments):
             raise ValueError("segments must be (duration > 0, omega) pairs")
@@ -202,20 +203,19 @@ def training_scenes(plan: Plan) -> list[Scene]:
 def generate_scene_set(sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot: float,
                        n: int, seed: int) -> list[Scene]:
     """Self-contained synthetic scenes at the origin with noisy GPS poses."""
-    origin = Pose(0.0, 0.0, 0.0)
     scenes = []
     for i in range(n):
         rng = simulator.scene_rng(seed, i)
         sc = simulator.generate_scene(sim_cfg, rng)
-        gps = offset_pose(origin, sample_offset(sigma_pos, sigma_rot, rng))
-        scenes.append(Scene(t=float(i), gt_pose=origin, gps_pose=gps,
+        gps = offset_pose(ORIGIN, sample_offset(sigma_pos, sigma_rot, rng))
+        scenes.append(Scene(t=float(i), gt_pose=ORIGIN, gps_pose=gps,
                             measurements=sc.measurements, landmarks=sc.landmarks))
     return scenes
 
 
-def drive_trajectory(d: DriveConfig, start: Pose = Pose(0.0, 0.0, 0.0)) -> list[Pose]:
-    """Chain CTRV segments; per segment (duration_s, omega_deg_per_s)."""
-    poses = [start]
+def drive_trajectory(d: DriveConfig) -> list[Pose]:
+    """Chain CTRV segments from the origin; per segment (duration_s, omega_deg_per_s)."""
+    poses = [ORIGIN]
     for duration, omega_deg in d.segments:
         steps = int(round(duration / d.dt))
         poses += simulator.generate_trajectory(d.v, math.radians(omega_deg), d.dt, steps, poses[-1])[1:]
@@ -234,7 +234,7 @@ def build_drive_map(poses: list[Pose], d: DriveConfig, sim_cfg: simulator.SimCon
         prev = pose
         if dist >= next_drop:
             n_pts = 1 + int(rng.poisson(d.cluster_rate))
-            local = simulator.sample_landmarks(dataclasses.replace(sim_cfg, nu_min=n_pts, nu_max=n_pts), rng)
+            local = simulator.sample_landmarks(sim_cfg, rng, n_pts)
             pts.append(np.asarray([[pose.x, pose.y]]) + local @ rotation(pose.phi).T)
             next_drop += d.cluster_spacing_m
     return np.vstack(pts)
@@ -434,6 +434,9 @@ def train_stage(plan: Plan, out_dir: str, pool: list[tuple[np.ndarray, np.ndarra
     return params
 
 
+FOV_RADIUS = 60.0  # m: the map query radius around the prior pose of every localization step
+
+
 def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None = None,
                    progress=None) -> dict:
     """Parse the config document, execute its pipeline and write all artifacts under out_dir.
@@ -464,15 +467,15 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
 
     try:
         if plan.mode == "filter":
-            preds, gts, latency = evaluate_filter(params, lmap, frames, plan.ekf, plan.eval.fov_radius)
+            preds, gts, latency = evaluate_filter(params, lmap, frames, plan.ekf, FOV_RADIUS)
             ts = [sc.t for sc in frames]
-            g_preds, g_gts, _ = evaluate_gps(params, frames, lmap, plan.eval.fov_radius)
+            g_preds, g_gts, _ = evaluate_gps(params, frames, lmap, FOV_RADIUS)
             gps_rows = trace_rows(g_preds, g_gts, ts)
             write_trace(os.path.join(out_dir, "trace_gps.csv"), gps_rows)
             extra = {"gps_baseline": EvalReport.from_error_rows(np.asarray(gps_rows)[:, 1:]).metrics_dict()}
         else:
-            preds, gts, latency = (evaluate_gps(params, eval_scenes, None, plan.eval.fov_radius) if plan.mode == "gps"
-                                   else evaluate_icp(eval_scenes, plan.eval.fov_radius))
+            preds, gts, latency = (evaluate_gps(params, eval_scenes, None, FOV_RADIUS) if plan.mode == "gps"
+                                   else evaluate_icp(eval_scenes, FOV_RADIUS))
             ts = [sc.t for sc in eval_scenes]
             extra = {}
         rows = trace_rows(preds, gts, ts)

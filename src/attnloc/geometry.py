@@ -52,6 +52,9 @@ class Pose:
         return np.array([self.x, self.y, self.phi], dtype=np.float64)
 
 
+ORIGIN = Pose(0.0, 0.0, 0.0)
+
+
 @dataclass(frozen=True)
 class PoseOffset:
     """Small rigid pose correction (dx, dy in meters, dphi in radians)."""

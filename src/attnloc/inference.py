@@ -16,7 +16,7 @@ import numpy as np
 
 from . import attention_net as net
 from .geometry import Pose, correct_pose, utm_to_vehicle, wrap_angle
-from .map_store import DEFAULT_FOV_RADIUS, query_fov
+from .map_store import query_fov
 from .simulator import OMEGA_EPS, ctrv_step
 
 
@@ -138,8 +138,7 @@ def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
     return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def localize(lmap: np.ndarray, measurements, prior: Pose, regress,
-             fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
+def localize(lmap: np.ndarray, measurements, prior: Pose, regress, fov_radius: float) -> Pose:
     """The localization step: correct a prior pose by an offset regressed against the map around it.
 
     The map landmarks in the field of view of the prior are moved into its
@@ -157,7 +156,7 @@ def localize(lmap: np.ndarray, measurements, prior: Pose, regress,
 
 
 def gps_inference(params: net.ModelParams | net.InferenceWeights, lmap: np.ndarray, measurements, p_gps: Pose,
-                  fov_radius: float = DEFAULT_FOV_RADIUS) -> Pose:
+                  fov_radius: float) -> Pose:
     """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor.
 
     Given a ModelParams, the call derives net.inference_weights; a caller of many derives them once.
@@ -175,17 +174,11 @@ class FilterSession:
     to params do not reach it.
     """
 
-    def __init__(
-        self,
-        params: net.ModelParams | net.InferenceWeights,
-        lmap: np.ndarray,
-        p_init: Pose,
-        ekf_cfg: EkfConfig | None = None,
-        fov_radius: float = DEFAULT_FOV_RADIUS,
-    ):
+    def __init__(self, params: net.ModelParams | net.InferenceWeights, lmap: np.ndarray, p_init: Pose,
+                 ekf_cfg: EkfConfig, fov_radius: float):
         self.weights = net.inference_weights(params)
         self.lmap = lmap
-        self.cfg = ekf_cfg if ekf_cfg is not None else EkfConfig()
+        self.cfg = ekf_cfg
         self.fov_radius = fov_radius
         self.state = init_state(p_init, self.cfg)
 

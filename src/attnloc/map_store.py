@@ -21,8 +21,6 @@ import numpy as np
 from .dataset_io import _atomic_write
 from .geometry import Pose
 
-DEFAULT_FOV_RADIUS = 60.0
-
 
 def save_map(points: np.ndarray, path: str) -> None:
     """Write a landmark CSV atomically; coordinates keep full precision."""
@@ -40,7 +38,7 @@ def _fmt(v: float) -> str:
     return s if float(s) == v else repr(float(v))
 
 
-def query_fov(points: np.ndarray, pose: Pose, radius: float = DEFAULT_FOV_RADIUS) -> np.ndarray:
+def query_fov(points: np.ndarray, pose: Pose, radius: float) -> np.ndarray:
     """All landmarks within the closed disk of `radius` around the pose, in map row order."""
     if radius <= 0:
         raise ValueError(f"radius must be > 0, got {radius}")

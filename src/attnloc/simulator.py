@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Pose, as_points, wrap_angle
+from .geometry import ORIGIN, Pose, as_points, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,12 @@ class SyntheticScene:
     landmarks: np.ndarray
 
 
-def sample_landmarks(cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    """Draw nu ~ U{nu_min..nu_max} landmark positions from the configured model.
+def sample_landmarks(cfg: SimConfig, rng: np.random.Generator, nu: int | None = None) -> np.ndarray:
+    """Draw nu landmark positions from the configured model; nu ~ U{nu_min..nu_max} when it is None.
 
     The covariances are factorized without a check: SimConfig checked them.
     """
-    nu = int(rng.integers(cfg.nu_min, cfg.nu_max + 1))
+    nu = int(rng.integers(cfg.nu_min, cfg.nu_max + 1)) if nu is None else nu
     z = rng.standard_normal((nu, 2))
     if cfg.distribution == "gaussian":
         return np.asarray(cfg.mu) + z @ np.linalg.cholesky(cfg.sigma).T
@@ -147,7 +147,7 @@ def ctrv_step(pose: Pose, v: float, omega: float, dt: float) -> Pose:
                 wrap_angle(phi_next))
 
 
-def generate_trajectory(v: float, omega: float, dt: float, steps: int, start: Pose = Pose(0.0, 0.0, 0.0)) -> list[Pose]:
+def generate_trajectory(v: float, omega: float, dt: float, steps: int, start: Pose = ORIGIN) -> list[Pose]:
     """CTRV trajectory: the start pose followed by `steps` integrated poses."""
     poses = [start]
     for _ in range(steps):

@@ -18,7 +18,7 @@ import numpy as np
 from . import attention_net as net
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import Pose, PoseOffset, as_points, offset_pose, utm_to_vehicle, wrap_angle
+from .geometry import ORIGIN, PoseOffset, as_points, offset_pose, utm_to_vehicle, wrap_angle
 
 # Scenes per forward/backward tape. A batch runs as tapes of this many
 # scenes: more scenes per tape cut the per-node overhead, but a tape's arrays
@@ -75,27 +75,19 @@ def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) 
     return PoseOffset(dx, dy, dphi)
 
 
-def make_training_sample(
-    landmarks_utm,
-    gt_pose: Pose,
-    measurements,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-) -> TrainSample:
-    """Build one sample from in-FoV map landmarks and the ground-truth pose.
+def make_training_sample(landmarks, measurements, cfg: TrainConfig, rng: np.random.Generator) -> TrainSample:
+    """Build one sample from landmarks and measurements in the true vehicle frame.
 
-    The sampled offset shifts the ground-truth pose componentwise to
-    simulate a noisy GPS measurement; landmarks are transformed into that
-    simulated frame and the offset becomes the label. Synthetic scenes are
-    the gt_pose = origin special case with landmarks already vehicle-frame.
+    The sampled offset shifts the true pose (the origin) componentwise to
+    simulate a noisy GPS pose; the landmarks are transformed into that
+    simulated frame and the offset becomes the label.
     """
-    lm = as_points(landmarks_utm)
+    lm = as_points(landmarks)
     m = as_points(measurements)
     if lm.shape[0] == 0 or m.shape[0] == 0:
         raise ValueError("training sample needs nonempty landmarks and measurements")
     d = sample_offset(cfg.sigma_pos, cfg.sigma_rot, rng)
-    noisy_pose = offset_pose(gt_pose, d)
-    return TrainSample(measurements=m, landmarks=utm_to_vehicle(lm, noisy_pose), label=d)
+    return TrainSample(measurements=m, landmarks=utm_to_vehicle(lm, offset_pose(ORIGIN, d)), label=d)
 
 
 def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
@@ -182,7 +174,6 @@ def train(
     rng = np.random.default_rng(cfg.seed)
     n_per_epoch = cfg.samples_per_epoch or (len(syn) + len(mapped))
     state = AdamState(params)
-    origin = Pose(0.0, 0.0, 0.0)
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
         sums = np.zeros(3)
@@ -192,7 +183,7 @@ def train(
                 use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
                 pool = mapped if use_map else syn
                 meas, lm = pool[rng.integers(len(pool))]
-                batch.append(make_training_sample(lm, origin, meas, cfg, rng))
+                batch.append(make_training_sample(lm, meas, cfg, rng))
             params.zero_grads()
             for lo in range(0, len(batch), TAPE_SCENES):
                 tape = batch[lo:lo + TAPE_SCENES]

@@ -168,7 +168,7 @@ class TestAcceptance:
     def test_criterion_4_desk_scale_training(self, desk_model):
         params = desk_model["params"]
         t0 = time.perf_counter()
-        preds, gts, latency = experiment.evaluate_gps(params, desk_model["eval_scenes"], None, 60.0)
+        preds, gts, latency = experiment.evaluate_gps(params, desk_model["eval_scenes"], None, experiment.FOV_RADIUS)
         total_seconds = desk_model["train_seconds"] + (time.perf_counter() - t0)
         r = rmse(preds, gts)
         errors = np.array([[p.x - g.x, p.y - g.y] for p, g in zip(preds, gts)])
@@ -242,8 +242,8 @@ class TestAcceptance:
         frames = experiment.drive_frames(poses, lmap, dcfg, scfg, GPS_SIGMA_POS, GPS_SIGMA_ROT, seed=3)
         params = desk_model["params"]
         f_preds, f_gts, _ = experiment.evaluate_filter(params, lmap, frames,
-                                                       experiment.ekf_config(cfg), 60.0)
-        g_preds, g_gts, _ = experiment.evaluate_gps(params, frames, lmap, 60.0)
+                                                       experiment.ekf_config(cfg), experiment.FOV_RADIUS)
+        g_preds, g_gts, _ = experiment.evaluate_gps(params, frames, lmap, experiment.FOV_RADIUS)
 
         def pos_rmse(preds, gts):
             e = np.array([[a.x - b.x, a.y - b.y] for a, b in zip(preds, gts)])

@@ -13,7 +13,7 @@ from attnloc import experiment, simulator
 from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
-from attnloc.inference import FilterSession
+from attnloc.inference import EkfConfig, FilterSession
 from autodiff_helpers import check_gradient, count_tensors, relative_error
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
@@ -450,7 +450,7 @@ class TestUnrecordedForward:
             assert np.array_equal(pred.as_array()[:2], recorded[0, :2])
             assert pred.dphi == wrap_angle(recorded[0, 2])
         for sc in scenes:
-            session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, fov_radius=100.0)
+            session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, EkfConfig(), fov_radius=100.0)
             session.step(sc.measurements, 0.05)
         assert built[0] == 0
 

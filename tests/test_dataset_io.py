@@ -85,6 +85,7 @@ class TestSceneRoundTrip:
         pytest.param("landmarks", [[0.0, None]], id="landmarks-null"),
         pytest.param("t", [0.5], id="t-array"),
         pytest.param("gps_pose", {"x": 0, "y": 0, "phi": 0}, id="gps_pose-object"),
+        pytest.param("measurements", [[10**400, 0.0]], id="measurements-integer-beyond-float64"),
     ])
     def test_bad_field_value_reports_line(self, tmp_path, field, value):
         path = tmp_path / "badvalue.jsonl"
@@ -192,8 +193,9 @@ class TestCheckpointRoundTrip:
         lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": [True]}})),
         lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": ["0.5"]}})),
         lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [True, True], "data": [0.5]}})),
+        lambda doc: dict(doc, arrays=dict(doc["arrays"], **{"s_tran": {"shape": [1, 1], "data": [10**400]}})),
     ], ids=["top-level-list", "entry-number", "entry-list", "entry-without-data", "shape-number", "data-text",
-            "data-boolean", "data-number-text", "shape-booleans"])
+            "data-boolean", "data-number-text", "shape-booleans", "data-integer-beyond-float64"])
     def test_malformed_document_rejected(self, tmp_path, corrupt):
         path = tmp_path / "malformed.json"
         save_checkpoint(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)), str(path))

@@ -154,7 +154,7 @@ class TestGpsInference:
     def test_empty_measurements_rejected(self, zero_net):
         pts = self._map()
         with pytest.raises(ValueError):
-            gps_inference(zero_net, pts, np.zeros((0, 2)), Pose(0, 0, 0))
+            gps_inference(zero_net, pts, np.zeros((0, 2)), Pose(0, 0, 0), fov_radius=100.0)
 
     # landmarks reach the network only through the FoV query, which never
     # returns a non-finite point, so the measurements carry the input check
@@ -179,7 +179,7 @@ class TestFilterSession:
         rng = np.random.default_rng(3)
         pts = rng.uniform(-30, 30, size=(10, 2))
         init = Pose(0.5, -0.25, 0.02)
-        session = FilterSession(zero_net, pts, init, fov_radius=100.0)
+        session = FilterSession(zero_net, pts, init, EkfConfig(), fov_radius=100.0)
         for _ in range(10):
             out = session.step(pts, dt=0.1)
             assert out.x == pytest.approx(init.x, abs=1e-9)
@@ -187,7 +187,7 @@ class TestFilterSession:
             assert out.phi == pytest.approx(init.phi, abs=1e-9)
 
     def test_nonpositive_dt_rejected(self, zero_net):
-        session = FilterSession(zero_net, np.array([[1.0, 1.0]]), Pose(0, 0, 0))
+        session = FilterSession(zero_net, np.array([[1.0, 1.0]]), Pose(0, 0, 0), EkfConfig(), fov_radius=100.0)
         with pytest.raises(ValueError):
             session.step([[1.0, 1.0]], dt=0.0)
 
@@ -200,7 +200,7 @@ class TestFilterSession:
         noisy = [Pose(g.x + n[0], g.y + n[1], g.phi + 0.05 * n[2]) for g, n in zip(truth, noise)]
 
         pts = np.vstack([[p.x + 10.0, p.y] for p in poses])
-        session = FilterSession(zero_net, pts, poses[0], fov_radius=1e6)
+        session = FilterSession(zero_net, pts, poses[0], EkfConfig(), fov_radius=1e6)
 
         z_seq = iter(noisy)
 
@@ -257,7 +257,7 @@ class TestInferenceWeights:
         params, scenes = setup
         derived = _count_derivations(monkeypatch)
         sc = scenes[0]
-        session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, fov_radius=100.0)
+        session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, EkfConfig(), fov_radius=100.0)
         for _ in range(5):
             session.step(sc.measurements, 0.05)
         assert len(derived) == 1
@@ -289,7 +289,7 @@ class TestPinnedFilter:
         poses, lmap = experiment.drive_map(plan)
         frames = experiment.drive_frames(poses, lmap, plan.drive, plan.sim, *plan.gps_noise, plan.seed + 3)[:200]
         params = load_checkpoint(str(ROOT / "perfbench" / "desk_checkpoint.json"))
-        session = FilterSession(params, lmap, frames[0].gps_pose, plan.ekf, plan.eval.fov_radius)
+        session = FilterSession(params, lmap, frames[0].gps_pose, plan.ekf, experiment.FOV_RADIUS)
         got = {}
         for i in range(1, len(frames)):
             pose = session.step(frames[i].measurements, frames[i].t - frames[i - 1].t)

@@ -302,7 +302,12 @@ class TestCli:
             ("eval.fov_radius", math.inf), ("sim.sigma_noise", math.nan), ("sim.mu1", [20.0, -math.inf]),
             ("train.epochs", True), ("net.k", True), ("seed", True), ("plot_svg", 1),
             ("net.block_hidden", 32), ("net.neighbor_features", "distance"), ("sim.mu1", ["20", "-2"]),
-            ("sim.clutter_lo", ["-10", "-20"]), ("sim.mu", [None, 0]))],
+            ("sim.clutter_lo", ["-10", "-20"]), ("sim.mu", [None, 0]),
+            # integers beyond the float64 range
+            ("gps_noise.sigma_pos", 10**400), ("sim.mu1", [10**400, 0]),
+            # the drive's sensor model and the map query radius are constants
+            ("eval.fov_radius", 60.0), ("drive.cluster_spacing_m", 12.0), ("drive.cluster_rate", 2.0),
+            ("drive.sensor_range_m", 40.0), ("drive.sensor_half_width_m", 20.0))],
         (["simulate"], "sim.sigma_noise", math.nan),
         (["simulate"], "seed", -1),
         (["infer", "--mode", "icp"], "seed", -1),
@@ -312,8 +317,9 @@ class TestCli:
         (["train"], "train.lr", 1e-2),
     ]
 
+    # an id keeps its first 48 characters: 10**400 has 401 digits
     @pytest.mark.parametrize("command,key,value", BAD_VALUES,
-                             ids=[f"{c[0]}-{k}-{v}" for c, k, v in BAD_VALUES])
+                             ids=[f"{c[0]}-{k}-{v}"[:48] for c, k, v in BAD_VALUES])
     def test_bad_value_is_config_error_before_any_artifact(self, tmp_path, capsys, command, key, value):
         out = tmp_path / "o"
         cfg = self._write_cfg(tmp_path, _with(FILTER_CFG, key, value))

@@ -7,7 +7,7 @@ from attnloc import attention_net as net
 from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import icp
-from attnloc.geometry import Pose, PoseOffset, correct_pose, offset_pose, utm_to_vehicle
+from attnloc.geometry import PoseOffset
 from attnloc.training import (
     AdamState,
     TrainConfig,
@@ -51,8 +51,7 @@ class TestMakeTrainingSample:
     def test_zero_offset_keeps_landmarks(self):
         lm = np.array([[3.0, 1.0], [5.0, -2.0]])
         m = lm.copy()
-        sample = make_training_sample(lm, Pose(0, 0, 0), m, self._cfg(sigma_pos=0.0, sigma_rot=0.0),
-                                      np.random.default_rng(0))
+        sample = make_training_sample(lm, m, self._cfg(sigma_pos=0.0, sigma_rot=0.0), np.random.default_rng(0))
         np.testing.assert_allclose(sample.landmarks, lm, atol=1e-15)
         assert sample.label == PoseOffset(0, 0, 0)
 
@@ -61,14 +60,13 @@ class TestMakeTrainingSample:
         cfg = self._cfg()
         rng = np.random.default_rng(3)
         for _ in range(50):
-            s = make_training_sample(lm, Pose(0, 0, 0), lm, cfg, rng)
+            s = make_training_sample(lm, lm, cfg, rng)
             assert abs(s.label.dx) <= 1.0 and abs(s.label.dy) <= 1.0
             assert abs(s.label.dphi) <= math.radians(4)
 
     def test_icp_oracle_recovers_identity_at_zero_offset(self):
         lm = np.random.default_rng(4).uniform(-20, 20, size=(10, 2))
-        s = make_training_sample(lm, Pose(0, 0, 0), lm, self._cfg(sigma_pos=0.0, sigma_rot=0.0),
-                                 np.random.default_rng(5))
+        s = make_training_sample(lm, lm, self._cfg(sigma_pos=0.0, sigma_rot=0.0), np.random.default_rng(5))
         result = icp(s.measurements, s.landmarks)
         assert abs(result.offset.dx) < 1e-9
         assert abs(result.offset.dy) < 1e-9
@@ -79,28 +77,15 @@ class TestMakeTrainingSample:
         # correction undoes: ICP on (M, landmarks) recovers the label
         lm = np.random.default_rng(6).uniform(-20, 20, size=(12, 2))
         rng = np.random.default_rng(7)
-        s = make_training_sample(lm, Pose(0, 0, 0), lm, self._cfg(sigma_pos=0.4, sigma_rot=math.radians(3)), rng)
+        s = make_training_sample(lm, lm, self._cfg(sigma_pos=0.4, sigma_rot=math.radians(3)), rng)
         result = icp(s.measurements, s.landmarks)
         assert result.offset.dx == pytest.approx(s.label.dx, abs=1e-6)
         assert result.offset.dy == pytest.approx(s.label.dy, abs=1e-6)
         assert result.offset.dphi == pytest.approx(s.label.dphi, abs=1e-8)
 
-    def test_correction_identity_with_nonzero_gt(self):
-        # correct_pose(offset_pose(gt, label), label) == gt for map-backed scenes
-        gt = Pose(412030.5, 5404209.25, 0.35)
-        lm_utm = gt.x, gt.y
-        rng = np.random.default_rng(8)
-        lm = np.random.default_rng(9).uniform(-30, 30, size=(9, 2)) + np.array(lm_utm)
-        s = make_training_sample(lm, gt, utm_to_vehicle(lm, gt), self._cfg(), rng)
-        noisy = offset_pose(gt, s.label)
-        recovered = correct_pose(noisy, s.label)
-        assert (recovered.x, recovered.y, recovered.phi) == pytest.approx((gt.x, gt.y, gt.phi), abs=1e-12)
-        np.testing.assert_allclose(s.landmarks, utm_to_vehicle(lm, noisy), atol=1e-12)
-
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            make_training_sample(np.zeros((0, 2)), Pose(0, 0, 0), [[1.0, 0.0]], self._cfg(),
-                                 np.random.default_rng(0))
+            make_training_sample(np.zeros((0, 2)), [[1.0, 0.0]], self._cfg(), np.random.default_rng(0))
 
 
 def _loss(pred: PoseOffset, label: PoseOffset, s_tran: float, s_rot: float) -> tuple[float, float, float]:
