@@ -51,11 +51,16 @@ def check_seed(seed) -> int:
 
 
 class ModelParams:
-    """Named parameter tensors plus the loss log-variances s_tran, s_rot."""
+    """Named parameter tensors plus the loss log-variances s_tran, s_rot.
+
+    A parameter changes by replacing its array, never in place; derived
+    caches inference_weights(self), None until its first call.
+    """
 
     def __init__(self, config: NetConfig, tensors: dict[str, Tensor]):
         self.config = config
         self.tensors = tensors
+        self.derived: InferenceWeights | None = None
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -204,8 +209,8 @@ class InferenceWeights:
     """What an unrecorded forward runs on: every parameter's array, and _local_kv of those arrays.
 
     Derived by inference_weights, not parameters: never saved, counted or
-    trained. Training replaces a parameter's array, so updates made after
-    the derivation do not reach it.
+    trained. Training replaces parameter arrays: a derivation keeps the old
+    ones, and the next inference_weights of the ModelParams derives anew.
     """
 
     config: NetConfig
@@ -217,11 +222,19 @@ class InferenceWeights:
 
 
 def inference_weights(params: ModelParams | InferenceWeights) -> InferenceWeights:
-    """The plain arrays and folded maps of params for unrecorded forwards; derived weights come back unchanged."""
+    """The plain arrays and folded maps of params for unrecorded forwards; derived weights come back unchanged.
+
+    A ModelParams gets back params.derived while that holds exactly its
+    arrays, by identity; an array edited in place, not replaced, is not re-derived.
+    """
     if isinstance(params, InferenceWeights):
         return params
     arrays = {name: t.data for name, t in params.items()}
-    return InferenceWeights(params.config, arrays, _local_kv(arrays))
+    cached = params.derived
+    if cached is None or cached.arrays.keys() != arrays.keys() or any(
+            cached.arrays[name] is not a for name, a in arrays.items()):
+        params.derived = cached = InferenceWeights(params.config, arrays, _local_kv(arrays))
+    return cached
 
 
 def local_attention(scenes, params: ModelParams | InferenceWeights):

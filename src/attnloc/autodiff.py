@@ -87,9 +87,6 @@ class Tensor:
             raise ValueError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
         return Tensor._make(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
 
-    def relu(self) -> "Tensor":
-        return relu(self)
-
     def sum(self) -> "Tensor":
         return Tensor._make(np.array([[self.data.sum()]]), (self,), lambda g: (np.full_like(self.data, g[0, 0]),))
 
@@ -184,7 +181,7 @@ def linear(x, w, b):
 
 @_op(1)
 def relu(x):
-    """Elementwise max(x, 0); `Tensor.relu` is this op."""
+    """Elementwise max(x, 0)."""
     return np.maximum(x, 0.0), lambda g: (g * (x > 0.0),)
 
 

@@ -308,11 +308,10 @@ def evaluate_gps(params: net.ModelParams, scenes: list[Scene], lmap: np.ndarray 
                  fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
     """GPS-based inference per scene against the (N, 2) map lmap, or each scene's own landmarks when it is None.
 
-    The network's inference weights are derived once per call; each scene runs its own forward.
+    Each scene runs its own forward, on the inference weights params keeps (net.inference_weights).
     """
-    weights = net.inference_weights(params)
     maps = map(scene_map, scenes) if lmap is None else itertools.repeat(lmap)
-    return _timed(scenes, maps, lambda sc, m: gps_inference(weights, m, sc.measurements, sc.gps_pose, fov_radius))
+    return _timed(scenes, maps, lambda sc, m: gps_inference(params, m, sc.measurements, sc.gps_pose, fov_radius))
 
 
 def evaluate_icp(scenes: list[Scene], fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:

@@ -159,7 +159,7 @@ def gps_inference(params: net.ModelParams | net.InferenceWeights, lmap: np.ndarr
                   fov_radius: float) -> Pose:
     """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor.
 
-    Given a ModelParams, the call derives net.inference_weights; a caller of many derives them once.
+    A ModelParams runs on the inference weights it keeps (net.inference_weights).
     """
     return localize(lmap, measurements, p_gps, lambda m, lm: net.predict_offset(m, lm, params), fov_radius)
 
@@ -184,8 +184,8 @@ class FilterSession:
 
     def step(self, measurements, dt: float) -> Pose:
         """Advance one frame; returns the smoothed pose estimate."""
-        if dt <= 0:
-            raise ValueError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < math.inf:  # nan fails both comparisons
+            raise ValueError(f"dt must be a finite number > 0, got {dt}")
         z = gps_inference(self.weights, self.lmap, measurements, self.state.pose(), self.fov_radius)
         self.state = ekf_predict(self.state, self.cfg, dt)
         self.state = ekf_update(self.state, z, self.cfg)

@@ -26,7 +26,8 @@ class SimConfig:
     mu2/sigma2 weighted by lambda2; component 2 is picked with probability
     lambda2 / (1 + lambda2)). Covariances are (2, 2) row tuples and must be
     symmetric positive definite. Landmark count is uniform on
-    {nu_min, ..., nu_max}.
+    {nu_min, ..., nu_max}. chol maps each covariance's name to its Cholesky
+    factor, taken once by the check; it is not a field, so no config key.
     """
 
     distribution: str = "mixture"
@@ -57,14 +58,16 @@ class SimConfig:
             raise ValueError("lambda2 must be >= 0")
         if any(len(getattr(self, name)) != 2 for name in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi")):
             raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs")
+        chol = {}
         for name in ("sigma", "sigma1", "sigma2"):
             m = np.asarray(getattr(self, name), dtype=np.float64)
             if m.shape != (2, 2) or not np.allclose(m, m.T):
                 raise ValueError(f"{name} must be a symmetric 2x2 matrix")
             try:
-                np.linalg.cholesky(m)
+                chol[name] = np.linalg.cholesky(m)
             except np.linalg.LinAlgError as exc:
                 raise ValueError(f"{name} must be positive definite") from exc
+        object.__setattr__(self, "chol", chol)
 
 
 @dataclass
@@ -78,17 +81,15 @@ class SyntheticScene:
 def sample_landmarks(cfg: SimConfig, rng: np.random.Generator, nu: int | None = None) -> np.ndarray:
     """Draw nu landmark positions from the configured model; nu ~ U{nu_min..nu_max} when it is None.
 
-    The covariances are factorized without a check: SimConfig checked them.
+    The draws use the Cholesky factors SimConfig took of its covariances (cfg.chol).
     """
     nu = int(rng.integers(cfg.nu_min, cfg.nu_max + 1)) if nu is None else nu
     z = rng.standard_normal((nu, 2))
     if cfg.distribution == "gaussian":
-        return np.asarray(cfg.mu) + z @ np.linalg.cholesky(cfg.sigma).T
-    chol1 = np.linalg.cholesky(cfg.sigma1)
-    chol2 = np.linalg.cholesky(cfg.sigma2)
+        return np.asarray(cfg.mu) + z @ cfg.chol["sigma"].T
     second = rng.random(nu) < cfg.lambda2 / (1.0 + cfg.lambda2)
-    pts = np.where(second[:, None], np.asarray(cfg.mu2) + z @ chol2.T, np.asarray(cfg.mu1) + z @ chol1.T)
-    return pts
+    return np.where(second[:, None], np.asarray(cfg.mu2) + z @ cfg.chol["sigma2"].T,
+                    np.asarray(cfg.mu1) + z @ cfg.chol["sigma1"].T)
 
 
 def degrade(landmarks, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:

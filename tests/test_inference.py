@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from attnloc import attention_net as net
-from attnloc import experiment, inference
+from attnloc import experiment, inference, training
 from attnloc.dataset_io import Scene, load_checkpoint
 from attnloc.geometry import Pose, PoseOffset, offset_pose
 from attnloc.inference import (
@@ -186,10 +186,14 @@ class TestFilterSession:
             assert out.y == pytest.approx(init.y, abs=1e-9)
             assert out.phi == pytest.approx(init.phi, abs=1e-9)
 
-    def test_nonpositive_dt_rejected(self, zero_net):
+    @pytest.mark.parametrize("dt", [0.0, math.nan, math.inf, -math.inf])
+    def test_bad_dt_rejected_before_the_step(self, zero_net, monkeypatch, dt):
         session = FilterSession(zero_net, np.array([[1.0, 1.0]]), Pose(0, 0, 0), EkfConfig(), fov_radius=100.0)
-        with pytest.raises(ValueError):
-            session.step([[1.0, 1.0]], dt=0.0)
+        state = session.state
+        monkeypatch.setattr(inference, "gps_inference", None)  # the FoV query and the network must not run
+        with pytest.raises(ValueError, match="dt must be a finite number > 0, got"):
+            session.step([[1.0, 1.0]], dt=dt)
+        assert session.state is state
 
     def test_oracle_with_noise_beats_raw_measurements(self, zero_net, monkeypatch):
         # 100-step drive; an oracle network plus pose noise stands in for
@@ -220,18 +224,22 @@ class TestFilterSession:
 
 
 def _count_derivations(monkeypatch) -> list:
-    """Every InferenceWeights that net.inference_weights derives from now on."""
+    """Every distinct InferenceWeights that net.inference_weights returns for a ModelParams from now on."""
     derived = []
     derive = net.inference_weights
 
     def counted(params):
         weights = derive(params)
-        if weights is not params:
+        if weights is not params and not any(weights is w for w in derived):
             derived.append(weights)
         return weights
 
     monkeypatch.setattr(net, "inference_weights", counted)
     return derived
+
+
+def _copy_params(params: net.ModelParams) -> net.ModelParams:
+    return net.ModelParams(params.config, {name: net.Tensor(t.data.copy()) for name, t in params.items()})
 
 
 class TestInferenceWeights:
@@ -261,6 +269,31 @@ class TestInferenceWeights:
         for _ in range(5):
             session.step(sc.measurements, 0.05)
         assert len(derived) == 1
+
+    def test_calls_on_one_model_params_derive_once(self, setup, monkeypatch):
+        params, scenes = _copy_params(setup[0]), setup[1]
+        derived = _count_derivations(monkeypatch)
+        for i in range(50):
+            sc = scenes[i % len(scenes)]
+            gps_inference(params, experiment.scene_map(sc), sc.measurements, sc.gps_pose, 60.0)
+            net.predict_offset(sc.measurements, sc.landmarks, params)
+        assert len(derived) == 1
+
+    def test_replacing_arrays_derives_anew(self, setup, monkeypatch):
+        params, scenes = _copy_params(setup[0]), setup[1]
+        sc = scenes[0]
+        session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, EkfConfig(), fov_radius=100.0)
+        before = net.predict_offset(sc.measurements, sc.landmarks, params)
+        pred = net.forward([(sc.measurements, sc.landmarks)], params)
+        params.zero_grads()
+        pred.sum().backward()
+        training.adam_step(params, {name: t.grad for name, t in params.items()}, training.AdamState(params), 1e-2)
+        derived = _count_derivations(monkeypatch)
+        after = net.predict_offset(sc.measurements, sc.landmarks, params)
+        assert len(derived) == 1 and derived[0] is not session.weights
+        assert after == net.predict_offset(sc.measurements, sc.landmarks, _copy_params(params)) != before
+        assert all(session.weights[name] is not t.data for name, t in params.items())
+        assert net.predict_offset(sc.measurements, sc.landmarks, session.weights) == before
 
     def test_derived_weights_come_back_unchanged(self, setup):
         weights = net.inference_weights(setup[0])

@@ -1,8 +1,11 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from attnloc import experiment
 from attnloc.geometry import Pose
 from attnloc.simulator import (
     SimConfig,
@@ -33,6 +36,10 @@ class TestSimConfig:
     def test_negative_rates_rejected(self):
         with pytest.raises(ValueError):
             SimConfig(lambda_clutter=-1.0)
+
+    def test_replaced_config_gets_fresh_factors(self):
+        cfg = dataclasses.replace(SimConfig(distribution="gaussian"), sigma=((4.0, 0.0), (0.0, 9.0)))
+        np.testing.assert_array_equal(cfg.chol["sigma"], [[2.0, 0.0], [0.0, 3.0]])
 
 
 class TestSampleLandmarks:
@@ -146,6 +153,35 @@ class TestGenerateScene:
         deltas = np.array(deltas)
         se = math.sqrt((2.0 + 1.0) / deltas.size)
         assert abs(deltas.mean() - (2.0 - 1.0)) < 3 * se
+
+
+def _fingerprint(arrays) -> str:
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a, dtype=np.float64)
+        h.update(np.asarray(a.shape).tobytes())
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """sha256 of seeded simulator output, recorded from the code; a change that moves a bit fails here."""
+
+    @pytest.mark.parametrize("distribution, digest", [
+        ("mixture", "a4b78c469092cdc62a05f94c83dc16231288f9e3a5c5a1f2a786d0dc6814b951"),
+        ("gaussian", "e6fcb14f7f43b7e6cfef3a23ddf8d711bd5060be3b50fa1e446a41b675e082f3"),
+    ])
+    def test_scene_set(self, distribution, digest):
+        scenes = experiment.generate_scene_set(SimConfig(distribution=distribution, seed=0),
+                                               1.0, math.radians(4.0), 50, 0)
+        assert _fingerprint(a for sc in scenes for a in (sc.measurements, sc.landmarks, sc.gps_pose.as_array())) \
+            == digest
+
+    def test_desk_drive_map(self):
+        d = experiment.DriveConfig()
+        lmap = experiment.build_drive_map(experiment.drive_trajectory(d), d, SimConfig(), np.random.default_rng((0, 2)))
+        assert lmap.shape == (229, 2)
+        assert _fingerprint([lmap]) == "3510fdab29156c6f61c72174f92c8bbf81da48ef6a2a411410f2a2c3f6a0fd9d"
 
 
 class TestTrajectory:
