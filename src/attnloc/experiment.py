@@ -78,9 +78,9 @@ def sim_config(cfg: dict) -> simulator.SimConfig:
 def gps_noise(cfg: dict) -> tuple[float, float]:
     """(sigma_pos m, sigma_rot rad) GPS noise bounds; absent keys take TrainConfig's offset bounds."""
     s = _section(cfg, "gps_noise", ("sigma_pos", "sigma_phi_deg"))
-    sigma_pos = float(s.get("sigma_pos", TrainConfig.sigma_pos))
-    sigma_rot = math.radians(float(s["sigma_phi_deg"])) if "sigma_phi_deg" in s else TrainConfig.sigma_rot
-    if sigma_pos < 0 or sigma_rot < 0:
+    sigma_pos = s.get("sigma_pos", TrainConfig.sigma_pos)
+    sigma_rot = math.radians(s["sigma_phi_deg"]) if "sigma_phi_deg" in s else TrainConfig.sigma_rot
+    if not (sigma_pos >= 0 and sigma_rot >= 0):
         raise ValueError("noise bounds must be >= 0")
     return sigma_pos, sigma_rot
 
@@ -206,10 +206,9 @@ def generate_scene_set(sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot
     scenes = []
     for i in range(n):
         rng = simulator.scene_rng(seed, i)
-        sc = simulator.generate_scene(sim_cfg, rng)
+        meas, lm = simulator.generate_scene(sim_cfg, rng)
         gps = offset_pose(ORIGIN, sample_offset(sigma_pos, sigma_rot, rng))
-        scenes.append(Scene(t=float(i), gt_pose=ORIGIN, gps_pose=gps,
-                            measurements=sc.measurements, landmarks=sc.landmarks))
+        scenes.append(Scene(t=float(i), gt_pose=ORIGIN, gps_pose=gps, measurements=meas, landmarks=lm))
     return scenes
 
 

@@ -70,14 +70,6 @@ class SimConfig:
         object.__setattr__(self, "chol", chol)
 
 
-@dataclass
-class SyntheticScene:
-    """One synthetic sample: degraded measurements and the landmark set."""
-
-    measurements: np.ndarray
-    landmarks: np.ndarray
-
-
 def sample_landmarks(cfg: SimConfig, rng: np.random.Generator, nu: int | None = None) -> np.ndarray:
     """Draw nu landmark positions from the configured model; nu ~ U{nu_min..nu_max} when it is None.
 
@@ -118,10 +110,10 @@ def degrade(landmarks, cfg: SimConfig, rng: np.random.Generator) -> np.ndarray:
     return meas
 
 
-def generate_scene(cfg: SimConfig, rng: np.random.Generator) -> SyntheticScene:
-    """Sample landmarks, duplicate them, and degrade the copy into measurements."""
+def generate_scene(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """(measurements, landmarks): sample landmarks and degrade a copy of them into measurements."""
     landmarks = sample_landmarks(cfg, rng)
-    return SyntheticScene(measurements=degrade(landmarks, cfg, rng), landmarks=landmarks)
+    return degrade(landmarks, cfg, rng), landmarks
 
 
 def scene_rng(seed: int, index: int) -> np.random.Generator:
@@ -135,8 +127,8 @@ OMEGA_EPS = 1e-6
 
 def ctrv_step(pose: Pose, v: float, omega: float, dt: float) -> Pose:
     """Closed-form constant-turn-rate-and-velocity motion over dt seconds."""
-    if dt <= 0:
-        raise ValueError(f"dt must be > 0, got {dt}")
+    if not 0 < dt < math.inf:  # nan fails both comparisons
+        raise ValueError(f"dt must be a finite number > 0, got {dt}")
     if abs(omega) < OMEGA_EPS:
         return Pose(pose.x + v * math.cos(pose.phi) * dt,
                     pose.y + v * math.sin(pose.phi) * dt,

@@ -45,7 +45,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma_pos < 0 or self.sigma_rot < 0:
+        if not (self.sigma_pos >= 0 and self.sigma_rot >= 0):  # nan fails both comparisons
             raise ValueError("sampling bounds must be >= 0")
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
@@ -56,18 +56,9 @@ class TrainConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-@dataclass
-class TrainSample:
-    """One ready-to-train pair: measurements, offset-shifted landmarks, label."""
-
-    measurements: np.ndarray
-    landmarks: np.ndarray
-    label: PoseOffset
-
-
 def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> PoseOffset:
     """Independent uniform draws: dx, dy ~ U(-sigma_pos, sigma_pos), dphi ~ U(-sigma_rot, sigma_rot)."""
-    if sigma_pos < 0 or sigma_rot < 0:
+    if not (sigma_pos >= 0 and sigma_rot >= 0):
         raise ValueError("sampling bounds must be >= 0")
     dx = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
     dy = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
@@ -75,19 +66,21 @@ def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) 
     return PoseOffset(dx, dy, dphi)
 
 
-def make_training_sample(landmarks, measurements, cfg: TrainConfig, rng: np.random.Generator) -> TrainSample:
-    """Build one sample from landmarks and measurements in the true vehicle frame.
+def make_training_sample(scene, cfg: TrainConfig,
+                         rng: np.random.Generator) -> tuple[tuple[np.ndarray, np.ndarray], PoseOffset]:
+    """((measurements, shifted landmarks), label) from a (measurements, landmarks) pair in the true vehicle frame.
 
     The sampled offset shifts the true pose (the origin) componentwise to
     simulate a noisy GPS pose; the landmarks are transformed into that
     simulated frame and the offset becomes the label.
     """
+    measurements, landmarks = scene
     lm = as_points(landmarks)
     m = as_points(measurements)
     if lm.shape[0] == 0 or m.shape[0] == 0:
         raise ValueError("training sample needs nonempty landmarks and measurements")
     d = sample_offset(cfg.sigma_pos, cfg.sigma_rot, rng)
-    return TrainSample(measurements=m, landmarks=utm_to_vehicle(lm, offset_pose(ORIGIN, d)), label=d)
+    return (m, utm_to_vehicle(lm, offset_pose(ORIGIN, d))), d
 
 
 def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
@@ -182,13 +175,12 @@ def train(
             for _ in range(min(cfg.batch_size, n_per_epoch - first)):
                 use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
                 pool = mapped if use_map else syn
-                meas, lm = pool[rng.integers(len(pool))]
-                batch.append(make_training_sample(lm, meas, cfg, rng))
+                batch.append(make_training_sample(pool[rng.integers(len(pool))], cfg, rng))
             params.zero_grads()
             for lo in range(0, len(batch), TAPE_SCENES):
-                tape = batch[lo:lo + TAPE_SCENES]
-                pred = net.forward([(s.measurements, s.landmarks) for s in tape], params)
-                loss, rows = multitask_loss_graph(pred, [s.label for s in tape], params)
+                pairs, labels = zip(*batch[lo:lo + TAPE_SCENES])
+                pred = net.forward(list(pairs), params)
+                loss, rows = multitask_loss_graph(pred, list(labels), params)
                 bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
                 if bad.size:
                     raise FloatingPointError(f"loss is not finite at epoch {epoch}, sample {first + lo + bad[0]}")

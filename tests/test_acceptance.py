@@ -158,8 +158,7 @@ class TestAcceptance:
 
         # no degradation: measurements equal landmarks exactly
         clean_cfg = SimConfig(lambda_clutter=0.0, lambda_miss=0.0, sigma_noise=0.0)
-        sc = generate_scene(clean_cfg, scene_rng(5, 0))
-        clean_ok = np.array_equal(sc.measurements, sc.landmarks)
+        clean_ok = np.array_equal(*generate_scene(clean_cfg, scene_rng(5, 0)))
 
         _announce(3, mean_ok and var_ok and rates_ok and clean_ok,
                   f"gaussian mean/var ok={bool(mean_ok and var_ok)}, poisson rates ok={bool(rates_ok)}, "

@@ -83,6 +83,12 @@ class TestEkfPredict:
         with pytest.raises(ValueError):
             ekf_predict(_state(), EkfConfig(), dt=0.0)
 
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt, omega):
+        with pytest.raises(ValueError, match="dt must be a finite number > 0, got"):
+            ekf_predict(_state(v=1.0, omega=omega), EkfConfig(), dt=dt)
+
     def test_symmetry_preserved(self):
         rng = np.random.default_rng(0)
         s = _state(v=5.0, omega=0.2)

@@ -305,6 +305,10 @@ class TestCli:
             ("sim.clutter_lo", ["-10", "-20"]), ("sim.mu", [None, 0]),
             # integers beyond the float64 range
             ("gps_noise.sigma_pos", 10**400), ("sim.mu1", [10**400, 0]),
+            # a number in a string is not a number, and "nan" would sample zero noise
+            # ("Infinity", not "inf": the id of the math.inf row above reads "inf")
+            ("gps_noise.sigma_pos", "1.0"), ("gps_noise.sigma_pos", "nan"), ("gps_noise.sigma_pos", "Infinity"),
+            ("gps_noise.sigma_phi_deg", "nan"),
             # the drive's sensor model and the map query radius are constants
             ("eval.fov_radius", 60.0), ("drive.cluster_spacing_m", 12.0), ("drive.cluster_rate", 2.0),
             ("drive.sensor_range_m", 40.0), ("drive.sensor_half_width_m", 20.0))],

@@ -132,24 +132,24 @@ class TestDegrade:
 class TestGenerateScene:
     def test_deterministic_under_fixed_seed(self):
         cfg = SimConfig(seed=0)
-        a = generate_scene(cfg, scene_rng(12, 3))
-        b = generate_scene(cfg, scene_rng(12, 3))
-        np.testing.assert_array_equal(a.landmarks, b.landmarks)
-        np.testing.assert_array_equal(a.measurements, b.measurements)
+        a_meas, a_lm = generate_scene(cfg, scene_rng(12, 3))
+        b_meas, b_lm = generate_scene(cfg, scene_rng(12, 3))
+        np.testing.assert_array_equal(a_lm, b_lm)
+        np.testing.assert_array_equal(a_meas, b_meas)
 
     def test_landmark_count_in_bounds(self):
         cfg = SimConfig(nu_min=8, nu_max=24)
         for i in range(50):
-            sc = generate_scene(cfg, scene_rng(13, i))
-            assert 8 <= sc.landmarks.shape[0] <= 24
+            _, lm = generate_scene(cfg, scene_rng(13, i))
+            assert 8 <= lm.shape[0] <= 24
 
     @pytest.mark.slow
     def test_mean_measurement_count(self):
         cfg = SimConfig(lambda_clutter=2.0, lambda_miss=1.0, sigma_noise=0.0)
         deltas = []
         for i in range(10_000):
-            sc = generate_scene(cfg, scene_rng(14, i))
-            deltas.append(sc.measurements.shape[0] - sc.landmarks.shape[0])
+            meas, lm = generate_scene(cfg, scene_rng(14, i))
+            deltas.append(meas.shape[0] - lm.shape[0])
         deltas = np.array(deltas)
         se = math.sqrt((2.0 + 1.0) / deltas.size)
         assert abs(deltas.mean() - (2.0 - 1.0)) < 3 * se
@@ -213,3 +213,11 @@ class TestTrajectory:
     def test_nonpositive_dt_rejected(self):
         with pytest.raises(ValueError):
             ctrv_step(Pose(0, 0, 0), 1.0, 0.0, dt=0.0)
+
+    @pytest.mark.parametrize("omega", [0.0, 0.5])
+    @pytest.mark.parametrize("dt", [math.nan, math.inf])
+    def test_non_finite_dt_rejected(self, dt, omega):
+        with pytest.raises(ValueError, match="dt must be a finite number > 0, got"):
+            ctrv_step(Pose(0, 0, 0), 1.0, omega, dt)
+        with pytest.raises(ValueError, match="dt must be a finite number > 0, got"):
+            generate_trajectory(1.0, omega, dt, steps=1)

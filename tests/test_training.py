@@ -41,6 +41,12 @@ class TestSampleOffset:
         with pytest.raises(ValueError):
             sample_offset(-1.0, 0.0, np.random.default_rng(0))
 
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError):
+            sample_offset(math.nan, 0.0, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            TrainConfig(sigma_pos=math.nan)
+
 
 class TestMakeTrainingSample:
     def _cfg(self, **kw):
@@ -51,23 +57,24 @@ class TestMakeTrainingSample:
     def test_zero_offset_keeps_landmarks(self):
         lm = np.array([[3.0, 1.0], [5.0, -2.0]])
         m = lm.copy()
-        sample = make_training_sample(lm, m, self._cfg(sigma_pos=0.0, sigma_rot=0.0), np.random.default_rng(0))
-        np.testing.assert_allclose(sample.landmarks, lm, atol=1e-15)
-        assert sample.label == PoseOffset(0, 0, 0)
+        (_, shifted), label = make_training_sample((m, lm), self._cfg(sigma_pos=0.0, sigma_rot=0.0),
+                                                   np.random.default_rng(0))
+        np.testing.assert_allclose(shifted, lm, atol=1e-15)
+        assert label == PoseOffset(0, 0, 0)
 
     def test_label_within_bounds(self):
         lm = np.random.default_rng(2).uniform(-20, 20, size=(8, 2))
         cfg = self._cfg()
         rng = np.random.default_rng(3)
         for _ in range(50):
-            s = make_training_sample(lm, lm, cfg, rng)
-            assert abs(s.label.dx) <= 1.0 and abs(s.label.dy) <= 1.0
-            assert abs(s.label.dphi) <= math.radians(4)
+            _, label = make_training_sample((lm, lm), cfg, rng)
+            assert abs(label.dx) <= 1.0 and abs(label.dy) <= 1.0
+            assert abs(label.dphi) <= math.radians(4)
 
     def test_icp_oracle_recovers_identity_at_zero_offset(self):
         lm = np.random.default_rng(4).uniform(-20, 20, size=(10, 2))
-        s = make_training_sample(lm, lm, self._cfg(sigma_pos=0.0, sigma_rot=0.0), np.random.default_rng(5))
-        result = icp(s.measurements, s.landmarks)
+        pair, _ = make_training_sample((lm, lm), self._cfg(sigma_pos=0.0, sigma_rot=0.0), np.random.default_rng(5))
+        result = icp(*pair)
         assert abs(result.offset.dx) < 1e-9
         assert abs(result.offset.dy) < 1e-9
         assert abs(result.offset.dphi) < 1e-9
@@ -77,15 +84,24 @@ class TestMakeTrainingSample:
         # correction undoes: ICP on (M, landmarks) recovers the label
         lm = np.random.default_rng(6).uniform(-20, 20, size=(12, 2))
         rng = np.random.default_rng(7)
-        s = make_training_sample(lm, lm, self._cfg(sigma_pos=0.4, sigma_rot=math.radians(3)), rng)
-        result = icp(s.measurements, s.landmarks)
-        assert result.offset.dx == pytest.approx(s.label.dx, abs=1e-6)
-        assert result.offset.dy == pytest.approx(s.label.dy, abs=1e-6)
-        assert result.offset.dphi == pytest.approx(s.label.dphi, abs=1e-8)
+        pair, label = make_training_sample((lm, lm), self._cfg(sigma_pos=0.4, sigma_rot=math.radians(3)), rng)
+        result = icp(*pair)
+        assert result.offset.dx == pytest.approx(label.dx, abs=1e-6)
+        assert result.offset.dy == pytest.approx(label.dy, abs=1e-6)
+        assert result.offset.dphi == pytest.approx(label.dphi, abs=1e-8)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
-            make_training_sample(np.zeros((0, 2)), [[1.0, 0.0]], self._cfg(), np.random.default_rng(0))
+            make_training_sample(([[1.0, 0.0]], np.zeros((0, 2))), self._cfg(), np.random.default_rng(0))
+
+    def test_scene_pairs_feed_the_network(self):
+        # a scene is one (measurements, landmarks) pair from the simulator to the network
+        params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
+        rng = simulator.scene_rng(0, 0)
+        pair = simulator.generate_scene(simulator.SimConfig(), rng)
+        assert net.forward([pair], net.inference_weights(params)).shape == (1, 3)
+        sample, _ = make_training_sample(pair, self._cfg(), rng)
+        assert net.forward([sample], params).data.shape == (1, 3)
 
 
 def _loss(pred: PoseOffset, label: PoseOffset, s_tran: float, s_rot: float) -> tuple[float, float, float]:
@@ -197,11 +213,7 @@ class TestAdam:
 def _tiny_scenes(n, seed=0, nu=5):
     cfg = simulator.SimConfig(seed=seed, nu_min=nu, nu_max=nu, lambda_clutter=0.0,
                               lambda_miss=0.0, sigma_noise=0.0)
-    out = []
-    for i in range(n):
-        sc = simulator.generate_scene(cfg, simulator.scene_rng(seed, i))
-        out.append((sc.measurements, sc.landmarks))
-    return out
+    return [simulator.generate_scene(cfg, simulator.scene_rng(seed, i)) for i in range(n)]
 
 
 class TestTrain:
@@ -259,11 +271,11 @@ class TestTrain:
         calls = []
 
         def poisoned(*args):
-            s = make(*args)
+            pair, label = make(*args)
             if len(calls) == 10 * epoch + sample:
-                s.label = PoseOffset(1e200, s.label.dy, s.label.dphi)
-            calls.append(s)
-            return s
+                label = PoseOffset(1e200, label.dy, label.dphi)
+            calls.append(label)
+            return pair, label
 
         monkeypatch.setattr(training, "make_training_sample", poisoned)
         with pytest.raises(FloatingPointError, match=f"^loss is not finite at epoch {epoch}, sample {sample}$"):
