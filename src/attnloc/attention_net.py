@@ -190,23 +190,35 @@ def mha_block(x: Tensor, k: Tensor, v: Tensor, params: ModelParams, block: str, 
     only to the rows of its own set.
     """
     att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, group, counts)
-    s = ad.layer_norm(x + att @ params[f"{block}.out"], params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
+    return _tail(x, att @ params[f"{block}.out"], params, block)
+
+
+def _tail(x: Tensor, y: Tensor, params: ModelParams, block: str) -> Tensor:
+    """The block after its attention's output map Y: LayerNorm(S + rFF(S)), S = LayerNorm(X + Y)."""
+    s = ad.layer_norm(x + y, params[f"{block}.ln1.g"], params[f"{block}.ln1.b"])
     return ad.layer_norm(s + _rff(s, params, f"{block}.ff"), params[f"{block}.ln2.g"], params[f"{block}.ln2.b"])
 
 
-def _local_kv(params) -> tuple:
-    """(W1 Wk, b1 Wk, W1 Wv, b1 Wv): the local key and value projections folded into the neighbor embedding.
+def _local_maps(params, cfg: NetConfig) -> tuple:
+    """(M, N, e): the local block's maps folded onto the neighbor hidden layer H, its one shared key/value head.
 
-    The embedding ends in the affine map N = H W1 + b1, and N feeds only
-    N Wk and N Wv, so N Wk = H (W1 Wk) + b1 Wk, and likewise for Wv.
+    The embedding ends in N = H W1 + b1, and the block's head j scores
+    (X Wq_j)(N Wk_j)^T / sqrt(d_h) and mixes N Wv_j into the output through
+    Wout_j, row block j of Wout. The key bias b1 Wk_j scores every neighbor
+    of a query alike, so the softmax drops it; the query folds back through
+    W1 Wk_j, M_j = Wq_j (W1 Wk_j)^T sqrt(rff_hidden / d_h), and since the
+    weights sum to one the values fold forward, N_j = (W1 Wv_j) Wout_j and
+    e = b1 Wv Wout. So attention(X M, H, H) @ N + e = Multihead(X, N, N) Wout.
     """
-    w1, b1 = params["embed_l.w1"], params["embed_l.b1"]
-    return tuple(x @ params[f"local.{p}"] for p in "kv" for x in (w1, b1))
+    w1, wv, wout = params["embed_l.w1"], params["local.v"], params["local.out"]
+    m = ad.per_head_matmul(w1 @ params["local.k"], params["local.q"].T, cfg.heads).T
+    scale = math.sqrt(cfg.rff_hidden / (cfg.d_m // cfg.heads))
+    return m * scale, ad.per_head_matmul(w1 @ wv, wout, cfg.heads), params["embed_l.b1"] @ wv @ wout
 
 
 @dataclass(frozen=True, eq=False)
 class InferenceWeights:
-    """What an unrecorded forward runs on: every parameter's array, and _local_kv of those arrays.
+    """What an unrecorded forward runs on: every parameter's array, and _local_maps of those arrays.
 
     Derived by inference_weights, not parameters: never saved, counted or
     trained. Training replaces parameter arrays: a derivation keeps the old
@@ -215,7 +227,7 @@ class InferenceWeights:
 
     config: NetConfig
     arrays: dict[str, np.ndarray]
-    local_kv: tuple[np.ndarray, ...]
+    local_maps: tuple[np.ndarray, ...]
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
@@ -233,7 +245,7 @@ def inference_weights(params: ModelParams | InferenceWeights) -> InferenceWeight
     cached = params.derived
     if cached is None or cached.arrays.keys() != arrays.keys() or any(
             cached.arrays[name] is not a for name, a in arrays.items()):
-        params.derived = cached = InferenceWeights(params.config, arrays, _local_kv(arrays))
+        params.derived = cached = InferenceWeights(params.config, arrays, _local_maps(arrays, params.config))
     return cached
 
 
@@ -246,17 +258,19 @@ def local_attention(scenes, params: ModelParams | InferenceWeights):
     do. kNN grouping runs per scene; all groups share the block weights and
     have exactly k members, so the per-measurement blocks of every scene run
     as one grouped block, equal to applying mha_block to each (query,
-    neighbor group) pair separately. The neighbor embedding's last layer is
-    folded into the key and value projections (_local_kv), so the
-    (sum nu * k, d) embedding is never built.
+    neighbor group) pair over the embedded neighbors. The block runs as
+    multi-query attention with the (sum nu * k, rff_hidden) hidden layer H
+    as its one key/value head (_local_maps), so neither the embedding nor
+    any (sum nu * k, d) key or value row is built.
     """
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
-    wk, bk, wv, bv = params.local_kv if isinstance(params, InferenceWeights) else _local_kv(params)
+    m_map, n_map, e = params.local_maps if isinstance(params, InferenceWeights) else _local_maps(params, cfg)
     queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
     hidden = ad.relu(ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"]))  # (sum nu * k, rff_hidden)
-    return mha_block(queries, ad.linear(hidden, wk, bk), ad.linear(hidden, wv, bv), params, "local", cfg.k)
+    att = ad.attention(queries @ m_map, hidden, hidden, cfg.heads, cfg.k)  # (sum nu, heads * rff_hidden)
+    return _tail(queries, ad.linear(att, n_map, e), params, "local")
 
 
 def forward(scenes, params: ModelParams | InferenceWeights):

@@ -87,6 +87,10 @@ class Tensor:
             raise ValueError(f"matmul inner dims disagree: {self.shape} @ {other.shape}")
         return Tensor._make(self.data @ other.data, (self, other), lambda g: (g @ other.data.T, self.data.T @ g))
 
+    @property
+    def T(self) -> "Tensor":
+        return Tensor._make(self.data.T, (self,), lambda g: (g.T,))
+
     def sum(self) -> "Tensor":
         return Tensor._make(np.array([[self.data.sum()]]), (self,), lambda g: (np.full_like(self.data, g[0, 0]),))
 
@@ -247,21 +251,6 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(blocks * block_rows, heads * dh)
 
 
-# The three contractions of attention on per-head stacks: (dot) scores from
-# queries and keys, (mix) weighted sums of the values, and (outer) the
-# weight-by-row products that carry gradients back to the keys and values.
-# Global mode runs them as batched BLAS matmuls; grouped mode, with many tiny
-# per-group matrices, as einsum loops.
-_GLOBAL_CONTRACTIONS = (
-    lambda a, b: a @ b.swapaxes(-1, -2),
-    np.matmul,
-    lambda w, a: w.swapaxes(-1, -2) @ a,
-)
-_GROUPED_CONTRACTIONS = tuple(
-    functools.partial(np.einsum, spec) for spec in ("nhqc,nhgc->nhqg", "nhqg,nhgc->nhqc", "nhqg,nhqc->nhgc")
-)
-
-
 def _padded_rows(counts: list[int]) -> tuple[np.ndarray, np.ndarray]:
     """Stacked sets of rows padded to the largest: where each row lands, and the key mask.
 
@@ -286,30 +275,33 @@ def _pad(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
 def attention(q, k, v, heads: int, group: int | None = None, counts: list[int] | None = None):
     """Multi-head scaled dot-product attention, heads side by side in the columns.
 
-    q is (n, d); k and v have equal shapes and width d, which heads must
-    divide. Head j uses columns j*d/h ... (j+1)*d/h - 1 of q, k and v and
-    computes softmax(Q_j K_j^T / sqrt(d/h)) V_j; the (n, d) output holds the
-    heads in the same columns. group=None: every query attends to all rows of
-    k. group=g: k has n*g rows and query i attends only to rows
-    i*g ... i*g+g-1. counts=(n_1, ..., n_B): q, k and v each stack B sets of
-    rows, set b in n_b consecutive rows, and a query attends only to the
-    keys of its own set. Sets of equal size are reshaped into a stack of
-    blocks; unequal ones are padded to the largest, with the padded keys
-    masked to -inf.
+    q is (n, d), which heads must divide; k and v have equal shapes. Head j
+    uses columns j*d/h ... (j+1)*d/h - 1 of q, k and v and computes
+    softmax(Q_j K_j^T / sqrt(d/h)) V_j; the (n, d) output holds the heads in
+    the same columns. Keys and values of width d/h are one head that every
+    query head shares (multi-query attention), in grouped mode only.
+    group=None: every query attends to all rows of k. group=g: k has n*g
+    rows and query i attends only to rows i*g ... i*g+g-1.
+    counts=(n_1, ..., n_B): q, k and v each stack B sets of rows, set b in
+    n_b consecutive rows, and a query attends only to the keys of its own
+    set. Sets of equal size are reshaped into a stack of blocks; unequal
+    ones are padded to the largest, with the padded keys masked to -inf.
     """
     n, d = q.shape
-    if k.shape[1] != d or v.shape != k.shape:
-        raise ValueError(f"attention needs equal widths and key/value shapes, got q {q.shape}, k {k.shape}, v {v.shape}")
     if heads < 1 or d % heads != 0:
         raise ValueError(f"heads ({heads}) must divide the width ({d})")
+    if k.shape[1] not in (d, d // heads) or v.shape != k.shape:
+        raise ValueError(f"attention needs keys and values of one shape and width d or d/heads, "
+                         f"got q {q.shape}, k {k.shape}, v {v.shape}")
     if n < 1 or k.shape[0] < 1:
         raise ValueError("attention needs at least one query and one key")
     if group is not None and (group < 1 or k.shape[0] != n * group):
         raise ValueError(f"grouped keys must have n*group = {n}*{group} rows, got {k.shape[0]}")
     if counts is not None and (group is not None or k.shape[0] != n or min(counts) < 1 or sum(counts) != n):
         raise ValueError(f"set counts must be >= 1 and sum to the {n} query and key rows, got {list(counts)}")
+    if k.shape[1] != d and group is None:
+        raise ValueError(f"a shared key/value head of width d/heads = {k.shape[1]} needs grouped mode")
     scale = 1.0 / math.sqrt(d // heads)
-    dot, mix, outer = _GLOBAL_CONTRACTIONS if group is None else _GROUPED_CONTRACTIONS
     # one block of all rows, a block per set, or in grouped mode a block per query and per key group
     if group is not None:
         q_rows, kv_rows = 1, group
@@ -317,6 +309,8 @@ def attention(q, k, v, heads: int, group: int | None = None, counts: list[int] |
         q_rows, kv_rows = n, k.shape[0]
     else:
         q_rows = kv_rows = max(counts)
+    if k.shape[1] != d:  # one shared key/value head: the query heads become the query rows of each block
+        q, q_rows, heads = q.reshape(n * heads, d // heads), heads, 1
     padded = counts is not None and min(counts) != q_rows
     if padded:
         rows, mask = _padded_rows(counts)
@@ -325,21 +319,42 @@ def attention(q, k, v, heads: int, group: int | None = None, counts: list[int] |
     qh = _split_heads(q, heads, q_rows)
     kh = _split_heads(k, heads, kv_rows)
     vh = _split_heads(v, heads, kv_rows)
-    s = dot(qh, kh) * scale
+    s = qh @ kh.swapaxes(-1, -2) * scale
     if padded:
         s += mask
     w = _softmax(s)
-    y = _merge_heads(mix(w, vh))
-    if padded:
-        y = y[rows]
+    y = _merge_heads(w @ vh)
+    y = y[rows] if padded else y.reshape(n, d)
 
     def _bw(g):
-        gh = _split_heads(_pad(g, rows, size) if padded else g, heads, q_rows)
-        gs = _softmax_grad(w, dot(gh, vh)) * scale
-        grads = _merge_heads(mix(gs, kh)), _merge_heads(outer(gs, qh)), _merge_heads(outer(w, gh))
-        return tuple(x[rows] for x in grads) if padded else grads
+        gh = _split_heads(_pad(g, rows, size) if padded else g.reshape(q.shape), heads, q_rows)
+        gs = _softmax_grad(w, gh @ vh.swapaxes(-1, -2)) * scale
+        gq, gk = _merge_heads(gs @ kh), _merge_heads(gs.swapaxes(-1, -2) @ qh)
+        gv = _merge_heads(w.swapaxes(-1, -2) @ gh)
+        return (gq[rows], gk[rows], gv[rows]) if padded else (gq.reshape(n, d), gk, gv)
 
     return y, _bw
+
+
+@_op(2)
+def per_head_matmul(a, b, heads: int):
+    """The per-head products a_j @ b_j stacked by rows: (p, h*c) @ (h*c, s) in h blocks gives (h*p, s).
+
+    a_j is column block j of a and b_j row block j of b, each c wide; row
+    block j of the output is a_j @ b_j, where a @ b would sum those blocks.
+    """
+    p, hc = a.shape
+    if heads < 1 or hc % heads != 0 or b.shape[0] != hc:
+        raise ValueError(f"per-head matmul needs {heads} equal column blocks of a matching b's rows, "
+                         f"got {a.shape} and {b.shape}")
+    ah = a.reshape(p, heads, hc // heads).swapaxes(0, 1)  # (h, p, c)
+    bh = b.reshape(heads, hc // heads, b.shape[1])  # (h, c, s)
+
+    def _bw(g):
+        gh = g.reshape(heads, p, b.shape[1])
+        return (gh @ bh.swapaxes(1, 2)).swapaxes(0, 1).reshape(p, hc), (ah.swapaxes(1, 2) @ gh).reshape(b.shape)
+
+    return (ah @ bh).reshape(heads * p, b.shape[1]), _bw
 
 
 @_op(1)

@@ -134,8 +134,8 @@ class DriveConfig:
     sensor_half_width_m: ClassVar[float] = 20.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.v < 0:
-            raise ValueError("dt must be > 0 and v >= 0")
+        if not (0 < self.dt < math.inf and 0 <= self.v < math.inf):  # nan fails both comparisons
+            raise ValueError("dt must be a finite number > 0 and v one >= 0")
         if not self.segments or not all(len(seg) == 2 and seg[0] > 0 and math.isfinite(seg[1])
                                         for seg in self.segments):
             raise ValueError("segments must be (duration > 0, omega) pairs")

@@ -45,10 +45,10 @@ class EkfConfig:
     r_diag: tuple = (0.25, 0.25, math.radians(2.0) ** 2)
 
     def __post_init__(self) -> None:
-        if self.sigma_accel <= 0 or self.sigma_yaw_accel <= 0:
-            raise ValueError("process noise densities must be > 0")
-        if len(self.r_diag) != 3 or any(v <= 0 for v in self.r_diag):
-            raise ValueError("r_diag must be 3 positive variances")
+        if not (0 < self.sigma_accel < math.inf and 0 < self.sigma_yaw_accel < math.inf):  # nan fails both
+            raise ValueError("process noise densities must be finite numbers > 0")
+        if len(self.r_diag) != 3 or not all(0 < v < math.inf for v in self.r_diag):
+            raise ValueError("r_diag must be 3 finite variances > 0")
 
 
 @dataclass

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 
 import numpy as np
 
@@ -40,8 +41,8 @@ def _fmt(v: float) -> str:
 
 def query_fov(points: np.ndarray, pose: Pose, radius: float) -> np.ndarray:
     """All landmarks within the closed disk of `radius` around the pose, in map row order."""
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
+    if not 0 < radius < math.inf:  # nan fails both comparisons
+        raise ValueError(f"radius must be a finite number > 0, got {radius}")
     # closed disk: a landmark exactly `radius` away is in view
     d = np.hypot(points[:, 0] - pose.x, points[:, 1] - pose.y)
     return points[d <= radius]

@@ -74,11 +74,6 @@ def exp(x: Tensor) -> Tensor:
     return Tensor._make(y, (x,), lambda g: (g * y,))
 
 
-def transpose(x: Tensor) -> Tensor:
-    """x with rows and columns swapped."""
-    return Tensor._make(x.data.T, (x,), lambda g: (g.T,))
-
-
 def mean(x: Tensor) -> Tensor:
     """The 1x1 mean of all entries."""
     n = x.data.size

@@ -24,7 +24,7 @@ from attnloc.geometry import Pose, PoseOffset
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import save_map
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
-from autodiff_helpers import check_gradient, concat, exp, mean, sub, transpose
+from autodiff_helpers import check_gradient, concat, exp, mean, sub
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
 from map_store_helpers import read_map
@@ -94,7 +94,7 @@ class TestAcceptance:
         fd(lambda: ((a * b) * 1.7).sum(), [a, b])
         fd(lambda: ad.relu(a).sum(), [a])
         fd(lambda: exp(a * 0.1).sum(), [a])
-        fd(lambda: (transpose(a) @ b).sum(), [a, b])
+        fd(lambda: (a.T @ b).sum(), [a, b])
         fd(lambda: mean(concat([a, b], axis=0)), [a, b])
         fd(lambda: mean(concat([a, b], axis=1)), [a, b])
         fd(lambda: (ad.softmax_rows(a) * b).sum(), [a])
@@ -109,6 +109,11 @@ class TestAcceptance:
         pred, target = Tensor(loss_rng.normal(size=(4, 3))), loss_rng.normal(size=(4, 3))
         s_tran, s_rot = Tensor(loss_rng.normal(scale=0.5)), Tensor(loss_rng.normal(scale=0.5))
         fd(lambda: ad.homoscedastic_loss(pred, target, s_tran, s_rot)[0], [pred, s_tran, s_rot])
+        head_rng = np.random.default_rng(12)
+        blocks, rows, stacked_w = (Tensor(head_rng.normal(size=s)) for s in ((3, 6), (6, 4), (9, 4)))
+        fd(lambda: (ad.per_head_matmul(blocks, rows, 3) * stacked_w).sum(), [blocks, rows])
+        shared_k, shared_v = Tensor(head_rng.normal(size=(6, 1))), Tensor(head_rng.normal(size=(6, 1)))
+        fd(lambda: (ad.attention(q, shared_k, shared_v, 5, group=2) * q).sum(), [q, shared_k, shared_v])
 
         # the full network at nu=3, mu=5, d_m=16, h=2
         cfg = net.NetConfig(d_m=16, heads=2, k=3, seed=1)

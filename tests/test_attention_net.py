@@ -290,6 +290,21 @@ class TestLocalAttention:
         after = net.local_attention([(m, lm2)], small_params).data
         np.testing.assert_array_equal(before[0], after[0])
 
+    def test_tape_holds_no_neighbor_row_of_model_width(self, small_params):
+        # the neighbor hidden layer is the one key/value head: no (sum nu * k, d_m) key or value is built
+        assert SMALL.rff_hidden != SMALL.d_m
+        scenes = [_scene(30, nu=4, mu=9), _scene(31, nu=3, mu=5)]
+        neighbor_rows = SMALL.k * sum(m.shape[0] for m, _ in scenes)
+        seen, stack, shapes = set(), [net.forward(scenes, small_params)], []
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                shapes.append(node.shape)
+                stack.extend(node._parents)
+        assert (neighbor_rows, SMALL.rff_hidden) in shapes
+        assert (neighbor_rows, SMALL.d_m) not in shapes
+
 
 def _max_relative(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| / max |b|."""

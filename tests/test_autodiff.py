@@ -6,7 +6,7 @@ import pytest
 
 from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
-from autodiff_helpers import check_gradient, concat, count_tensors, exp, mean, relative_error, sub, transpose
+from autodiff_helpers import check_gradient, concat, count_tensors, exp, mean, relative_error, sub
 
 H = 1e-5
 TOL = 1e-5
@@ -304,11 +304,13 @@ PROTOCOL_OPS = {
     "attention": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2),
     "attention_grouped": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 4), _rand(r, 6, 4), 2, group=2),
     "attention_sets": lambda r: ad.attention(_rand(r, 5, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2, counts=[3, 2]),
+    "attention_shared": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 2), _rand(r, 6, 2), 2, group=2),
+    "per_head_matmul": lambda r: ad.per_head_matmul(_rand(r, 3, 4), _rand(r, 4, 5), 2),
     "max_pool_rows": lambda r: ad.max_pool_rows(_rand(r, 3, 4)),
     "max_pool_sets": lambda r: ad.max_pool_rows(_rand(r, 5, 4), [1, 4]),
     "homoscedastic_loss": lambda r: ad.homoscedastic_loss(_rand(r, 2, 3), r.normal(size=(2, 3)),
                                                           _rand(r, 1, 1), _rand(r, 1, 1))[0],
-    "transpose": lambda r: transpose(_rand(r, 3, 4)),
+    "transpose": lambda r: _rand(r, 3, 4).T,
     "mean": lambda r: mean(_rand(r, 3, 4)),
     "concat_rows": lambda r: concat([_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 2, 4)], axis=0),
     "concat_cols": lambda r: concat([_rand(r, 3, 4), _rand(r, 3, 1)], axis=1),
@@ -337,6 +339,7 @@ LIFTED_OPS = {
     "attention": (ad.attention, (2,), [(3, 4), (5, 4), (5, 4)]),
     "attention_grouped": (ad.attention, (2, 2), [(3, 4), (6, 4), (6, 4)]),
     "attention_sets": (ad.attention, (2, None, [3, 2]), [(5, 4)] * 3),
+    "per_head_matmul": (ad.per_head_matmul, (2,), [(3, 4), (4, 5)]),
     "max_pool_rows": (ad.max_pool_rows, ([2, 2],), [(4, 4)]),
     "max_pool_sets": (ad.max_pool_rows, ([1, 4],), [(5, 4)]),
 }
@@ -405,7 +408,7 @@ class TestElementwiseOps:
         _fd_check(lambda: (a * 2.5).sum(), [a])
         _fd_check(lambda: ad.relu(a).sum(), [a])
         _fd_check(lambda: exp(a * 0.1).sum(), [a])
-        _fd_check(lambda: (transpose(a) @ b).sum(), [a, b])
+        _fd_check(lambda: (a.T @ b).sum(), [a, b])
 
     def test_concat_gradients(self):
         rng = np.random.default_rng(13)
@@ -466,6 +469,66 @@ class TestGroupedOps:
         w = _rand(rng, n, d)
         _fd_check(lambda: (ad.attention(q, keys, v, 2, group=k) * w).sum(), [q, keys, v])
         _fd_check(lambda: (ad.attention(q, keys, v, 2) * w).sum(), [q, keys, v])
+
+
+class TestSharedHead:
+    """ad.attention with keys and values of width d/h: one head that every query head shares, in grouped mode."""
+
+    @pytest.mark.parametrize("heads", [2, 4])
+    def test_equals_the_head_tiled_to_every_head(self, heads):
+        rng = np.random.default_rng(22)
+        n, k, dh = 3, 4, 3
+        q, w = rng.normal(size=(n, heads * dh)), rng.normal(size=(n, heads * dh))
+        keys, v = rng.normal(size=(n * k, dh)), rng.normal(size=(n * k, dh))
+        results = []
+        for tiled in (False, True):
+            inputs = [Tensor(x) for x in (q, keys, v)]
+            kv = [Tensor(np.tile(x.data, (1, heads))) if tiled else x for x in inputs[1:]]
+            out = ad.attention(inputs[0], *kv, heads, group=k)
+            (out * Tensor(w)).sum().backward()
+            grads = [inputs[0].grad] + [x.grad.reshape(n * k, heads, dh).sum(axis=1) if tiled else x.grad for x in kv]
+            results.append((out.data, grads))
+        (shared, shared_grads), (ref, ref_grads) = results
+        np.testing.assert_allclose(shared, ref, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(ad.attention(q, keys, v, heads, group=k), shared)
+        for g, g_ref in zip(shared_grads, ref_grads, strict=True):
+            np.testing.assert_allclose(g, g_ref, rtol=0, atol=1e-12)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(23)
+        q, keys, v, w = _rand(rng, 3, 6), _rand(rng, 6, 2), _rand(rng, 6, 2), _rand(rng, 3, 6)
+        _fd_check(lambda: (ad.attention(q, keys, v, 3, group=2) * w).sum(), [q, keys, v])
+
+    def test_needs_grouped_mode(self):
+        x, shared = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 2)))
+        with pytest.raises(ValueError, match="needs grouped mode"):
+            ad.attention(x, shared, shared, 2)
+        with pytest.raises(ValueError, match="needs grouped mode"):
+            ad.attention(x, shared, shared, 2, counts=[2, 2])
+        with pytest.raises(ValueError, match="width d or d/heads"):
+            ad.attention(x, Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 3))), 2, group=2)
+
+
+class TestPerHeadMatmul:
+    """ad.per_head_matmul: row block j of the output is column block j of a times row block j of b."""
+
+    def test_blocks(self):
+        rng = np.random.default_rng(24)
+        a, b = rng.normal(size=(3, 6)), rng.normal(size=(6, 4))
+        out = ad.per_head_matmul(Tensor(a), Tensor(b), 3).data
+        expect = np.vstack([a[:, 2 * j : 2 * j + 2] @ b[2 * j : 2 * j + 2] for j in range(3)])
+        np.testing.assert_allclose(out, expect, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(out.reshape(3, 3, 4).sum(axis=0), a @ b, rtol=0, atol=1e-13)
+
+    def test_gradients(self):
+        rng = np.random.default_rng(25)
+        a, b, w = _rand(rng, 3, 6), _rand(rng, 6, 4), _rand(rng, 9, 4)
+        _fd_check(lambda: (ad.per_head_matmul(a, b, 3) * w).sum(), [a, b])
+
+    def test_shape_validation(self):
+        for a, b, heads in (((3, 5), (5, 2), 2), ((3, 4), (6, 2), 2), ((3, 4), (4, 2), 0)):
+            with pytest.raises(ValueError, match="per-head matmul"):
+                ad.per_head_matmul(np.zeros(a), np.zeros(b), heads)
 
 
 class TestAttentionSets:

@@ -36,6 +36,17 @@ def zero_net():
     return params
 
 
+class TestEkfConfig:
+    @pytest.mark.parametrize("bad", [
+        {"sigma_accel": math.nan}, {"sigma_yaw_accel": math.inf},
+        {"r_diag": (math.nan, 1.0, 1.0)}, {"r_diag": (1.0, 1.0, math.inf)},
+    ], ids=["sigma_accel-nan", "sigma_yaw_accel-inf", "r_diag-nan", "r_diag-inf"])
+    def test_non_finite_noise_rejected(self, bad):
+        # a NaN density would build and make every predicted covariance NaN
+        with pytest.raises(ValueError, match="finite"):
+            EkfConfig(**bad)
+
+
 class TestEkfPredict:
     def test_stationary_mean_fixed_covariance_grows(self):
         # zero prior isolates the process noise: the output covariance is Q
@@ -156,6 +167,13 @@ class TestGpsInference:
         pts = self._map()
         with pytest.raises(NoLandmarksInFov, match="field of view"):
             gps_inference(zero_net, pts, pts, Pose(1e6, 1e6, 0.0), fov_radius=10.0)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, zero_net, radius):
+        # named as a bad radius, not reported as an empty field of view
+        pts = self._map()
+        with pytest.raises(ValueError, match="radius must be a finite number > 0"):
+            gps_inference(zero_net, pts, pts, Pose(0, 0, 0), fov_radius=radius)
 
     def test_empty_measurements_rejected(self, zero_net):
         pts = self._map()

@@ -59,6 +59,11 @@ class TestQueryFov:
         with pytest.raises(ValueError):
             query_fov(np.array([[1.0, 1.0]]), Pose(0, 0, 0), radius=0.0)
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be a finite number > 0"):
+            query_fov(np.array([[1.0, 1.0]]), Pose(0, 0, 0), radius)
+
     def test_matches_per_landmark_check_large_map(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-500, 500, size=(1000, 2))

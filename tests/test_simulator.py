@@ -184,6 +184,14 @@ class TestPinnedOutput:
         assert _fingerprint([lmap]) == "3510fdab29156c6f61c72174f92c8bbf81da48ef6a2a411410f2a2c3f6a0fd9d"
 
 
+class TestDriveConfig:
+    @pytest.mark.parametrize("bad", [{"dt": math.nan}, {"dt": math.inf}, {"v": math.nan}, {"v": math.inf}],
+                             ids=["dt-nan", "dt-inf", "v-nan", "v-inf"])
+    def test_non_finite_motion_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite number"):
+            experiment.DriveConfig(**bad)
+
+
 class TestTrajectory:
     def test_zero_velocity_constant_pose(self):
         poses = generate_trajectory(0.0, 0.0, dt=0.5, steps=10)
