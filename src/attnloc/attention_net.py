@@ -78,6 +78,10 @@ class ModelParams:
 
 BLOCKS = ("local", "global")
 
+# Scenes per stacked forward, in training tapes and evaluate_gps: more share the
+# per-op overhead, but activations grow with the stack (d_m=256 levels off at 4)
+SCENES_PER_FORWARD = 4
+
 
 def _rff_shapes(widths: list[int]) -> list[tuple[int, int]]:
     return list(zip(widths[:-1], widths[1:]))
@@ -179,17 +183,16 @@ def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor
     return x
 
 
-def mha_block(x: Tensor, k: Tensor, v: Tensor, params: ModelParams, block: str, group: int | None = None,
+def mha_block(x: Tensor, k: Tensor, v: Tensor, params: ModelParams, block: str,
               counts: list[int] | None = None) -> Tensor:
     """Set Transformer MAB: LayerNorm(S + rFF(S)), S = LayerNorm(X + Multihead(X, Y, Y)).
 
     k and v are the projected keys Y Wk and values Y Wv; the block projects
-    the queries X Wq itself. group=None: every row of x attends to all rows
-    of k. group=g: row i of x attends only to rows i*g ... i*g+g-1 of k.
-    counts=(n_1, ..., n_B): x, k and v stack B sets of rows and a row attends
+    the queries X Wq itself. Every row of x attends to all rows of k, or with
+    counts=(n_1, ..., n_B), x, k and v stack B sets of rows and a row attends
     only to the rows of its own set.
     """
-    att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, group, counts)
+    att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, counts=counts)
     return _tail(x, att @ params[f"{block}.out"], params, block)
 
 
@@ -290,14 +293,18 @@ def forward(scenes, params: ModelParams | InferenceWeights):
         raise ValueError("forward needs at least one scene")
     local = local_attention(scenes, params)
     counts = [as_points(m).shape[0] for m, _ in scenes]
-    glob = mha_block(local, local @ params["global.k"], local @ params["global.v"], params, "global", counts=counts)
+    glob = mha_block(local, local @ params["global.k"], local @ params["global.v"], params, "global", counts)
     h = _rff(ad.max_pool_rows(glob, counts), params, "head", len(params.config.head_hidden) + 1)
     if not np.all(np.isfinite(h.data if isinstance(h, Tensor) else h)):
         raise FloatingPointError("network output is not finite")
     return h
 
 
+def predict_offsets(pairs, params: ModelParams | InferenceWeights) -> list[PoseOffset]:
+    """Pose offsets with wrapped headings, one per (measurements, landmarks) pair, from one unrecorded forward."""
+    return [PoseOffset(out[0], out[1], wrap_angle(out[2])) for out in forward(list(pairs), inference_weights(params))]
+
+
 def predict_offset(measurements, landmarks, params: ModelParams | InferenceWeights) -> PoseOffset:
-    """Predicted pose offset with wrapped heading, from an unrecorded forward pass."""
-    out = forward([(measurements, landmarks)], inference_weights(params))[0]
-    return PoseOffset(out[0], out[1], wrap_angle(out[2]))
+    """predict_offsets of the one pair."""
+    return predict_offsets([(measurements, landmarks)], params)[0]

@@ -223,10 +223,10 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5):
         raise ValueError(f"layer_norm needs width >= 2, got {d}")
     if gamma.shape != (1, d) or beta.shape != (1, d):
         raise ValueError(f"gamma/beta must be 1x{d}, got {gamma.shape} and {beta.shape}")
-    # the moments as np.mean/np.var compute them, without their dispatch
-    xc = x - x.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc * xc).sum(axis=1, keepdims=True) / d + eps)
-    xhat = xc * inv
+    # the moments as np.mean/np.var compute them, without their dispatch; in place, two (n, d) arrays fewer
+    xhat = x - x.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=1, keepdims=True) / d + eps)
+    xhat *= inv
 
     def _bw(g):
         gh = g * gamma
@@ -236,7 +236,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5):
         gx = inv * (gh - mean_gh - xhat * mean_gh_xhat)
         return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
 
-    return xhat * gamma + beta, _bw
+    y = xhat * gamma
+    y += beta
+    return y, _bw
 
 
 def _split_heads(x: np.ndarray, heads: int, block_rows: int) -> np.ndarray:

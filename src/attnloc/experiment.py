@@ -9,7 +9,6 @@ report.json, timing.json and optionally trace.svg.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import operator
@@ -25,10 +24,10 @@ from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, check_numbers, from_dict, save_checkpoint, save_scenes
 from .geometry import ORIGIN, Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
-from .inference import EkfConfig, FilterSession, gps_inference, localize
+from .inference import EkfConfig, FilterSession, localize
 from .map_store import save_map
 from .metrics import EvalReport, LatencyStats
-from .training import TrainConfig, sample_offset
+from .training import TrainConfig, check_bound, sample_offset
 
 MODES = ("gps", "filter", "icp")
 
@@ -78,11 +77,10 @@ def sim_config(cfg: dict) -> simulator.SimConfig:
 def gps_noise(cfg: dict) -> tuple[float, float]:
     """(sigma_pos m, sigma_rot rad) GPS noise bounds; absent keys take TrainConfig's offset bounds."""
     s = _section(cfg, "gps_noise", ("sigma_pos", "sigma_phi_deg"))
-    sigma_pos = s.get("sigma_pos", TrainConfig.sigma_pos)
-    sigma_rot = math.radians(s["sigma_phi_deg"]) if "sigma_phi_deg" in s else TrainConfig.sigma_rot
-    if not (sigma_pos >= 0 and sigma_rot >= 0):
-        raise ValueError("noise bounds must be >= 0")
-    return sigma_pos, sigma_rot
+    sigma_pos = check_bound("sigma_pos", s.get("sigma_pos", TrainConfig.sigma_pos))
+    if "sigma_phi_deg" not in s:
+        return sigma_pos, TrainConfig.sigma_rot
+    return sigma_pos, math.radians(check_bound("sigma_phi_deg", s["sigma_phi_deg"]))
 
 
 def train_config(cfg: dict) -> TrainConfig:
@@ -91,7 +89,7 @@ def train_config(cfg: dict) -> TrainConfig:
                                      "mix_ratio", "samples_per_epoch")))
     sigma_pos, sigma_rot = gps_noise(cfg)
     if "sigma_rot_deg" in s:
-        sigma_rot = math.radians(s.pop("sigma_rot_deg"))
+        sigma_rot = math.radians(check_bound("sigma_rot_deg", s.pop("sigma_rot_deg")))
     return TrainConfig(**{"sigma_pos": sigma_pos, "sigma_rot": sigma_rot, **s, "seed": _seed(cfg)})
 
 
@@ -289,34 +287,40 @@ def scene_map(scene: Scene) -> np.ndarray:
     return scene.landmarks
 
 
-def _timed(scenes: list[Scene], contexts, locate) -> tuple[list[Pose], list[Pose], LatencyStats]:
-    """Time locate(scene, context) alone per scene: (estimates, true poses, latencies).
+def _localize_timed(scenes: list[Scene], lmap: np.ndarray | None, regress, fov_radius: float,
+                    per_call: int) -> tuple[list[Pose], list[Pose], LatencyStats]:
+    """Localize the scenes per_call at a time, one localize call each: (estimates, true poses, latencies).
 
-    The contexts (a map, the previous frame) are drawn outside the timing.
+    Each scene's latency is an equal share of its call's time. The queries
+    (each scene's map, or lmap) are built outside the timing.
     """
-    preds, gts, times = [], [], []
-    for sc, ctx in zip(scenes, contexts):
+    preds, times = [], []
+    for lo in range(0, len(scenes), per_call):
+        chunk = scenes[lo:lo + per_call]
+        queries = [(scene_map(sc) if lmap is None else lmap, sc.measurements, sc.gps_pose) for sc in chunk]
         t0 = time.perf_counter()
-        preds.append(locate(sc, ctx))
-        times.append(time.perf_counter() - t0)
-        gts.append(sc.gt_pose)
-    return preds, gts, LatencyStats.from_seconds(times)
+        preds += localize(queries, regress, fov_radius)
+        times += [(time.perf_counter() - t0) / len(chunk)] * len(chunk)
+    return preds, [sc.gt_pose for sc in scenes], LatencyStats.from_seconds(times)
 
 
 def evaluate_gps(params: net.ModelParams, scenes: list[Scene], lmap: np.ndarray | None,
                  fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
     """GPS-based inference per scene against the (N, 2) map lmap, or each scene's own landmarks when it is None.
 
-    Each scene runs its own forward, on the inference weights params keeps (net.inference_weights).
+    Scenes run net.SCENES_PER_FORWARD at a time, each with its own FoV query
+    and frame, through one stacked forward on the weights params keeps
+    (net.inference_weights); poses equal per-scene gps_inference up to
+    rounding, and each scene's latency is an equal share of its forward's.
     """
-    maps = map(scene_map, scenes) if lmap is None else itertools.repeat(lmap)
-    return _timed(scenes, maps, lambda sc, m: gps_inference(params, m, sc.measurements, sc.gps_pose, fov_radius))
+    weights = net.inference_weights(params)
+    return _localize_timed(scenes, lmap, lambda pairs: net.predict_offsets(pairs, weights), fov_radius,
+                           net.SCENES_PER_FORWARD)
 
 
 def evaluate_icp(scenes: list[Scene], fov_radius: float) -> tuple[list[Pose], list[Pose], LatencyStats]:
-    """ICP in place of the network, same localization step."""
-    return _timed(scenes, map(scene_map, scenes), lambda sc, m: localize(
-        m, sc.measurements, sc.gps_pose, lambda meas, lm: icp(meas, lm).offset, fov_radius))
+    """ICP in place of the network, same localization step, timed per scene."""
+    return _localize_timed(scenes, None, lambda pairs: [icp(m, lm).offset for m, lm in pairs], fov_radius, 1)
 
 
 def evaluate_filter(params: net.ModelParams, lmap: np.ndarray, frames: list[Scene],
@@ -325,9 +329,12 @@ def evaluate_filter(params: net.ModelParams, lmap: np.ndarray, frames: list[Scen
     if not frames:
         raise ValueError("no drive frames to evaluate")
     session = FilterSession(params, lmap, frames[0].gps_pose, ekf_cfg, fov_radius)
-    first = session.state.pose()
-    preds, gts, latency = _timed(frames[1:], frames, lambda sc, prev: session.step(sc.measurements, sc.t - prev.t))
-    return [first, *preds], [frames[0].gt_pose, *gts], latency
+    preds, times = [session.state.pose()], []
+    for prev, sc in zip(frames, frames[1:]):
+        t0 = time.perf_counter()
+        preds.append(session.step(sc.measurements, sc.t - prev.t))
+        times.append(time.perf_counter() - t0)
+    return preds, [sc.gt_pose for sc in frames], LatencyStats.from_seconds(times)
 
 
 # -- artifacts -----------------------------------------------------------------
@@ -488,7 +495,7 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
         doc = {"mode": plan.mode, "seed": plan.seed, **report.metrics_dict(), **extra}
         write_json(os.path.join(out_dir, "report.json"), doc)
         write_json(os.path.join(out_dir, "timing.json"),
-                   {"latency_ms": {"mean": latency.mean_ms, "min": latency.min_ms, "max": latency.max_ms}})
+                   {"latency_ms": {k.removesuffix("_ms"): v for k, v in dataclasses.asdict(latency).items()}})
     except Exception as exc:
         raise StageError("eval", exc) from exc
     return doc

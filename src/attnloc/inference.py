@@ -138,30 +138,34 @@ def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
     return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
 
 
-def localize(lmap: np.ndarray, measurements, prior: Pose, regress, fov_radius: float) -> Pose:
-    """The localization step: correct a prior pose by an offset regressed against the map around it.
+def localize(queries, regress, fov_radius: float) -> list[Pose]:
+    """The localization step: correct each prior pose by an offset regressed against the map around it.
 
-    The map landmarks in the field of view of the prior are moved into its
-    vehicle frame, regress(measurements, landmarks) returns the pose offset,
-    and the offset is subtracted from the prior. Raises ValueError on empty
-    measurements and NoLandmarksInFov on an empty field of view.
+    Per (map, measurements, prior) query, the map landmarks in the field of
+    view of the prior are moved into its vehicle frame; regress maps the list
+    of (measurements, landmarks) pairs to one offset each, subtracted from
+    its prior. The first query with empty measurements raises ValueError, and
+    the first with an empty field of view NoLandmarksInFov.
     """
-    m = np.asarray(measurements, dtype=np.float64)
-    if m.size == 0:
-        raise ValueError("localization needs at least one measurement")
-    fov = query_fov(lmap, prior, fov_radius)
-    if fov.shape[0] == 0:
-        raise NoLandmarksInFov("no landmarks in field of view")
-    return correct_pose(prior, regress(m, utm_to_vehicle(fov, prior)))
+    pairs = []
+    for lmap, measurements, prior in queries:
+        m = np.asarray(measurements, dtype=np.float64)
+        if m.size == 0:
+            raise ValueError("localization needs at least one measurement")
+        fov = query_fov(lmap, prior, fov_radius)
+        if fov.shape[0] == 0:
+            raise NoLandmarksInFov("no landmarks in field of view")
+        pairs.append((m, utm_to_vehicle(fov, prior)))
+    return [correct_pose(prior, d) for (_, _, prior), d in zip(queries, regress(pairs))]
 
 
 def gps_inference(params: net.ModelParams | net.InferenceWeights, lmap: np.ndarray, measurements, p_gps: Pose,
                   fov_radius: float) -> Pose:
-    """Single-shot correction of a noisy GPS pose: the localization step with the network as regressor.
+    """Single-shot correction of a noisy GPS pose: the localization step of one query with the network as regressor.
 
     A ModelParams runs on the inference weights it keeps (net.inference_weights).
     """
-    return localize(lmap, measurements, p_gps, lambda m, lm: net.predict_offset(m, lm, params), fov_radius)
+    return localize([(lmap, measurements, p_gps)], lambda pairs: [net.predict_offset(*pairs[0], params)], fov_radius)[0]
 
 
 class FilterSession:

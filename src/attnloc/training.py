@@ -10,6 +10,7 @@ subtraction-based inference correction.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -19,12 +20,6 @@ from . import attention_net as net
 from . import autodiff as ad
 from .autodiff import Tensor
 from .geometry import ORIGIN, PoseOffset, as_points, offset_pose, utm_to_vehicle, wrap_angle
-
-# Scenes per forward/backward tape. A batch runs as tapes of this many
-# scenes: more scenes per tape cut the per-node overhead, but a tape's arrays
-# live until its backward frees them, so peak memory grows with the tape.
-TAPE_SCENES = 4
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,8 +40,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.sigma_pos >= 0 and self.sigma_rot >= 0):  # nan fails both comparisons
-            raise ValueError("sampling bounds must be >= 0")
+        check_bound("sigma_pos", self.sigma_pos)
+        check_bound("sigma_rot", self.sigma_rot)
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
         counts = (self.epochs, self.batch_size, *(() if self.samples_per_epoch is None else (self.samples_per_epoch,)))
@@ -54,6 +49,13 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and samples_per_epoch must be integers >= 1")
         if self.learning_rate <= 0:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+
+
+def check_bound(name: str, value):
+    """value; ValueError naming it unless it is a number >= 0 (NaN and a number in a string are not)."""
+    if not (isinstance(value, numbers.Real) and value >= 0):
+        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+    return value
 
 
 def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> PoseOffset:
@@ -151,8 +153,9 @@ def train(
 
     Landmarks are true-vehicle-frame positions; a fresh offset is sampled
     per scene per epoch. Each logical batch draws all its samples first,
-    then runs them as tapes of TAPE_SCENES scenes, one stacked forward and
-    backward each; gradients average over the batch before each Adam step.
+    then runs them as tapes of net.SCENES_PER_FORWARD scenes, one stacked
+    forward and backward each; gradients average over the batch before each
+    Adam step.
     Deterministic for a fixed (cfg.seed, params, scenes) triple. A
     non-finite loss raises FloatingPointError naming the epoch and the
     sample, and a non-finite batch gradient one naming the epoch and the
@@ -177,8 +180,8 @@ def train(
                 pool = mapped if use_map else syn
                 batch.append(make_training_sample(pool[rng.integers(len(pool))], cfg, rng))
             params.zero_grads()
-            for lo in range(0, len(batch), TAPE_SCENES):
-                pairs, labels = zip(*batch[lo:lo + TAPE_SCENES])
+            for lo in range(0, len(batch), net.SCENES_PER_FORWARD):
+                pairs, labels = zip(*batch[lo:lo + net.SCENES_PER_FORWARD])
                 pred = net.forward(list(pairs), params)
                 loss, rows = multitask_loss_graph(pred, list(labels), params)
                 bad = np.flatnonzero(~np.isfinite(rows[:, 0]))

@@ -306,6 +306,12 @@ class TestLocalAttention:
         assert (neighbor_rows, SMALL.d_m) not in shapes
 
 
+def _grouped_block(x, k, v, params, block: str, group: int):
+    """The block with row i of x attending only to rows i*group ... i*group+group-1 of the projected k and v."""
+    att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, group)
+    return net._tail(x, att @ params[f"{block}.out"], params, block)
+
+
 def _max_relative(a: np.ndarray, b: np.ndarray) -> float:
     """max |a - b| / max |b|."""
     return float(np.abs(a - b).max() / np.abs(b).max())
@@ -328,8 +334,8 @@ class TestFoldedNeighborEmbedding:
             feats = np.concatenate([net.knn_group(m, lm, cfg.k)[1] for m, lm in scenes])
             neighbors = net._rff(Tensor(feats), params, "embed_l")  # N = embed_l(F), (sum nu * k, d)
             queries = net._rff(Tensor(np.concatenate([m for m, _ in scenes])), params, "embed_m")
-            return net.mha_block(queries, neighbors @ params["local.k"], neighbors @ params["local.v"], params,
-                                 "local", cfg.k)
+            return _grouped_block(queries, neighbors @ params["local.k"], neighbors @ params["local.v"], params,
+                                  "local", cfg.k)
 
         weights = Tensor(rng.normal(size=(sum(m.shape[0] for m, _ in scenes), cfg.d_m)))
         results = []

@@ -8,7 +8,7 @@ import pytest
 from attnloc import attention_net as net
 from attnloc import experiment, inference, training
 from attnloc.dataset_io import Scene, load_checkpoint
-from attnloc.geometry import Pose, PoseOffset, offset_pose
+from attnloc.geometry import ORIGIN, Pose, PoseOffset, correct_pose, offset_pose, utm_to_vehicle
 from attnloc.inference import (
     EkfConfig,
     EkfState,
@@ -19,6 +19,7 @@ from attnloc.inference import (
     gps_inference,
     init_state,
 )
+from attnloc.map_store import query_fov
 from attnloc.simulator import SimConfig, generate_trajectory
 
 
@@ -273,12 +274,6 @@ class TestInferenceWeights:
         scenes = experiment.generate_scene_set(SimConfig(distribution="mixture", seed=6), 1.0, math.radians(4.0), 8, 6)
         return params, scenes
 
-    def test_evaluate_gps_equals_per_call_gps_inference(self, setup):
-        params, scenes = setup
-        preds, _, _ = experiment.evaluate_gps(params, scenes, None, 60.0)
-        assert preds == [gps_inference(params, experiment.scene_map(sc), sc.measurements, sc.gps_pose, 60.0)
-                         for sc in scenes]
-
     def test_evaluate_gps_derives_once(self, setup, monkeypatch):
         params, scenes = setup
         derived = _count_derivations(monkeypatch)
@@ -323,6 +318,89 @@ class TestInferenceWeights:
         weights = net.inference_weights(setup[0])
         assert net.inference_weights(weights) is weights
         assert set(weights.arrays) == set(setup[0].tensors)
+
+
+def _max_pose_diff(a: list[Pose], b: list[Pose]) -> float:
+    assert len(a) == len(b)
+    return max(max(abs(p.x - q.x), abs(p.y - q.y), abs(p.phi - q.phi)) for p, q in zip(a, b))
+
+
+class TestStackedEvaluation:
+    """evaluate_gps runs net.SCENES_PER_FORWARD scenes per forward, each with its own FoV query and frame."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        params = net.init_params(net.NetConfig(d_m=16, heads=2, k=3, seed=2))
+        scenes = experiment.generate_scene_set(SimConfig(distribution="mixture", seed=6), 1.0, math.radians(4.0), 9, 6)
+        return params, scenes
+
+    def test_equals_predict_offsets_over_the_same_chunks(self, setup):
+        # the contract: one predict_offsets per chunk of 4, 4 and 1 scenes, each offset
+        # regressed in its scene's GPS frame and subtracted from its GPS pose
+        params, scenes = setup
+        assert net.SCENES_PER_FORWARD == 4
+        preds, gts, latency = experiment.evaluate_gps(params, scenes, None, 60.0)
+        expect = []
+        for chunk in (scenes[:4], scenes[4:8], scenes[8:]):
+            pairs = [(sc.measurements, utm_to_vehicle(query_fov(sc.landmarks, sc.gps_pose, 60.0), sc.gps_pose))
+                     for sc in chunk]
+            expect += [correct_pose(sc.gps_pose, d) for sc, d in zip(chunk, net.predict_offsets(pairs, params))]
+        assert preds == expect
+        assert gts == [sc.gt_pose for sc in scenes]
+        assert 0 < latency.min_ms <= latency.max_ms
+
+    def test_within_rounding_of_per_call_gps_inference(self, setup):
+        # a stacked forward's rows equal one-scene forwards up to rounding, not bit for bit
+        params, scenes = setup
+        single = [gps_inference(params, sc.landmarks, sc.measurements, sc.gps_pose, 60.0) for sc in scenes]
+        preds, _, _ = experiment.evaluate_gps(params, scenes, None, 60.0)
+        assert _max_pose_diff(preds, single) <= 1e-12
+        # against one shared map, as filter mode's GPS baseline runs
+        lmap = scenes[0].landmarks
+        frames = [Scene(sc.t, sc.gt_pose, sc.gps_pose, sc.measurements) for sc in scenes]
+        preds, _, _ = experiment.evaluate_gps(params, frames, lmap, 60.0)
+        single = [gps_inference(params, lmap, sc.measurements, sc.gps_pose, 60.0) for sc in scenes]
+        assert _max_pose_diff(preds, single) <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 4, 5, 9])
+    def test_one_forward_per_chunk(self, setup, monkeypatch, n):
+        params, scenes = setup
+        calls = []
+        forward = net.forward
+
+        def counted(pairs, weights):
+            calls.append(len(pairs))
+            return forward(pairs, weights)
+
+        monkeypatch.setattr(net, "forward", counted)
+        preds, _, _ = experiment.evaluate_gps(params, scenes[:n], None, 60.0)
+        assert len(preds) == n and len(calls) == math.ceil(n / 4) and sum(calls) == n
+
+    def test_chunk_mixing_one_measurement_and_fewer_landmarks_than_k(self, setup):
+        params, scenes = setup
+        rng = np.random.default_rng(11)
+        sparse = [Scene(float(i), ORIGIN, Pose(0.3, -0.2, 0.02), rng.uniform(-20, 20, size=(nu, 2)),
+                        rng.uniform(-20, 20, size=(mu, 2)))
+                  for i, (nu, mu) in enumerate([(1, 2), (6, 1), (1, 1), (1, 5)])]  # k = 3
+        mixed = [scenes[0], sparse[0], scenes[1], sparse[1], sparse[2], scenes[2], sparse[3]]
+        preds, _, _ = experiment.evaluate_gps(params, mixed, None, 60.0)
+        single = [gps_inference(params, sc.landmarks, sc.measurements, sc.gps_pose, 60.0) for sc in mixed]
+        assert _max_pose_diff(preds, single) <= 1e-12
+
+    @pytest.mark.parametrize("bad", ["empty-fov", "no-measurements"])
+    def test_bad_scene_mid_chunk_fails_as_gps_inference(self, setup, bad):
+        params, scenes = setup
+        sc = scenes[5]
+        if bad == "empty-fov":
+            broken = Scene(sc.t, sc.gt_pose, Pose(1e6, 1e6, 0.0), sc.measurements, sc.landmarks)
+        else:
+            broken = Scene(sc.t, sc.gt_pose, sc.gps_pose, np.zeros((0, 2)), sc.landmarks)
+        with pytest.raises(ValueError) as single:
+            gps_inference(params, broken.landmarks, broken.measurements, broken.gps_pose, 60.0)
+        with pytest.raises(ValueError) as stacked:
+            experiment.evaluate_gps(params, [*scenes[:5], broken, *scenes[6:]], None, 60.0)
+        assert type(stacked.value) is type(single.value) and str(stacked.value) == str(single.value)
+        assert (type(single.value) is NoLandmarksInFov) == (bad == "empty-fov")
 
 
 ROOT = Path(__file__).resolve().parent.parent

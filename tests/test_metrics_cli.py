@@ -12,7 +12,7 @@ from attnloc import cli, experiment
 from attnloc.experiment import ConfigError, run_experiment
 from attnloc.geometry import Pose
 from attnloc.inference import EkfConfig
-from attnloc.metrics import EvalReport
+from attnloc.metrics import EvalReport, LatencyStats
 from attnloc.simulator import SimConfig
 from attnloc.training import TrainConfig
 from metrics_helpers import max_error, rmse
@@ -64,6 +64,24 @@ class TestRmse:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             rmse([Pose(0, 0, 0)], [])
+
+
+class TestLatencyStats:
+    def test_percentiles(self):
+        stats = LatencyStats.from_seconds([i / 1000 for i in range(100, 0, -1)])  # 100 ... 1 ms
+        assert (stats.min_ms, stats.p50_ms, stats.p95_ms, stats.max_ms, stats.mean_ms) == pytest.approx(
+            (1.0, 50.5, 95.05, 100.0, 50.5))
+
+    def test_no_timings(self):
+        assert LatencyStats.from_seconds([]) == LatencyStats()
+
+    def test_timing_json_schema(self, tmp_path):
+        run_experiment(dict(TINY_CFG, mode="icp"), str(tmp_path))
+        doc = json.loads((tmp_path / "timing.json").read_text(encoding="utf-8"))
+        assert list(doc) == ["latency_ms"] and sorted(doc["latency_ms"]) == ["max", "mean", "min", "p50", "p95"]
+        lat = doc["latency_ms"]
+        assert 0 < lat["min"] <= lat["p50"] <= lat["p95"] <= lat["max"]
+        assert lat["min"] <= lat["mean"] <= lat["max"]
 
 
 class TestMaxError:
@@ -306,9 +324,9 @@ class TestCli:
             # integers beyond the float64 range
             ("gps_noise.sigma_pos", 10**400), ("sim.mu1", [10**400, 0]),
             # a number in a string is not a number, and "nan" would sample zero noise
-            # ("Infinity", not "inf": the id of the math.inf row above reads "inf")
             ("gps_noise.sigma_pos", "1.0"), ("gps_noise.sigma_pos", "nan"), ("gps_noise.sigma_pos", "Infinity"),
-            ("gps_noise.sigma_phi_deg", "nan"),
+            ("gps_noise.sigma_pos", "inf"), ("gps_noise.sigma_phi_deg", "nan"), ("train.sigma_pos", "nan"),
+            ("train.sigma_rot_deg", "4.0"),
             # the drive's sensor model and the map query radius are constants
             ("eval.fov_radius", 60.0), ("drive.cluster_spacing_m", 12.0), ("drive.cluster_rate", 2.0),
             ("drive.sensor_range_m", 40.0), ("drive.sensor_half_width_m", 20.0))],
@@ -321,15 +339,18 @@ class TestCli:
         (["train"], "train.lr", 1e-2),
     ]
 
-    # an id keeps its first 48 characters: 10**400 has 401 digits
+    # an id keeps its first 48 characters: 10**400 has 401 digits; a string
+    # value is quoted, so "inf" and math.inf get different ids
     @pytest.mark.parametrize("command,key,value", BAD_VALUES,
-                             ids=[f"{c[0]}-{k}-{v}"[:48] for c, k, v in BAD_VALUES])
+                             ids=[f"{c[0]}-{k}-{repr(v) if isinstance(v, str) else v}"[:48] for c, k, v in BAD_VALUES])
     def test_bad_value_is_config_error_before_any_artifact(self, tmp_path, capsys, command, key, value):
         out = tmp_path / "o"
         cfg = self._write_cfg(tmp_path, _with(FILTER_CFG, key, value))
         assert cli.main([*command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error:config: {key.split('.')[0]}:")
+        if key.startswith(("gps_noise.", "train.sigma")):  # a noise or offset bound names its key
+            assert key.rpartition(".")[2] in err[0]
         assert not out.exists() or not any(out.iterdir())
 
     def test_train_draws_the_map_backed_pool(self, tmp_path, capsys):
