@@ -9,15 +9,13 @@ a feed-forward head regressing the pose offset (dx, dy, dphi).
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import PoseOffset, as_points, wrap_angle
+from .geometry import PoseOffset, as_points, check_int, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -36,18 +34,13 @@ class NetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(map(operator.index, (self.d_m, self.heads, self.k, self.rff_hidden, *self.head_hidden))) < 1:
-            raise ValueError("d_m, heads, k, rff_hidden and head_hidden must be integers >= 1")
-        check_seed(self.seed)
+        for name in ("d_m", "heads", "k", "rff_hidden"):
+            check_int(name, getattr(self, name), 1)
+        for width in self.head_hidden:
+            check_int("head_hidden", width, 1)
+        check_int("seed", self.seed, 0)
         if self.d_m % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide d_m ({self.d_m})")
-
-
-def check_seed(seed) -> int:
-    """seed as an int; ValueError unless it is an integer >= 0."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-    return int(seed)
 
 
 class ModelParams:
@@ -183,17 +176,15 @@ def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor
     return x
 
 
-def mha_block(x: Tensor, k: Tensor, v: Tensor, params: ModelParams, block: str,
-              counts: list[int] | None = None) -> Tensor:
-    """Set Transformer MAB: LayerNorm(S + rFF(S)), S = LayerNorm(X + Multihead(X, Y, Y)).
+def mha_block(x: Tensor, params: ModelParams, counts: list[int]) -> Tensor:
+    """The global block, Set Transformer self-attention per set: LayerNorm(S + rFF(S)), S = LayerNorm(X + MH(X, X, X)).
 
-    k and v are the projected keys Y Wk and values Y Wv; the block projects
-    the queries X Wq itself. Every row of x attends to all rows of k, or with
-    counts=(n_1, ..., n_B), x, k and v stack B sets of rows and a row attends
-    only to the rows of its own set.
+    x stacks B sets of rows, set b in counts[b] consecutive rows, and a row
+    attends only to the rows of its own set.
     """
-    att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, counts=counts)
-    return _tail(x, att @ params[f"{block}.out"], params, block)
+    att = ad.attention(x @ params["global.q"], x @ params["global.k"], x @ params["global.v"], params.config.heads,
+                       counts=counts)
+    return _tail(x, att @ params["global.out"], params, "global")
 
 
 def _tail(x: Tensor, y: Tensor, params: ModelParams, block: str) -> Tensor:
@@ -293,7 +284,7 @@ def forward(scenes, params: ModelParams | InferenceWeights):
         raise ValueError("forward needs at least one scene")
     local = local_attention(scenes, params)
     counts = [as_points(m).shape[0] for m, _ in scenes]
-    glob = mha_block(local, local @ params["global.k"], local @ params["global.v"], params, "global", counts)
+    glob = mha_block(local, params, counts)
     h = _rff(ad.max_pool_rows(glob, counts), params, "head", len(params.config.head_hidden) + 1)
     if not np.all(np.isfinite(h.data if isinstance(h, Tensor) else h)):
         raise FloatingPointError("network output is not finite")

@@ -275,44 +275,37 @@ def _pad(x: np.ndarray, rows: np.ndarray, size: int) -> np.ndarray:
 
 @_op(3)
 def attention(q, k, v, heads: int, group: int | None = None, counts: list[int] | None = None):
-    """Multi-head scaled dot-product attention, heads side by side in the columns.
+    """Multi-head scaled dot-product attention in the network's two modes, heads side by side in the columns.
 
-    q is (n, d), which heads must divide; k and v have equal shapes. Head j
-    uses columns j*d/h ... (j+1)*d/h - 1 of q, k and v and computes
-    softmax(Q_j K_j^T / sqrt(d/h)) V_j; the (n, d) output holds the heads in
-    the same columns. Keys and values of width d/h are one head that every
-    query head shares (multi-query attention), in grouped mode only.
-    group=None: every query attends to all rows of k. group=g: k has n*g
-    rows and query i attends only to rows i*g ... i*g+g-1.
-    counts=(n_1, ..., n_B): q, k and v each stack B sets of rows, set b in
-    n_b consecutive rows, and a query attends only to the keys of its own
-    set. Sets of equal size are reshaped into a stack of blocks; unequal
-    ones are padded to the largest, with the padded keys masked to -inf.
+    q is (n, d), which heads must divide. Head j uses columns j*d/h ...
+    (j+1)*d/h - 1 of q and computes softmax(Q_j K_j^T / sqrt(d/h)) V_j; the
+    (n, d) output holds the heads in the same columns.
+    counts=(n_1, ..., n_B), the global block: q, k and v are (n, d) stacks of
+    B sets of rows, set b in n_b consecutive rows, and a query attends only
+    to the keys of its own set. Sets of equal size are reshaped into a stack
+    of blocks; unequal ones are padded to the largest, with the padded keys
+    masked to -inf.
+    group=g, the local block: k and v are (n*g, d/h), one head that every
+    query head shares (multi-query attention), and query i attends only to
+    rows i*g ... i*g+g-1.
     """
     n, d = q.shape
     if heads < 1 or d % heads != 0:
         raise ValueError(f"heads ({heads}) must divide the width ({d})")
-    if k.shape[1] not in (d, d // heads) or v.shape != k.shape:
-        raise ValueError(f"attention needs keys and values of one shape and width d or d/heads, "
-                         f"got q {q.shape}, k {k.shape}, v {v.shape}")
-    if n < 1 or k.shape[0] < 1:
-        raise ValueError("attention needs at least one query and one key")
-    if group is not None and (group < 1 or k.shape[0] != n * group):
-        raise ValueError(f"grouped keys must have n*group = {n}*{group} rows, got {k.shape[0]}")
-    if counts is not None and (group is not None or k.shape[0] != n or min(counts) < 1 or sum(counts) != n):
-        raise ValueError(f"set counts must be >= 1 and sum to the {n} query and key rows, got {list(counts)}")
-    if k.shape[1] != d and group is None:
-        raise ValueError(f"a shared key/value head of width d/heads = {k.shape[1]} needs grouped mode")
-    scale = 1.0 / math.sqrt(d // heads)
-    # one block of all rows, a block per set, or in grouped mode a block per query and per key group
+    if (group is None) == (counts is None):
+        raise ValueError("attention takes either set counts (the global block) or a key group (the local block)")
+    dh, scale = d // heads, 1.0 / math.sqrt(d // heads)
     if group is not None:
-        q_rows, kv_rows = 1, group
-    elif counts is None:
-        q_rows, kv_rows = n, k.shape[0]
-    else:
+        if group < 1 or k.shape != (n * group, dh) or v.shape != k.shape:
+            raise ValueError(f"grouped keys and values must be ({n}*{group}, {dh}), got {k.shape} and {v.shape}")
+        # one shared key/value head: the query heads become the query rows of a block per query
+        q, q_rows, kv_rows, heads = q.reshape(n * heads, dh), heads, group, 1
+    elif k.shape != q.shape or v.shape != q.shape:
+        raise ValueError(f"set keys and values must have the queries' shape {q.shape}, got {k.shape} and {v.shape}")
+    elif min(counts, default=0) < 1 or sum(counts) != n:
+        raise ValueError(f"set counts must be >= 1 and sum to the {n} query and key rows, got {list(counts)}")
+    else:  # a block per set
         q_rows = kv_rows = max(counts)
-    if k.shape[1] != d:  # one shared key/value head: the query heads become the query rows of each block
-        q, q_rows, heads = q.reshape(n * heads, d // heads), heads, 1
     padded = counts is not None and min(counts) != q_rows
     if padded:
         rows, mask = _padded_rows(counts)
@@ -360,17 +353,16 @@ def per_head_matmul(a, b, heads: int):
 
 
 @_op(1)
-def max_pool_rows(x, counts: list[int] | None = None):
+def max_pool_rows(x, counts: list[int]):
     """Columnwise maximum over each set of rows; (B, d) output.
 
-    counts=(n_1, ..., n_B) splits the rows into B consecutive sets, by
-    default one set of all rows. The gradient routes to the argmax row per
-    set and column; ties go to the lowest row index.
+    counts=(n_1, ..., n_B) splits the rows into B consecutive sets. The
+    gradient routes to the argmax row per set and column; ties go to the
+    lowest row index.
     """
     n, d = x.shape
     if n < 1:
         raise ValueError("max_pool_rows needs at least one row")
-    counts = (n,) if counts is None else counts
     if min(counts) < 1 or sum(counts) != n:
         raise ValueError(f"set counts must be >= 1 and sum to the {n} rows, got {list(counts)}")
     starts = [0, *itertools.accumulate(counts)][:-1]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import operator
 import os
 import time
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, check_numbers, from_dict, save_checkpoint, save_scenes
-from .geometry import ORIGIN, Pose, offset_pose, rotation, utm_to_vehicle, wrap_angle
+from .geometry import ORIGIN, Pose, check_int, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, localize
 from .map_store import save_map
 from .metrics import EvalReport, LatencyStats
@@ -62,7 +61,7 @@ def _dataclass_section(cls, cfg: dict, name: str, **top):
 
 
 def _seed(cfg: dict) -> int:
-    return net.check_seed(cfg.get("seed", 0))
+    return check_int("seed", cfg.get("seed", 0), 0)
 
 
 def net_config(cfg: dict) -> net.NetConfig:
@@ -101,8 +100,8 @@ class EvalConfig:
     n_eval_scenes: int = 200
 
     def __post_init__(self) -> None:
-        if min(operator.index(self.n_train_scenes), operator.index(self.n_eval_scenes)) < 1:
-            raise ValueError("scene counts must be integers >= 1")
+        check_int("n_train_scenes", self.n_train_scenes, 1)
+        check_int("n_eval_scenes", self.n_eval_scenes, 1)
 
 
 def ekf_config(cfg: dict) -> EkfConfig:
@@ -442,8 +441,7 @@ def train_stage(plan: Plan, out_dir: str, pool: list[tuple[np.ndarray, np.ndarra
 FOV_RADIUS = 60.0  # m: the map query radius around the prior pose of every localization step
 
 
-def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None = None,
-                   progress=None) -> dict:
+def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None = None) -> dict:
     """Parse the config document, execute its pipeline and write all artifacts under out_dir.
 
     Returns the report document. A bad config raises ConfigError before
@@ -468,7 +466,7 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     except Exception as exc:
         raise StageError("simulate", exc) from exc
 
-    params = train_stage(plan, out_dir, pool, map_pool, progress) if trains else checkpoint
+    params = train_stage(plan, out_dir, pool, map_pool) if trains else checkpoint
 
     try:
         if plan.mode == "filter":

@@ -8,6 +8,7 @@ positive. Degrees appear only at CLI/report boundaries. Point sets are
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +73,13 @@ class PoseOffset:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dphi], dtype=np.float64)
+
+
+def check_int(name: str, value, least: int) -> int:
+    """value as an int; ValueError naming it unless it is an integer >= least."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def as_points(points) -> np.ndarray:

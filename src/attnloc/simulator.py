@@ -10,12 +10,11 @@ box, and uniform coordinate noise.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ORIGIN, Pose, as_points, wrap_angle
+from .geometry import ORIGIN, Pose, as_points, check_int, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -50,14 +49,15 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.distribution not in ("gaussian", "mixture"):
             raise ValueError(f"unknown distribution {self.distribution!r}")
-        if not 1 <= operator.index(self.nu_min) <= operator.index(self.nu_max):
-            raise ValueError(f"need integers 1 <= nu_min <= nu_max, got [{self.nu_min}, {self.nu_max}]")
-        if self.lambda_clutter < 0 or self.lambda_miss < 0 or self.sigma_noise < 0:
-            raise ValueError("degradation rates must be >= 0")
-        if self.lambda2 < 0:
-            raise ValueError("lambda2 must be >= 0")
-        if any(len(getattr(self, name)) != 2 for name in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi")):
-            raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs")
+        check_int("nu_min", self.nu_min, 1)
+        check_int("nu_max", self.nu_max, self.nu_min)
+        if not all(0 <= rate < math.inf for rate in (self.lambda_clutter, self.lambda_miss, self.sigma_noise)):
+            raise ValueError("degradation rates must be finite numbers >= 0")
+        if not 0 <= self.lambda2 < math.inf:  # nan fails both comparisons, in the rates above too
+            raise ValueError(f"lambda2 must be a finite number >= 0, got {self.lambda2}")
+        points = (self.mu, self.mu1, self.mu2, self.clutter_lo, self.clutter_hi)
+        if any(len(p) != 2 or not all(map(math.isfinite, p)) for p in points):
+            raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs of finite numbers")
         chol = {}
         for name in ("sigma", "sigma1", "sigma2"):
             m = np.asarray(getattr(self, name), dtype=np.float64)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import attention_net as net
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import ORIGIN, PoseOffset, as_points, offset_pose, utm_to_vehicle, wrap_angle
+from .geometry import ORIGIN, PoseOffset, as_points, check_int, offset_pose, utm_to_vehicle, wrap_angle
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -44,11 +43,10 @@ class TrainConfig:
         check_bound("sigma_rot", self.sigma_rot)
         if not 0.0 <= self.mix_ratio <= 1.0:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
-        counts = (self.epochs, self.batch_size, *(() if self.samples_per_epoch is None else (self.samples_per_epoch,)))
-        if min(map(operator.index, counts)) < 1:
-            raise ValueError("epochs, batch_size and samples_per_epoch must be integers >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
+        for name in ("epochs", "batch_size", *(() if self.samples_per_epoch is None else ("samples_per_epoch",))):
+            check_int(name, getattr(self, name), 1)
+        if not 0 < self.learning_rate < math.inf:  # nan fails both comparisons
+            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
 
 
 def check_bound(name: str, value):

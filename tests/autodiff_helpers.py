@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
 
 
@@ -92,3 +93,28 @@ def concat(tensors: list[Tensor], axis: int) -> Tensor:
         return [g[lo:hi, :] if axis == 0 else g[:, lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     return Tensor._make(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), _bw)
+
+
+def cross_attention(q, k, v, heads: int, group: int | None = None):
+    """Multi-head attention of each query over its own rows of full-width keys, from sets-mode ad.attention.
+
+    q is (n, d) and k, v are (m, d). group=None: query i attends to all m
+    rows. group=g: m = n*g and query i attends only to rows i*g ... i*g+g-1.
+    Query i goes first in a set of its key rows, whose other query rows are
+    zero and whose other outputs are dropped: constant 0/1 matmuls place the
+    queries, tile the keys and pick the output rows, so the value and every
+    input gradient come from the kept op. Takes Tensors or arrays, as
+    ad.attention does.
+    """
+    n = q.shape[0]
+    size = k.shape[0] if group is None else group
+    place = np.zeros((n * size, n))
+    place[np.arange(n) * size, np.arange(n)] = 1.0
+
+    def matmul(a, x):
+        return Tensor(a) @ x if isinstance(x, Tensor) else a @ x
+
+    if group is None:
+        tile = np.tile(np.eye(size), (n, 1))
+        k, v = matmul(tile, k), matmul(tile, v)
+    return matmul(place.T, ad.attention(matmul(place, q), k, v, heads, counts=[size] * n))

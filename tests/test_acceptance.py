@@ -99,8 +99,10 @@ class TestAcceptance:
         fd(lambda: mean(concat([a, b], axis=1)), [a, b])
         fd(lambda: (ad.softmax_rows(a) * b).sum(), [a])
         fd(lambda: (ad.layer_norm(a, g, beta) * b).sum(), [a, g, beta])
-        fd(lambda: (ad.max_pool_rows(a) * bias).sum(), [a])
-        fd(lambda: (ad.attention(q, keys, vals, 5) * q).sum(), [q, keys, vals])
+        fd(lambda: (ad.max_pool_rows(a, [4]) * bias).sum(), [a])
+        # sets of unequal size, padded; its own generator, so the draws above and below stay as they were
+        set_q, set_k, set_v = (Tensor(x) for x in np.random.default_rng(13).normal(size=(3, 5, 5)))
+        fd(lambda: (ad.attention(set_q, set_k, set_v, 5, counts=[2, 3]) * set_q).sum(), [set_q, set_k, set_v])
         fd(lambda: (ad.attention(q, keys, vals, 1, group=2) * q).sum(), [q, keys, vals])
         # its own generator, so the draws above and below stay as they were
         lin_bias = Tensor(np.random.default_rng(10).normal(size=(1, 3)))

@@ -14,7 +14,7 @@ from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
 from attnloc.inference import EkfConfig, FilterSession
-from autodiff_helpers import check_gradient, count_tensors, relative_error
+from autodiff_helpers import check_gradient, count_tensors, cross_attention, relative_error
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
 
@@ -140,88 +140,85 @@ class TestKnnGroup:
 
 
 class TestScaledDotAttention:
-    """ad.attention with one head: softmax(Q K^T / sqrt(d)) V."""
+    """ad.attention with one head: softmax(Q K^T / sqrt(d)) V, over one set or one key group."""
 
     def test_single_key_returns_value(self):
         q = Tensor([[5.0, -3.0]])
         k = Tensor([[0.1, 0.2]])
         v = Tensor([[7.0, 9.0]])
-        np.testing.assert_allclose(ad.attention(q, k, v, 1).data, [[7.0, 9.0]], atol=1e-15)
+        np.testing.assert_allclose(ad.attention(q, k, v, 1, counts=[1]).data, [[7.0, 9.0]], atol=1e-15)
 
     def test_identical_keys_average_values(self):
         q = Tensor([[1.0, 2.0]])
         k = Tensor([[0.3, 0.4], [0.3, 0.4]])
         v = Tensor([[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(ad.attention(q, k, v, 1).data, [[0.5, 0.5]], atol=1e-12)
+        np.testing.assert_allclose(ad.attention(q, k, v, 1, group=2).data, [[0.5, 0.5]], atol=1e-12)
 
     def test_two_key_weights_scalar_oracle(self):
         # softmax([1/sqrt(2), 0]) computed with plain scalar arithmetic
         e = math.exp(1.0 / math.sqrt(2.0))
         w0 = e / (e + 1.0)
         out = ad.attention(
-            Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), 1
+            Tensor([[1.0, 0.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), Tensor([[1.0, 0.0], [0.0, 1.0]]), 1, group=2
         )
         np.testing.assert_allclose(out.data, [[w0, 1.0 - w0]], atol=1e-12)
         assert w0 == pytest.approx(0.6698, abs=5e-5)
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError):
-            ad.attention(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), 1)
+            ad.attention(Tensor(np.zeros((1, 3))), Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 4))), 1, group=2)
 
 
 class TestMultiHead:
     def test_single_identity_head_equals_plain_attention(self):
         cfg = net.NetConfig(d_m=4, heads=1, k=2, seed=0)
         params = net.init_params(cfg)
-        for name in ("local.q", "local.k", "local.v", "local.out"):
+        for name in ("global.q", "global.k", "global.v", "global.out"):
             params.tensors[name] = Tensor(np.eye(4))
         rng = np.random.default_rng(20)
         x = rng.normal(size=(3, 4))
-        y = rng.normal(size=(5, 4))
-        scores = x @ y.T / 2.0  # sqrt(d_m) = 2
+        scores = x @ x.T / 2.0  # sqrt(d_m) = 2
         w = np.exp(scores - scores.max(axis=1, keepdims=True))
-        plain = (w / w.sum(axis=1, keepdims=True)) @ y
-        s = ad.layer_norm(Tensor(x + plain), params["local.ln1.g"], params["local.ln1.b"])
-        expect = ad.layer_norm(s + net._rff(s, params, "local.ff"), params["local.ln2.g"], params["local.ln2.b"])
-        got = net.mha_block(Tensor(x), Tensor(y) @ params["local.k"], Tensor(y) @ params["local.v"], params, "local")
+        plain = (w / w.sum(axis=1, keepdims=True)) @ x
+        s = ad.layer_norm(Tensor(x + plain), params["global.ln1.g"], params["global.ln1.b"])
+        expect = ad.layer_norm(s + net._rff(s, params, "global.ff"), params["global.ln2.g"], params["global.ln2.b"])
+        got = net.mha_block(Tensor(x), params, [3])
         np.testing.assert_allclose(got.data, expect.data, atol=1e-12)
 
     def test_heads_side_by_side_in_columns(self):
         rng = np.random.default_rng(19)
-        q, k, v = rng.normal(size=(3, 6)), rng.normal(size=(5, 6)), rng.normal(size=(5, 6))
-        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3).data
+        q, k, v = (rng.normal(size=(5, 6)) for _ in range(3))
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, counts=[2, 3]).data
         for j in range(3):
             cols = slice(2 * j, 2 * j + 2)
-            expect = ad.attention(Tensor(q[:, cols]), Tensor(k[:, cols]), Tensor(v[:, cols]), 1).data
+            expect = ad.attention(Tensor(q[:, cols]), Tensor(k[:, cols]), Tensor(v[:, cols]), 1, counts=[2, 3]).data
             np.testing.assert_allclose(out[:, cols], expect, atol=1e-12)
 
     def test_output_shape(self, small_params):
         rng = np.random.default_rng(21)
-        for nk in (1, 2, 9):
-            x = Tensor(rng.normal(size=(4, 16)))
-            y = Tensor(rng.normal(size=(nk, 16)))
-            assert ad.attention(x, y, y, small_params.config.heads).shape == (4, 16)
-            assert net.mha_block(x, y @ small_params["local.k"], y @ small_params["local.v"], small_params,
-                                 "local").shape == (4, 16)
+        heads = small_params.config.heads
+        for counts in ([1], [2], [4, 1, 3]):
+            x = Tensor(rng.normal(size=(sum(counts), 16)))
+            assert ad.attention(x, x, x, heads, counts=counts).shape == (sum(counts), 16)
+            assert net.mha_block(x, small_params, counts).shape == (sum(counts), 16)
+        for group in (1, 2, 9):
+            shared = Tensor(rng.normal(size=(4 * group, 16 // heads)))
+            assert ad.attention(Tensor(rng.normal(size=(4, 16))), shared, shared, heads, group=group).shape == (4, 16)
 
-    def test_invariant_to_key_value_row_permutation(self, small_params):
+    def test_rows_permute_with_the_set(self, small_params):
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(3, 16))
-        y = rng.normal(size=(6, 16))
+        x = rng.normal(size=(6, 16))
         perm = rng.permutation(6)
-        wk, wv = small_params["global.k"], small_params["global.v"]
-        a = net.mha_block(Tensor(x), Tensor(y) @ wk, Tensor(y) @ wv, small_params, "global").data
-        b = net.mha_block(Tensor(x), Tensor(y[perm]) @ wk, Tensor(y[perm]) @ wv, small_params, "global").data
-        np.testing.assert_allclose(a, b, atol=1e-9)
+        a = net.mha_block(Tensor(x), small_params, [6]).data
+        b = net.mha_block(Tensor(x[perm]), small_params, [6]).data
+        np.testing.assert_allclose(b, a[perm], atol=1e-9)
 
 
 class TestMhaBlock:
     def test_shape_preserved(self, small_params):
         rng = np.random.default_rng(23)
         x = Tensor(rng.normal(size=(5, 16)))
-        y = Tensor(rng.normal(size=(3, 16)))
-        assert net.mha_block(x, y @ small_params["local.k"], y @ small_params["local.v"], small_params,
-                             "local").shape == (5, 16)
+        assert net.mha_block(x, small_params, [2, 3]).shape == (5, 16)
 
     def test_zero_rff_weights_reduce_to_bias_path(self):
         params = net.init_params(dataclasses.replace(SMALL, seed=4))
@@ -232,25 +229,22 @@ class TestMhaBlock:
         params.tensors["global.ff.b1"] = Tensor(bias)
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(4, 16)))
-        y = Tensor(rng.normal(size=(4, 16)))
-        att = ad.attention(x @ params["global.q"], y @ params["global.k"], y @ params["global.v"], SMALL.heads)
+        att = ad.attention(x @ params["global.q"], x @ params["global.k"], x @ params["global.v"], SMALL.heads,
+                           counts=[4])
         s = ad.layer_norm(x + att @ params["global.out"], params["global.ln1.g"], params["global.ln1.b"])
         expect = ad.layer_norm(s + Tensor(np.broadcast_to(bias, (4, 16)).copy()),
                                params["global.ln2.g"], params["global.ln2.b"]).data
-        got = net.mha_block(x, y @ params["global.k"], y @ params["global.v"], params, "global").data
+        got = net.mha_block(x, params, [4]).data
         np.testing.assert_allclose(got, expect, atol=1e-12)
 
     def test_gradient_through_block(self):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=5)
         params = net.init_params(cfg)
         rng = np.random.default_rng(25)
-        x = Tensor(rng.normal(size=(2, 8)))
-        y = Tensor(rng.normal(size=(3, 8)))
-        w = Tensor(rng.normal(size=(2, 8)))
+        x = Tensor(rng.normal(size=(5, 8)))
+        w = Tensor(rng.normal(size=(5, 8)))
         block_params = [t for name, t in params.items() if name.startswith("global.")]
-        worst = check_gradient(lambda: (net.mha_block(x, y @ params["global.k"], y @ params["global.v"], params,
-                                                      "global") * w).sum(),
-                                  block_params + [x, y])
+        worst = check_gradient(lambda: (net.mha_block(x, params, [2, 3]) * w).sum(), block_params + [x])
         assert worst < 1e-4
 
 
@@ -274,8 +268,7 @@ class TestLocalAttention:
         for i, g in enumerate(feats.reshape(-1, SMALL.k, 3)):
             q = net._rff(Tensor(m[i : i + 1]), small_params, "embed_m")
             nb = net._rff(Tensor(g), small_params, "embed_l")
-            rows.append(net.mha_block(q, nb @ small_params["local.k"], nb @ small_params["local.v"], small_params,
-                                      "local").data)
+            rows.append(_local_block(q, nb, small_params).data)
         np.testing.assert_allclose(fast, np.vstack(rows), atol=1e-12)
 
     def test_row_depends_only_on_neighbors(self, small_params):
@@ -306,10 +299,11 @@ class TestLocalAttention:
         assert (neighbor_rows, SMALL.d_m) not in shapes
 
 
-def _grouped_block(x, k, v, params, block: str, group: int):
-    """The block with row i of x attending only to rows i*group ... i*group+group-1 of the projected k and v."""
-    att = ad.attention(x @ params[f"{block}.q"], k, v, params.config.heads, group)
-    return net._tail(x, att @ params[f"{block}.out"], params, block)
+def _local_block(x, y, params, group=None):
+    """The local block over built neighbor embeddings y: row i of x attends to all rows of y, or only to group rows."""
+    att = cross_attention(x @ params["local.q"], y @ params["local.k"], y @ params["local.v"], params.config.heads,
+                          group)
+    return net._tail(x, att @ params["local.out"], params, "local")
 
 
 def _max_relative(a: np.ndarray, b: np.ndarray) -> float:
@@ -334,8 +328,7 @@ class TestFoldedNeighborEmbedding:
             feats = np.concatenate([net.knn_group(m, lm, cfg.k)[1] for m, lm in scenes])
             neighbors = net._rff(Tensor(feats), params, "embed_l")  # N = embed_l(F), (sum nu * k, d)
             queries = net._rff(Tensor(np.concatenate([m for m, _ in scenes])), params, "embed_m")
-            return _grouped_block(queries, neighbors @ params["local.k"], neighbors @ params["local.v"], params,
-                                  "local", cfg.k)
+            return _local_block(queries, neighbors, params, cfg.k)
 
         weights = Tensor(rng.normal(size=(sum(m.shape[0] for m, _ in scenes), cfg.d_m)))
         results = []

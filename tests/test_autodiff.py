@@ -6,7 +6,7 @@ import pytest
 
 from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
-from autodiff_helpers import check_gradient, concat, count_tensors, exp, mean, relative_error, sub
+from autodiff_helpers import check_gradient, concat, count_tensors, cross_attention, exp, mean, relative_error, sub
 
 H = 1e-5
 TOL = 1e-5
@@ -170,35 +170,35 @@ class TestLayerNorm:
 
 class TestMaxPoolRows:
     def test_single_row(self):
-        out = ad.max_pool_rows(Tensor([[1.0, -2.0, 3.0]]))
+        out = ad.max_pool_rows(Tensor([[1.0, -2.0, 3.0]]), [1])
         np.testing.assert_array_equal(out.data, [[1.0, -2.0, 3.0]])
 
     def test_columnwise_max(self):
-        out = ad.max_pool_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]))
+        out = ad.max_pool_rows(Tensor([[1.0, 5.0], [3.0, 2.0]]), [2])
         np.testing.assert_array_equal(out.data, [[3.0, 5.0]])
 
     def test_row_permutation_invariant(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(7, 5))
         perm = rng.permutation(7)
-        a = ad.max_pool_rows(Tensor(x)).data
-        b = ad.max_pool_rows(Tensor(x[perm])).data
+        a = ad.max_pool_rows(Tensor(x), [7]).data
+        b = ad.max_pool_rows(Tensor(x[perm]), [7]).data
         np.testing.assert_array_equal(a, b)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ad.max_pool_rows(Tensor(np.zeros((0, 3))))
+            ad.max_pool_rows(Tensor(np.zeros((0, 3))), [])
 
     def test_tie_gradient_to_lowest_row(self):
         x = Tensor([[2.0, 1.0], [2.0, 0.0]])
-        ad.max_pool_rows(x).sum().backward()
+        ad.max_pool_rows(x, [2]).sum().backward()
         np.testing.assert_array_equal(x.grad, [[1.0, 1.0], [0.0, 0.0]])
 
     def test_gradient(self):
         rng = np.random.default_rng(7)
         x = _rand(rng, 5, 6)
         w = Tensor(rng.normal(size=(1, 6)))
-        _fd_check(lambda: (ad.max_pool_rows(x) * w).sum(), [x])
+        _fd_check(lambda: (ad.max_pool_rows(x, [5]) * w).sum(), [x])
 
     def test_sets_pool_separately(self):
         rng = np.random.default_rng(8)
@@ -301,12 +301,12 @@ PROTOCOL_OPS = {
     "relu": lambda r: ad.relu(_rand(r, 3, 4)),
     "softmax_rows": lambda r: ad.softmax_rows(_rand(r, 3, 4)),
     "layer_norm": lambda r: ad.layer_norm(_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 1, 4)),
-    "attention": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2),
-    "attention_grouped": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 4), _rand(r, 6, 4), 2, group=2),
+    "attention": lambda r: ad.attention(_rand(r, 4, 4), _rand(r, 4, 4), _rand(r, 4, 4), 2, counts=[2, 2]),
+    "attention_grouped": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 4), _rand(r, 6, 4), 1, group=2),
     "attention_sets": lambda r: ad.attention(_rand(r, 5, 4), _rand(r, 5, 4), _rand(r, 5, 4), 2, counts=[3, 2]),
     "attention_shared": lambda r: ad.attention(_rand(r, 3, 4), _rand(r, 6, 2), _rand(r, 6, 2), 2, group=2),
     "per_head_matmul": lambda r: ad.per_head_matmul(_rand(r, 3, 4), _rand(r, 4, 5), 2),
-    "max_pool_rows": lambda r: ad.max_pool_rows(_rand(r, 3, 4)),
+    "max_pool_rows": lambda r: ad.max_pool_rows(_rand(r, 3, 4), [3]),
     "max_pool_sets": lambda r: ad.max_pool_rows(_rand(r, 5, 4), [1, 4]),
     "homoscedastic_loss": lambda r: ad.homoscedastic_loss(_rand(r, 2, 3), r.normal(size=(2, 3)),
                                                           _rand(r, 1, 1), _rand(r, 1, 1))[0],
@@ -336,8 +336,8 @@ LIFTED_OPS = {
     "relu": (ad.relu, (), [(3, 4)]),
     "softmax_rows": (ad.softmax_rows, (), [(3, 4)]),
     "layer_norm": (ad.layer_norm, (), [(3, 4), (1, 4), (1, 4)]),
-    "attention": (ad.attention, (2,), [(3, 4), (5, 4), (5, 4)]),
-    "attention_grouped": (ad.attention, (2, 2), [(3, 4), (6, 4), (6, 4)]),
+    "attention": (ad.attention, (2, None, [2, 2]), [(4, 4)] * 3),
+    "attention_grouped": (ad.attention, (2, 2), [(3, 4), (6, 2), (6, 2)]),
     "attention_sets": (ad.attention, (2, None, [3, 2]), [(5, 4)] * 3),
     "per_head_matmul": (ad.per_head_matmul, (2,), [(3, 4), (4, 5)]),
     "max_pool_rows": (ad.max_pool_rows, ([2, 2],), [(4, 4)]),
@@ -441,16 +441,19 @@ class TestGroupedOps:
             np.testing.assert_allclose(out[i], expect, atol=1e-12)
 
     def test_grouped_mix_matches_per_row(self):
+        # two query heads over one shared key/value head of width d/2
         rng = np.random.default_rng(15)
         n, k, d = 3, 4, 6
         q = rng.normal(size=(n, d))
-        keys = rng.normal(size=(n * k, d))
-        v = rng.normal(size=(n * k, d))
+        keys = rng.normal(size=(n * k, d // 2))
+        v = rng.normal(size=(n * k, d // 2))
         out = ad.attention(Tensor(q), Tensor(keys), Tensor(v), 2, group=k).data
         for i in range(n):
             rows = slice(i * k, (i + 1) * k)
-            expect = ad.attention(Tensor(q[i : i + 1]), Tensor(keys[rows]), Tensor(v[rows]), 2).data
-            np.testing.assert_allclose(out[i : i + 1], expect, atol=1e-12)
+            for cols in (slice(0, 3), slice(3, 6)):
+                scores = q[i, cols] @ keys[rows].T / math.sqrt(d // 2)
+                expect = np.exp(scores) / np.exp(scores).sum() @ v[rows]
+                np.testing.assert_allclose(out[i, cols], expect, atol=1e-12)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -467,8 +470,10 @@ class TestGroupedOps:
         keys = _rand(rng, n * k, d)
         v = _rand(rng, n * k, d)
         w = _rand(rng, n, d)
-        _fd_check(lambda: (ad.attention(q, keys, v, 2, group=k) * w).sum(), [q, keys, v])
-        _fd_check(lambda: (ad.attention(q, keys, v, 2) * w).sum(), [q, keys, v])
+        _fd_check(lambda: (ad.attention(q, keys, v, 1, group=k) * w).sum(), [q, keys, v])
+        # the reference that tests of the unfolded local block compare against
+        _fd_check(lambda: (cross_attention(q, keys, v, 2, group=k) * w).sum(), [q, keys, v])
+        _fd_check(lambda: (cross_attention(q, keys, v, 2) * w).sum(), [q, keys, v])
 
 
 class TestSharedHead:
@@ -484,7 +489,7 @@ class TestSharedHead:
         for tiled in (False, True):
             inputs = [Tensor(x) for x in (q, keys, v)]
             kv = [Tensor(np.tile(x.data, (1, heads))) if tiled else x for x in inputs[1:]]
-            out = ad.attention(inputs[0], *kv, heads, group=k)
+            out = (cross_attention if tiled else ad.attention)(inputs[0], *kv, heads, group=k)
             (out * Tensor(w)).sum().backward()
             grads = [inputs[0].grad] + [x.grad.reshape(n * k, heads, dh).sum(axis=1) if tiled else x.grad for x in kv]
             results.append((out.data, grads))
@@ -499,14 +504,22 @@ class TestSharedHead:
         q, keys, v, w = _rand(rng, 3, 6), _rand(rng, 6, 2), _rand(rng, 6, 2), _rand(rng, 3, 6)
         _fd_check(lambda: (ad.attention(q, keys, v, 3, group=2) * w).sum(), [q, keys, v])
 
-    def test_needs_grouped_mode(self):
-        x, shared = Tensor(np.zeros((4, 4))), Tensor(np.zeros((4, 2)))
-        with pytest.raises(ValueError, match="needs grouped mode"):
-            ad.attention(x, shared, shared, 2)
-        with pytest.raises(ValueError, match="needs grouped mode"):
-            ad.attention(x, shared, shared, 2, counts=[2, 2])
-        with pytest.raises(ValueError, match="width d or d/heads"):
-            ad.attention(x, Tensor(np.zeros((8, 3))), Tensor(np.zeros((8, 3))), 2, group=2)
+
+class TestAttentionModes:
+    """ad.attention runs with set counts (the global block) or a key group of one shared head (the local block)."""
+
+    @pytest.mark.parametrize("keys,options,match", [
+        ((4, 4), {}, "either set counts"),
+        ((8, 2), {"group": 2, "counts": [4]}, "either set counts"),
+        ((8, 4), {"group": 2}, "grouped keys"),
+        ((8, 3), {"group": 2}, "grouped keys"),
+        ((6, 4), {"counts": [2, 2]}, "queries' shape"),
+        ((4, 2), {"counts": [2, 2]}, "queries' shape"),
+    ], ids=["neither", "both", "grouped-width-d", "grouped-width-3", "set-rows-differ", "set-shared-head"])
+    def test_call_outside_the_two_modes_rejected(self, keys, options, match):
+        x, kv = Tensor(np.zeros((4, 4))), Tensor(np.zeros(keys))
+        with pytest.raises(ValueError, match=match):
+            ad.attention(x, kv, kv, 2, **options)
 
 
 class TestPerHeadMatmul:
@@ -544,14 +557,9 @@ class TestAttentionSets:
         lo = 0
         for c in counts:
             rows = slice(lo, lo + c)
-            expect = ad.attention(Tensor(q[rows]), Tensor(keys[rows]), Tensor(v[rows]), 2).data
+            expect = cross_attention(q[rows], keys[rows], v[rows], 2)
             np.testing.assert_allclose(out[rows], expect, rtol=0, atol=1e-12)
             lo += c
-
-    def test_one_set_is_global_attention_bit_for_bit(self):
-        rng = np.random.default_rng(19)
-        q, keys, v = (rng.normal(size=(5, 4)) for _ in range(3))
-        np.testing.assert_array_equal(ad.attention(q, keys, v, 2, counts=[5]), ad.attention(q, keys, v, 2))
 
     @pytest.mark.parametrize("counts", [[2, 4, 1], [3, 3]])
     def test_gradients(self, counts):
@@ -562,11 +570,9 @@ class TestAttentionSets:
 
     def test_validation(self):
         x = Tensor(np.zeros((4, 2)))
-        for counts in ([2, 1], [4, 0], [2, 2, 1]):
+        for counts in ([2, 1], [4, 0], [2, 2, 1], []):
             with pytest.raises(ValueError, match="set counts"):
                 ad.attention(x, x, x, 1, counts=counts)
-        with pytest.raises(ValueError, match="set counts"):
-            ad.attention(x, Tensor(np.zeros((8, 2))), Tensor(np.zeros((8, 2))), 1, group=2, counts=[4])
 
 
 class TestHomoscedasticLoss:

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,9 @@ TINY_CFG = {
     "gps_noise": {"sigma_pos": 1.0, "sigma_phi_deg": 4.0},
     "eval": {"n_train_scenes": 24, "n_eval_scenes": 8},
 }
+# the integer keys: their errors name the key
+COUNT_KEYS = ("n_train_scenes", "n_eval_scenes", "d_m", "heads", "k", "rff_hidden", "head_hidden", "epochs",
+              "batch_size", "samples_per_epoch", "nu_min", "nu_max", "seed")
 FILTER_CFG = dict(TINY_CFG, mode="filter", drive={"v": 8.0, "dt": 0.1, "segments": [[6.0, 1.0], [6.0, -1.0]]})
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,8 +129,11 @@ class TestRunExperiment:
 
     def test_loss_history_holds_the_epoch_losses(self, tmp_path):
         out = str(tmp_path / "run")
+        os.makedirs(out)
         stats = []
-        run_experiment(dict(TINY_CFG), out, progress=lambda epoch, s: stats.append(s))
+        plan = experiment.parse_config(dict(TINY_CFG))
+        pool, map_pool = experiment.training_pools(plan, experiment.training_scenes(plan))
+        experiment.train_stage(plan, out, pool, map_pool, progress=lambda epoch, s: stats.append(s))
         with open(os.path.join(out, "loss_history.csv"), encoding="utf-8") as fh:
             header, *rows = [line.split(",") for line in fh.read().splitlines()]
         assert header == ["epoch", "loss", "loss_tran", "loss_rot"]
@@ -312,7 +319,7 @@ class TestCli:
             ("drive.speed", 8.0), ("train.lr", 1e-2), ("eval.n_evals", 4), ("modee", "gps"),
             ("drive.v", "fast"), ("drive.dt", 0), ("eval.n_train_scenes", "many"),
             ("gps_noise.sigma_pos", "x"), ("seed", "a"), ("ekf.sigma_accel", -1), ("eval.fov_radius", 0),
-            ("eval.n_eval_scenes", 0), ("eval.n_eval_scenes", 4.5), ("net.heads", 3), ("net.seed", 1),
+            ("eval.n_eval_scenes", 0), ("eval.n_eval_scenes", 4.5), ("net.heads", 3), ("net.k", 0), ("net.seed", 1),
             ("sim.seed", 1), ("sim.mu1", [1.0]), ("net.d_m", 16.0), ("train.epochs", 1.5), ("net.rff_hidden", 0),
             ("net.head_hidden", [0]), ("train.batch_size", 2.5), ("train.samples_per_epoch", -3),
             ("sim.nu_max", 10.5), ("train.learning_rate", math.nan), ("gps_noise.sigma_pos", math.inf),
@@ -349,8 +356,9 @@ class TestCli:
         assert cli.main([*command, "--config", cfg, "--out", str(out)]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error:config: {key.split('.')[0]}:")
-        if key.startswith(("gps_noise.", "train.sigma")):  # a noise or offset bound names its key
-            assert key.rpartition(".")[2] in err[0]
+        leaf = key.rpartition(".")[2]
+        if key.startswith(("gps_noise.", "train.sigma")) or leaf in COUNT_KEYS:  # a bound or a count names its key
+            assert re.search(rf"\b{leaf}\b", err[0])
         assert not out.exists() or not any(out.iterdir())
 
     def test_train_draws_the_map_backed_pool(self, tmp_path, capsys):

@@ -37,6 +37,16 @@ class TestSimConfig:
         with pytest.raises(ValueError):
             SimConfig(lambda_clutter=-1.0)
 
+    @pytest.mark.parametrize("field,value", [
+        ("sigma_noise", math.nan), ("lambda_clutter", math.inf), ("lambda_miss", math.nan), ("lambda2", math.nan),
+        ("mu", (math.nan, 0.0)), ("mu1", (math.nan, 0.0)), ("mu2", (20.0, math.inf)),
+        ("clutter_lo", (-math.inf, -20.0)), ("clutter_hi", (60.0, math.nan)),
+    ])
+    def test_non_finite_value_rejected(self, field, value):
+        # a NaN noise bound samples noiseless measurements, a NaN lambda2 one component, a NaN mean NaN landmarks
+        with pytest.raises(ValueError):
+            SimConfig(**{field: value})
+
     def test_replaced_config_gets_fresh_factors(self):
         cfg = dataclasses.replace(SimConfig(distribution="gaussian"), sigma=((4.0, 0.0), (0.0, 9.0)))
         np.testing.assert_array_equal(cfg.chol["sigma"], [[2.0, 0.0], [0.0, 3.0]])

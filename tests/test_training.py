@@ -47,6 +47,11 @@ class TestSampleOffset:
         with pytest.raises(ValueError):
             TrainConfig(sigma_pos=math.nan)
 
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_learning_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="learning_rate"):
+            TrainConfig(learning_rate=rate)
+
 
 class TestMakeTrainingSample:
     def _cfg(self, **kw):
