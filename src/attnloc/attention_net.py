@@ -170,9 +170,7 @@ def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _rff(x: Tensor, params: ModelParams, prefix: str, layers: int = 2) -> Tensor:
     """Row-wise feed-forward net: `layers` affine maps with ReLU between them."""
     for i in range(layers):
-        x = ad.linear(x, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"])
-        if i < layers - 1:
-            x = ad.relu(x)
+        x = ad.linear(x, params[f"{prefix}.w{i}"], params[f"{prefix}.b{i}"], relu=i < layers - 1)
     return x
 
 
@@ -262,7 +260,8 @@ def local_attention(scenes, params: ModelParams | InferenceWeights):
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
     m_map, n_map, e = params.local_maps if isinstance(params, InferenceWeights) else _local_maps(params, cfg)
     queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
-    hidden = ad.relu(ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"]))  # (sum nu * k, rff_hidden)
+    # the neighbor hidden layer H, (sum nu * k, rff_hidden)
+    hidden = ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"], relu=True)
     att = ad.attention(queries @ m_map, hidden, hidden, cfg.heads, cfg.k)  # (sum nu, heads * rff_hidden)
     return _tail(queries, ad.linear(att, n_map, e), params, "local")
 

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation over dense 2D float64 arrays.
 
 Minimal dynamic-tape engine: every operation returns a new Tensor holding
-its forward value and a backward closure, a pure map from the upstream
-gradient to one gradient per parent, in parent order. `Tensor.backward` is
-the one place a gradient reaches a parent: it adds each returned array into
-that parent's `.grad`. The graph is rebuilt each forward pass, so input
+its forward value and a backward closure, which maps the upstream gradient
+to one gradient per parent, in parent order. `Tensor.backward` is the one
+place a gradient reaches a parent, and it hands arrays over: a closure owns
+the upstream gradient it is given and may overwrite it, and returns arrays
+no other tensor holds. The graph is rebuilt each forward pass, so input
 cardinalities may vary freely between passes. A tensor graph is single-owner
 during a forward/backward pass; leaf values must not be mutated mid-pass, so
 a closure may read the arrays its forward read.
@@ -57,13 +58,6 @@ class Tensor:
     def shape(self) -> tuple[int, int]:
         return self.data.shape
 
-    def _accum(self, g: np.ndarray) -> None:
-        # copy on the first write, so no two tensors share a gradient array
-        if self.grad is None:
-            self.grad = g.copy()
-        else:
-            self.grad += g
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
 
@@ -97,10 +91,14 @@ class Tensor:
     def backward(self) -> None:
         """Accumulate dself/dleaf into every reachable tensor's .grad, freeing the tape as it goes.
 
-        Once a node has handed its gradients to its parents it drops its
-        closure, its parents and, below the root, its own gradient, so each
-        array only the pass needed is freed as soon as the pass is done with
-        it. A graph is differentiated once; leaves keep their gradients.
+        A tensor's first gradient array becomes its .grad, not a copy, and
+        later ones are added in place. Two arrays are copied instead: one
+        sharing memory with an array the node returns to a later parent
+        (`__add__` returns (g, g)), and the root's gradient, which the root
+        keeps. Once a node has handed its gradients to its parents it drops
+        its closure, its parents and, below the root, its own gradient, so
+        each array only the pass needed is freed as soon as the pass is done
+        with it. A graph is differentiated once; leaves keep their gradients.
 
         Raises:
             ValueError: if self is not 1x1 (loss must be scalar).
@@ -108,12 +106,16 @@ class Tensor:
         if self.shape != (1, 1):
             raise ValueError(f"backward requires a scalar, got shape {self.shape}")
         order = _toposort(self)
-        self._accum(np.ones((1, 1)))
+        self.grad = np.ones((1, 1)) if self.grad is None else self.grad + 1.0
         while order:
             node = order.pop()
             if node._backward is not None:
-                for parent, g in zip(node._parents, node._backward(node.grad), strict=True):
-                    parent._accum(g)
+                grads = node._backward(node.grad.copy() if node is self else node.grad)
+                for i, (parent, g) in enumerate(zip(node._parents, grads, strict=True)):
+                    if parent.grad is not None:
+                        parent.grad += g
+                    else:  # handed over, unless a later parent of this node reads memory it shares
+                        parent.grad = g.copy() if any(np.may_share_memory(g, h) for h in grads[i + 1:]) else g
             node._parents, node._backward = (), None
             if node is not self:
                 node.grad = None
@@ -172,21 +174,26 @@ def _op(arity: int):
 
 
 @_op(3)
-def linear(x, w, b):
-    """Affine map x @ w + b as one node; b is a 1xd bias row added to every row."""
+def linear(x, w, b, relu: bool = False):
+    """Affine map x @ w + b as one node; b is a 1xd bias row added to every row.
+
+    relu=True clips the output at 0 in place, and the backward masks the gradient it owns by y > 0.
+    """
     if x.shape[1] != w.shape[0]:
         raise ValueError(f"matmul inner dims disagree: {x.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
         raise ValueError(f"linear needs a 1x{w.shape[1]} bias row, got {b.shape}")
     y = x @ w
     y += b
-    return y, lambda g: (g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True))
+    if relu:
+        np.maximum(y, 0.0, out=y)
 
+    def _bw(g):
+        if relu:
+            g *= (y > 0.0)
+        return g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)
 
-@_op(1)
-def relu(x):
-    """Elementwise max(x, 0)."""
-    return np.maximum(x, 0.0), lambda g: (g * (x > 0.0),)
+    return y, _bw
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -229,12 +236,18 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5):
     xhat *= inv
 
     def _bw(g):
-        gh = g * gamma
-        # standard layer-norm input gradient, per row
-        mean_gh = gh.sum(axis=1, keepdims=True) / d
-        mean_gh_xhat = (gh * xhat).sum(axis=1, keepdims=True) / d
-        gx = inv * (gh - mean_gh - xhat * mean_gh_xhat)
-        return gx, (g * xhat).sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+        # gamma's and beta's gradients first, then x's, inv * (gh - mean(gh) - xhat * mean(gh * xhat)) per
+        # row with gh = g * gamma, in g and one temporary: the same operations in the same order, so the same bits
+        t = g * xhat
+        g_gamma, g_beta = t.sum(axis=0, keepdims=True), g.sum(axis=0, keepdims=True)
+        g *= gamma
+        np.multiply(g, xhat, out=t)
+        mean_gh, mean_gh_xhat = g.sum(axis=1, keepdims=True) / d, t.sum(axis=1, keepdims=True) / d
+        g -= mean_gh
+        np.multiply(xhat, mean_gh_xhat, out=t)
+        g -= t
+        g *= inv
+        return g, g_gamma, g_beta
 
     y = xhat * gamma
     y += beta
@@ -363,7 +376,7 @@ def max_pool_rows(x, counts: list[int]):
     n, d = x.shape
     if n < 1:
         raise ValueError("max_pool_rows needs at least one row")
-    if min(counts) < 1 or sum(counts) != n:
+    if min(counts, default=0) < 1 or sum(counts) != n:
         raise ValueError(f"set counts must be >= 1 and sum to the {n} rows, got {list(counts)}")
     starts = [0, *itertools.accumulate(counts)][:-1]
     if min(counts) == max(counts):  # a stack of equal blocks, which reduceat would pool far slower

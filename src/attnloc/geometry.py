@@ -76,8 +76,8 @@ class PoseOffset:
 
 
 def check_int(name: str, value, least: int) -> int:
-    """value as an int; ValueError naming it unless it is an integer >= least."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """value as an int; ValueError naming it unless it is an integer >= least (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
 

@@ -45,8 +45,9 @@ class EkfConfig:
     r_diag: tuple = (0.25, 0.25, math.radians(2.0) ** 2)
 
     def __post_init__(self) -> None:
-        if not (0 < self.sigma_accel < math.inf and 0 < self.sigma_yaw_accel < math.inf):  # nan fails both
-            raise ValueError("process noise densities must be finite numbers > 0")
+        for name in ("sigma_accel", "sigma_yaw_accel"):
+            if not 0 < getattr(self, name) < math.inf:  # nan fails both
+                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)!r}")
         if len(self.r_diag) != 3 or not all(0 < v < math.inf for v in self.r_diag):
             raise ValueError("r_diag must be 3 finite variances > 0")
 

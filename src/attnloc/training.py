@@ -45,6 +45,7 @@ class TrainConfig:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
         for name in ("epochs", "batch_size", *(() if self.samples_per_epoch is None else ("samples_per_epoch",))):
             check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed, 0)
         if not 0 < self.learning_rate < math.inf:  # nan fails both comparisons
             raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
 

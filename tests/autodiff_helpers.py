@@ -62,6 +62,12 @@ def check_gradient(build, params: list[Tensor], h: float = 1e-5) -> float:
     return worst
 
 
+@ad._op(1)
+def relu(x):
+    """Elementwise max(x, 0)."""
+    return np.maximum(x, 0.0), lambda g: (g * (x > 0.0),)
+
+
 def sub(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a - b of equal shapes."""
     if a.shape != b.shape:

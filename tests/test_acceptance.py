@@ -24,7 +24,7 @@ from attnloc.geometry import Pose, PoseOffset
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import save_map
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
-from autodiff_helpers import check_gradient, concat, exp, mean, sub
+from autodiff_helpers import check_gradient, concat, exp, mean, relu, sub
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
 from map_store_helpers import read_map
@@ -92,7 +92,7 @@ class TestAcceptance:
         fd(lambda: ((a + b) * sub(a, b)).sum(), [a, b])
         fd(lambda: mean(ad.linear(a, Tensor(np.eye(6)), bias)), [a, bias])
         fd(lambda: ((a * b) * 1.7).sum(), [a, b])
-        fd(lambda: ad.relu(a).sum(), [a])
+        fd(lambda: relu(a).sum(), [a])
         fd(lambda: exp(a * 0.1).sum(), [a])
         fd(lambda: (a.T @ b).sum(), [a, b])
         fd(lambda: mean(concat([a, b], axis=0)), [a, b])
@@ -107,6 +107,10 @@ class TestAcceptance:
         # its own generator, so the draws above and below stay as they were
         lin_bias = Tensor(np.random.default_rng(10).normal(size=(1, 3)))
         fd(lambda: (ad.linear(a, c, lin_bias) * w).sum(), [a, c, lin_bias])
+        # a hidden layer, from its own generator too
+        relu_rng = np.random.default_rng(14)
+        rx, rw, rb, rup = (Tensor(relu_rng.normal(size=s)) for s in ((4, 5), (5, 3), (1, 3), (4, 3)))
+        fd(lambda: (ad.linear(rx, rw, rb, relu=True) * rup).sum(), [rx, rw, rb])
         loss_rng = np.random.default_rng(11)
         pred, target = Tensor(loss_rng.normal(size=(4, 3))), loss_rng.normal(size=(4, 3))
         s_tran, s_rot = Tensor(loss_rng.normal(scale=0.5)), Tensor(loss_rng.normal(scale=0.5))

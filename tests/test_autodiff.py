@@ -6,7 +6,8 @@ import pytest
 
 from attnloc import autodiff as ad
 from attnloc.autodiff import Tensor
-from autodiff_helpers import check_gradient, concat, count_tensors, cross_attention, exp, mean, relative_error, sub
+from autodiff_helpers import (check_gradient, concat, count_tensors, cross_attention, exp, mean, relative_error, relu,
+                              sub)
 
 H = 1e-5
 TOL = 1e-5
@@ -82,6 +83,28 @@ class TestLinear:
         x, w, b = _rand(rng, 3, 5), _rand(rng, 5, 2), _rand(rng, 1, 2)
         up = Tensor(rng.normal(size=(3, 2)))
         _fd_check(lambda: (ad.linear(x, w, b) * up).sum(), [x, w, b])
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_relu_equals_relu_of_linear_bit_for_bit(self, rows):
+        rng = np.random.default_rng(22)
+        x, w, b = _rand(rng, rows, 7), _rand(rng, 7, 4), _rand(rng, 1, 4)
+        up = Tensor(rng.normal(size=(rows, 4)))
+        fused = ad.linear(x, w, b, relu=True)
+        (fused * up).sum().backward()
+        got = [fused.data] + [t.grad for t in (x, w, b)]
+        for t in (x, w, b):
+            t.grad = None
+        two = relu(ad.linear(x, w, b))
+        (two * up).sum().backward()
+        assert (two.data == 0.0).any() and (two.data > 0.0).any()
+        for g, want in zip(got, [two.data] + [t.grad for t in (x, w, b)]):
+            np.testing.assert_array_equal(g, want)
+
+    def test_relu_gradient_vs_finite_differences(self):
+        rng = np.random.default_rng(23)
+        x, w, b = _rand(rng, 4, 5), _rand(rng, 5, 3), _rand(rng, 1, 3)
+        up = Tensor(rng.normal(size=(4, 3)))
+        _fd_check(lambda: (ad.linear(x, w, b, relu=True) * up).sum(), [x, w, b])
 
     def test_shape_errors(self):
         with pytest.raises(ValueError, match=r"\(2, 3\) @ \(2, 3\)"):
@@ -218,7 +241,7 @@ class TestMaxPoolRows:
         w = Tensor(rng.normal(size=(3, 5)))
         _fd_check(lambda: (ad.max_pool_rows(x, [1, 3, 2]) * w).sum(), [x])
 
-    @pytest.mark.parametrize("counts", [[2, 1], [3, 0, 1], [5]])
+    @pytest.mark.parametrize("counts", [[2, 1], [3, 0, 1], [5], []])
     def test_bad_set_counts_rejected(self, counts):
         with pytest.raises(ValueError, match="set counts"):
             ad.max_pool_rows(Tensor(np.zeros((4, 2))), counts)
@@ -264,7 +287,7 @@ class TestBackward:
         a, w = _rand(rng, 3, 4), _rand(rng, 4, 4)
         mid = a @ w
         freed = weakref.ref(mid.data)
-        loss = (ad.relu(mid) * 2.0).sum()
+        loss = (relu(mid) * 2.0).sum()
         del mid
         assert freed() is not None  # the tape holds it until backward has used it
         loss.backward()
@@ -288,6 +311,67 @@ class TestBackward:
         np.testing.assert_array_equal(b.grad, [[2.0, 2.0]])
 
 
+class TestHandOver:
+    """backward hands a closure's arrays to the parents; a closure owns, and may overwrite, its upstream gradient."""
+
+    @staticmethod
+    def _record(node: Tensor, calls: list) -> None:
+        """Make node's closure append (the upstream array it receives, the arrays it returns) to calls."""
+        backward = node._backward
+
+        def recorded(g):
+            grads = backward(g)
+            calls.append((g, grads))
+            return grads
+
+        node._backward = recorded
+
+    def test_add_hands_two_in_place_parents_separate_arrays(self):
+        # both branches of the sum mask the gradient they own in place: were they handed one
+        # array, the second branch would see the first one's mask
+        rng = np.random.default_rng(24)
+        x, w1, b1, w2, b2 = _rand(rng, 6, 5), _rand(rng, 5, 4), _rand(rng, 1, 4), _rand(rng, 5, 4), _rand(rng, 1, 4)
+        up = rng.normal(size=(6, 4))
+        h1, h2 = ad.linear(x, w1, b1, relu=True), ad.linear(x, w2, b2, relu=True)
+        g1, g2 = up * (h1.data > 0.0), up * (h2.data > 0.0)
+        assert (g1 != g2).any()
+        calls = []
+        self._record(h1, calls)
+        self._record(h2, calls)
+        ((h1 + h2) * Tensor(up)).sum().backward()
+        assert len(calls) == 2 and not np.may_share_memory(calls[0][0], calls[1][0])
+        np.testing.assert_array_equal(w1.grad, x.data.T @ g1)
+        np.testing.assert_array_equal(w2.grad, x.data.T @ g2)
+        np.testing.assert_array_equal(b1.grad, g1.sum(axis=0, keepdims=True))
+        np.testing.assert_array_equal(b2.grad, g2.sum(axis=0, keepdims=True))
+        np.testing.assert_allclose(x.grad, g1 @ w1.data.T + g2 @ w2.data.T, rtol=1e-14)
+
+    def test_root_keeps_its_gradient_when_its_closure_overwrites_it(self):
+        x, w, b = Tensor([[1.0]]), Tensor([[-2.0]]), Tensor([[0.5]])
+        root = ad.linear(x, w, b, relu=True)  # pre-activation -1.5: the closure masks its gradient to 0
+        root.backward()
+        np.testing.assert_array_equal(root.grad, [[1.0]])
+        for t in (x, w, b):
+            np.testing.assert_array_equal(t.grad, [[0.0]])
+
+    def test_first_gradient_is_handed_over_not_copied(self):
+        rng = np.random.default_rng(25)
+        a, w = _rand(rng, 3, 4), _rand(rng, 4, 2)
+        out, calls = a @ w, []
+        self._record(out, calls)
+        out.sum().backward()
+        assert a.grad is calls[0][1][0] and w.grad is calls[0][1][1]
+
+    def test_repeated_parent_with_a_later_one_sharing_its_array(self):
+        # (g, g, g) to (x, x, y): adding into x's array must not change y's
+        x, y = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
+        out = Tensor._make(x.data + x.data + y.data, (x, x, y), lambda g: (g, g, g))
+        (out * Tensor([[5.0, 7.0]])).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[10.0, 14.0]])
+        np.testing.assert_array_equal(y.grad, [[5.0, 7.0]])
+        assert not np.may_share_memory(x.grad, y.grad)
+
+
 # every tape op, built on random parents with distinct shapes where the op allows it
 PROTOCOL_OPS = {
     "add": lambda r: _rand(r, 3, 4) + _rand(r, 3, 4),
@@ -298,7 +382,8 @@ PROTOCOL_OPS = {
     "exp": lambda r: exp(_rand(r, 3, 4)),
     "sum": lambda r: _rand(r, 3, 4).sum(),
     "linear": lambda r: ad.linear(_rand(r, 3, 4), _rand(r, 4, 2), _rand(r, 1, 2)),
-    "relu": lambda r: ad.relu(_rand(r, 3, 4)),
+    "linear_relu": lambda r: ad.linear(_rand(r, 3, 4), _rand(r, 4, 2), _rand(r, 1, 2), relu=True),
+    "relu": lambda r: relu(_rand(r, 3, 4)),
     "softmax_rows": lambda r: ad.softmax_rows(_rand(r, 3, 4)),
     "layer_norm": lambda r: ad.layer_norm(_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 1, 4)),
     "attention": lambda r: ad.attention(_rand(r, 4, 4), _rand(r, 4, 4), _rand(r, 4, 4), 2, counts=[2, 2]),
@@ -333,7 +418,8 @@ class TestBackwardProtocol:
 # every op autodiff._op lifts: the op, its options, and the shapes of its array inputs
 LIFTED_OPS = {
     "linear": (ad.linear, (), [(3, 4), (4, 2), (1, 2)]),
-    "relu": (ad.relu, (), [(3, 4)]),
+    "linear_relu": (ad.linear, (True,), [(3, 4), (4, 2), (1, 2)]),
+    "relu": (relu, (), [(3, 4)]),
     "softmax_rows": (ad.softmax_rows, (), [(3, 4)]),
     "layer_norm": (ad.layer_norm, (), [(3, 4), (1, 4), (1, 4)]),
     "attention": (ad.attention, (2, None, [2, 2]), [(4, 4)] * 3),
@@ -406,7 +492,7 @@ class TestElementwiseOps:
         _fd_check(lambda: mean(sub(a, b) * b), [a, b])
         _fd_check(lambda: ad.linear(a, Tensor(np.eye(shapes[0][1])), bias).sum(), [a, bias])
         _fd_check(lambda: (a * 2.5).sum(), [a])
-        _fd_check(lambda: ad.relu(a).sum(), [a])
+        _fd_check(lambda: relu(a).sum(), [a])
         _fd_check(lambda: exp(a * 0.1).sum(), [a])
         _fd_check(lambda: (a.T @ b).sum(), [a, b])
 

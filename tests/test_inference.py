@@ -47,6 +47,11 @@ class TestEkfConfig:
         with pytest.raises(ValueError, match="finite"):
             EkfConfig(**bad)
 
+    @pytest.mark.parametrize("name", ["sigma_accel", "sigma_yaw_accel"])
+    def test_bad_density_names_its_key(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be a finite number > 0, got -1$"):
+            EkfConfig(**{name: -1})
+
 
 class TestEkfPredict:
     def test_stationary_mean_fixed_covariance_grows(self):

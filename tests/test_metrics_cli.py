@@ -190,6 +190,15 @@ class TestRunExperiment:
                           ("drive", experiment.DriveConfig)):
             assert set(doc[name]) == {f.name for f in dataclasses.fields(cls)} - {"seed"}, name
 
+    @pytest.mark.parametrize("build", [lambda: net.NetConfig(k=True), lambda: TrainConfig(batch_size=True),
+                                       lambda: experiment.EvalConfig(n_eval_scenes=True),
+                                       lambda: SimConfig(nu_min=True)],
+                             ids=["NetConfig-k", "TrainConfig-batch_size", "EvalConfig-n_eval_scenes",
+                                  "SimConfig-nu_min"])
+    def test_count_rejects_a_boolean(self, build):
+        with pytest.raises(ValueError, match="must be an integer >= 1, got True"):
+            build()
+
     def test_paper_noise_rows_accepted(self):
         # table rows a) - c): sigma in {2, 1, 0.5} m and {10, 4, 2} deg
         for sp, sphi in ((2.0, 10.0), (1.0, 4.0), (0.5, 2.0)):
@@ -343,6 +352,7 @@ class TestCli:
         (["simulate", "--seed", "-1"], "seed", 0),
         (["infer", "--mode", "icp", "--seed", "-1"], "seed", 0),
         (["simulate"], "ekf.sigma_accel", -1),
+        (["simulate"], "ekf.sigma_yaw_accel", 0),
         (["train"], "train.lr", 1e-2),
     ]
 
@@ -357,7 +367,7 @@ class TestCli:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error:config: {key.split('.')[0]}:")
         leaf = key.rpartition(".")[2]
-        if key.startswith(("gps_noise.", "train.sigma")) or leaf in COUNT_KEYS:  # a bound or a count names its key
+        if key.startswith(("gps_noise.", "train.sigma", "ekf.sigma")) or leaf in COUNT_KEYS:  # bounds and counts name it
             assert re.search(rf"\b{leaf}\b", err[0])
         assert not out.exists() or not any(out.iterdir())
 

@@ -52,6 +52,11 @@ class TestSampleOffset:
         with pytest.raises(ValueError, match="learning_rate"):
             TrainConfig(learning_rate=rate)
 
+    def test_negative_seed_rejected(self):
+        # numpy would refuse it only once train draws from default_rng(seed)
+        with pytest.raises(ValueError, match="seed"):
+            TrainConfig(seed=-1)
+
 
 class TestMakeTrainingSample:
     def _cfg(self, **kw):
