@@ -61,10 +61,6 @@ class ModelParams:
     def items(self):
         return self.tensors.items()
 
-    def zero_grads(self) -> None:
-        for t in self.tensors.values():
-            t.grad = np.zeros_like(t.data)
-
     def param_count(self) -> int:
         return sum(t.data.size for t in self.tensors.values())
 
@@ -241,6 +237,24 @@ def inference_weights(params: ModelParams | InferenceWeights) -> InferenceWeight
     return cached
 
 
+class StepWeights(ModelParams):
+    """The parameters as one optimizer step's recorded forwards see them: with _local_maps folded once.
+
+    fold holds the maps as recorded from the parameter tensors; local_maps
+    holds their values as leaf tensors, which every forward of the step
+    reads and which gather the step's gradients. fold_backward, after the
+    step's last backward, runs that sum back through the fold once.
+    """
+
+    def __init__(self, params: ModelParams):
+        super().__init__(params.config, params.tensors)
+        self.fold = _local_maps(params, params.config)
+        self.local_maps = tuple(Tensor(t.data) for t in self.fold)
+
+    def fold_backward(self) -> None:
+        ad.pullback(self.fold, [leaf.grad for leaf in self.local_maps]).backward()
+
+
 def local_attention(scenes, params: ModelParams | InferenceWeights):
     """Per-measurement attention over its k nearest landmarks, for every scene at once.
 
@@ -258,7 +272,8 @@ def local_attention(scenes, params: ModelParams | InferenceWeights):
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
-    m_map, n_map, e = params.local_maps if isinstance(params, InferenceWeights) else _local_maps(params, cfg)
+    m_map, n_map, e = (params.local_maps if isinstance(params, (InferenceWeights, StepWeights))
+                       else _local_maps(params, cfg))
     queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
     # the neighbor hidden layer H, (sum nu * k, rff_hidden)
     hidden = ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"], relu=True)
@@ -274,8 +289,9 @@ def forward(scenes, params: ModelParams | InferenceWeights):
     rows, the global block and the max-pool within each scene, so row b
     equals scene b's own forward up to rounding, and one scene runs the
     one-scene ops exactly. Recording follows the weights: a ModelParams
-    builds the Tensor tape training differentiates, and the InferenceWeights
-    of inference_weights(params) run the same ops on arrays and return the
+    builds the Tensor tape training differentiates (a StepWeights on its
+    step's folded local maps), and the InferenceWeights of
+    inference_weights(params) run the same ops on arrays and return the
     array. Both raise ValueError on a non-finite input and
     FloatingPointError on a non-finite output.
     """

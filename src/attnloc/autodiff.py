@@ -5,7 +5,8 @@ its forward value and a backward closure, which maps the upstream gradient
 to one gradient per parent, in parent order. `Tensor.backward` is the one
 place a gradient reaches a parent, and it hands arrays over: a closure owns
 the upstream gradient it is given and may overwrite it, and returns arrays
-no other tensor holds. The graph is rebuilt each forward pass, so input
+no other tensor holds, one per parent, none of them twice (`__add__` gives
+its second parent a copy). The graph is rebuilt each forward pass, so input
 cardinalities may vary freely between passes. A tensor graph is single-owner
 during a forward/backward pass; leaf values must not be mutated mid-pass, so
 a closure may read the arrays its forward read.
@@ -66,7 +67,7 @@ class Tensor:
     def __add__(self, other: "Tensor") -> "Tensor":
         if self.shape != other.shape:
             raise ValueError(f"elementwise add needs equal shapes, got {self.shape} and {other.shape}")
-        return Tensor._make(self.data + other.data, (self, other), lambda g: (g, g))
+        return Tensor._make(self.data + other.data, (self, other), lambda g: (g, g.copy()))
 
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
@@ -92,13 +93,14 @@ class Tensor:
         """Accumulate dself/dleaf into every reachable tensor's .grad, freeing the tape as it goes.
 
         A tensor's first gradient array becomes its .grad, not a copy, and
-        later ones are added in place. Two arrays are copied instead: one
-        sharing memory with an array the node returns to a later parent
-        (`__add__` returns (g, g)), and the root's gradient, which the root
-        keeps. Once a node has handed its gradients to its parents it drops
-        its closure, its parents and, below the root, its own gradient, so
-        each array only the pass needed is freed as soon as the pass is done
-        with it. A graph is differentiated once; leaves keep their gradients.
+        later ones are added in place. Only the root's gradient is copied
+        before its closure gets it, because the root keeps it; nothing is
+        checked for shared memory, since every closure returns arrays no
+        other tensor holds, none of them twice. Once a node has handed its
+        gradients to its parents it drops its closure, its parents and,
+        below the root, its own gradient, so each array only the pass
+        needed is freed as soon as the pass is done with it. A graph is
+        differentiated once; leaves keep their gradients.
 
         Raises:
             ValueError: if self is not 1x1 (loss must be scalar).
@@ -111,11 +113,11 @@ class Tensor:
             node = order.pop()
             if node._backward is not None:
                 grads = node._backward(node.grad.copy() if node is self else node.grad)
-                for i, (parent, g) in enumerate(zip(node._parents, grads, strict=True)):
+                for parent, g in zip(node._parents, grads, strict=True):
                     if parent.grad is not None:
                         parent.grad += g
-                    else:  # handed over, unless a later parent of this node reads memory it shares
-                        parent.grad = g.copy() if any(np.may_share_memory(g, h) for h in grads[i + 1:]) else g
+                    else:
+                        parent.grad = g
             node._parents, node._backward = (), None
             if node is not self:
                 node.grad = None
@@ -391,6 +393,17 @@ def max_pool_rows(x, counts: list[int]):
         return (gx,)
 
     return y, _bw
+
+
+def pullback(outputs: tuple[Tensor, ...], grads: list[np.ndarray]) -> Tensor:
+    """The 1x1 sum of <y_i, g_i> over the outputs y_i, each g_i held constant, as one node.
+
+    Its backward gives y_i the gradient g_i, so a backward from it adds the
+    vector-Jacobian products of the g_i into the leaves: one pass for the
+    upstream gradients that several graphs gathered at the outputs.
+    """
+    value = sum(np.vdot(y.data, g) for y, g in zip(outputs, grads, strict=True))
+    return Tensor._make(np.array([[value]]), tuple(outputs), lambda up: tuple(g * up[0, 0] for g in grads))
 
 
 def homoscedastic_loss(pred: Tensor, target: np.ndarray, s_tran: Tensor, s_rot: Tensor) -> tuple[Tensor, np.ndarray]:

@@ -101,36 +101,71 @@ def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
     return ad.homoscedastic_loss(pred, target, params["s_tran"], params["s_rot"])
 
 
+def _param_views(params: net.ModelParams, flat: np.ndarray):
+    """(tensor, view) per parameter in parameter order: its slice of a flat vector, shaped as its array."""
+    lo = 0
+    for _, tensor in params.items():
+        size = tensor.data.size
+        yield tensor, flat[lo:lo + size].reshape(tensor.data.shape)
+        lo += size
+
+
 class AdamState:
-    """Per-parameter first/second moment accumulators and step counter."""
+    """Adam over one flat vector: the parameters' values `flat`, their moments m and v, and the step count t.
+
+    Construction copies the parameter arrays once, in parameter order, into
+    `flat` and replaces each with its view of it (equal values; ModelParams
+    replaces arrays, never edits them).
+    """
 
     def __init__(self, params: net.ModelParams):
-        self.m = {k: np.zeros_like(t.data) for k, t in params.items()}
-        self.v = {k: np.zeros_like(t.data) for k, t in params.items()}
+        self.flat = np.concatenate([t.data.ravel() for _, t in params.items()])
+        for tensor, view in _param_views(params, self.flat):
+            tensor.data = view
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
         self.t = 0
 
 
 def adam_step(
     params: net.ModelParams,
-    grads: dict[str, np.ndarray],
+    grad: np.ndarray,
     state: AdamState,
     lr: float,
     beta1: float = 0.9,
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update of state.flat by the flat gradient, which it uses as scratch.
+
+    Per element the operations, in their order, are those of
+    m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
+    x - lr m_hat / (sqrt(v_hat) + eps), so the bits equal a per-array
+    update. The moments change in place; the new values go to a new
+    vector, and every parameter's array is replaced by a view of it.
+    """
+    x = state.flat
+    if grad.shape != x.shape:
+        raise ValueError(f"gradient shape {grad.shape} does not match the {x.size} parameters")
     state.t += 1
     t = state.t
-    for name, tensor in params.items():
-        g = grads[name]
-        if g.shape != tensor.data.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match {name} {tensor.data.shape}")
-        m = state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        v = state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1**t)
-        v_hat = v / (1 - beta2**t)
-        tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    new = np.multiply(grad, 1 - beta1)
+    state.m *= beta1
+    state.m += new
+    np.multiply(grad, 1 - beta2, out=new)
+    new *= grad
+    state.v *= beta2
+    state.v += new
+    np.divide(state.v, 1 - beta2**t, out=grad)  # grad is scratch from here: the moments hold it
+    np.sqrt(grad, out=grad)
+    grad += eps
+    np.divide(state.m, 1 - beta1**t, out=new)
+    new *= lr
+    new /= grad
+    np.subtract(x, new, out=new)
+    state.flat = new
+    for tensor, view in _param_views(params, new):
+        tensor.data = view
 
 
 @dataclass
@@ -153,8 +188,12 @@ def train(
     Landmarks are true-vehicle-frame positions; a fresh offset is sampled
     per scene per epoch. Each logical batch draws all its samples first,
     then runs them as tapes of net.SCENES_PER_FORWARD scenes, one stacked
-    forward and backward each; gradients average over the batch before each
-    Adam step.
+    forward and backward each. The weight-only work runs once per step:
+    every tape reads the local maps that net.StepWeights folded at the
+    step's start, and their summed gradient runs back through the fold
+    once after the last tape. The parameters are the views of AdamState's
+    flat vector, and their gradients views of one zeroed flat gradient,
+    which is averaged over the batch, checked and handed to adam_step.
     Deterministic for a fixed (cfg.seed, params, scenes) triple. A
     non-finite loss raises FloatingPointError naming the epoch and the
     sample, and a non-finite batch gradient one naming the epoch and the
@@ -178,10 +217,13 @@ def train(
                 use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
                 pool = mapped if use_map else syn
                 batch.append(make_training_sample(pool[rng.integers(len(pool))], cfg, rng))
-            params.zero_grads()
+            grad = np.zeros_like(state.flat)
+            for tensor, view in _param_views(params, grad):
+                tensor.grad = view
+            weights = net.StepWeights(params)
             for lo in range(0, len(batch), net.SCENES_PER_FORWARD):
                 pairs, labels = zip(*batch[lo:lo + net.SCENES_PER_FORWARD])
-                pred = net.forward(list(pairs), params)
+                pred = net.forward(list(pairs), weights)
                 loss, rows = multitask_loss_graph(pred, list(labels), params)
                 bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
                 if bad.size:
@@ -189,10 +231,11 @@ def train(
                 loss.backward()
                 for row in rows:
                     sums += row
-            grads = {k: t.grad / len(batch) for k, t in params.items()}
-            if not all(np.isfinite(g).all() for g in grads.values()):
+            weights.fold_backward()
+            grad /= len(batch)
+            if not np.isfinite(grad).all():
                 raise FloatingPointError(f"gradient is not finite at epoch {epoch}, step {first // cfg.batch_size}")
-            adam_step(params, grads, state, cfg.learning_rate)
+            adam_step(params, grad, state, cfg.learning_rate)
         stats = EpochStats(*(sums / n_per_epoch))
         history.append(stats)
         if progress is not None:

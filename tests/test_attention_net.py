@@ -15,6 +15,7 @@ from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
 from attnloc.inference import EkfConfig, FilterSession
 from autodiff_helpers import check_gradient, count_tensors, cross_attention, relative_error
+from training_helpers import zero_grads
 
 SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=0)
 
@@ -333,7 +334,7 @@ class TestFoldedNeighborEmbedding:
         weights = Tensor(rng.normal(size=(sum(m.shape[0] for m, _ in scenes), cfg.d_m)))
         results = []
         for build in (lambda: net.local_attention(scenes, params), unfolded):
-            params.zero_grads()
+            zero_grads(params)
             out = build()
             (out * weights).sum().backward()
             results.append((out.data, {name: t.grad.copy() for name, t in params.items()}))

@@ -362,11 +362,10 @@ class TestHandOver:
         out.sum().backward()
         assert a.grad is calls[0][1][0] and w.grad is calls[0][1][1]
 
-    def test_repeated_parent_with_a_later_one_sharing_its_array(self):
-        # (g, g, g) to (x, x, y): adding into x's array must not change y's
+    def test_add_gives_its_second_parent_a_copy(self):
+        # x + x + y: y's array is not the one x's sum then adds into, nor is either of x's two
         x, y = Tensor([[1.0, 2.0]]), Tensor([[3.0, 4.0]])
-        out = Tensor._make(x.data + x.data + y.data, (x, x, y), lambda g: (g, g, g))
-        (out * Tensor([[5.0, 7.0]])).sum().backward()
+        ((x + x + y) * Tensor([[5.0, 7.0]])).sum().backward()
         np.testing.assert_array_equal(x.grad, [[10.0, 14.0]])
         np.testing.assert_array_equal(y.grad, [[5.0, 7.0]])
         assert not np.may_share_memory(x.grad, y.grad)
@@ -399,6 +398,7 @@ PROTOCOL_OPS = {
     "mean": lambda r: mean(_rand(r, 3, 4)),
     "concat_rows": lambda r: concat([_rand(r, 3, 4), _rand(r, 1, 4), _rand(r, 2, 4)], axis=0),
     "concat_cols": lambda r: concat([_rand(r, 3, 4), _rand(r, 3, 1)], axis=1),
+    "pullback": lambda r: ad.pullback((_rand(r, 3, 4), _rand(r, 1, 2)), [r.normal(size=(3, 4)), r.normal(size=(1, 2))]),
 }
 
 
@@ -413,6 +413,32 @@ class TestBackwardProtocol:
         assert grads is not None and len(grads) == len(out._parents)
         for parent, g in zip(out._parents, grads):
             assert isinstance(g, np.ndarray) and g.shape == parent.shape
+
+
+class TestPullback:
+    """pullback(outputs, grads) is <y_1, g_1> + <y_2, g_2> + ...: one backward for gradients gathered at the outputs."""
+
+    def _graphs(self, seed):
+        rng = np.random.default_rng(seed)
+        x, w = _rand(rng, 3, 4), _rand(rng, 4, 2)
+        return x, w, [rng.normal(size=(3, 2)), rng.normal(size=(4, 4))]
+
+    def test_one_pass_equals_a_backward_per_output(self):
+        x, w, (g1, g2) = self._graphs(41)
+        ((x @ w) * Tensor(g1)).sum().backward()
+        ((w @ w.T) * Tensor(g2)).sum().backward()
+        ref = x.grad, w.grad
+        x.grad = w.grad = None
+        outputs = (x @ w, w @ w.T)
+        root = ad.pullback(outputs, [g1, g2])
+        assert root.data[0, 0] == pytest.approx((outputs[0].data * g1).sum() + (outputs[1].data * g2).sum(), rel=1e-12)
+        root.backward()
+        np.testing.assert_allclose(x.grad, ref[0], rtol=1e-12, atol=0)
+        np.testing.assert_allclose(w.grad, ref[1], rtol=1e-12, atol=1e-15)
+
+    def test_matches_the_numeric_oracle(self):
+        x, w, grads = self._graphs(42)
+        assert check_gradient(lambda: ad.pullback((x @ w, w @ w.T), grads), [x, w]) < 1e-8
 
 
 # every op autodiff._op lifts: the op, its options, and the shapes of its array inputs

@@ -21,6 +21,7 @@ from attnloc.inference import (
 )
 from attnloc.map_store import query_fov
 from attnloc.simulator import SimConfig, generate_trajectory
+from training_helpers import zero_grads
 
 
 def _state(x=0.0, y=0.0, phi=0.0, v=0.0, omega=0.0, var=1.0):
@@ -309,9 +310,10 @@ class TestInferenceWeights:
         session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, EkfConfig(), fov_radius=100.0)
         before = net.predict_offset(sc.measurements, sc.landmarks, params)
         pred = net.forward([(sc.measurements, sc.landmarks)], params)
-        params.zero_grads()
+        zero_grads(params)
         pred.sum().backward()
-        training.adam_step(params, {name: t.grad for name, t in params.items()}, training.AdamState(params), 1e-2)
+        state = training.AdamState(params)
+        training.adam_step(params, np.concatenate([t.grad.ravel() for _, t in params.items()]), state, 1e-2)
         derived = _count_derivations(monkeypatch)
         after = net.predict_offset(sc.measurements, sc.landmarks, params)
         assert len(derived) == 1 and derived[0] is not session.weights

@@ -7,6 +7,7 @@ from attnloc import attention_net as net
 from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import icp
+from attnloc.dataset_io import save_checkpoint
 from attnloc.geometry import PoseOffset
 from attnloc.training import (
     AdamState,
@@ -17,6 +18,7 @@ from attnloc.training import (
     sample_offset,
 )
 from autodiff_helpers import check_gradient
+import training_helpers as per_array
 
 
 class TestSampleOffset:
@@ -171,7 +173,7 @@ class TestMultitaskLoss:
         params = net.init_params(cfg)
         pred = Tensor([[0.5, -0.3, 0.02]])
         label = PoseOffset(0.1, 0.1, 0.0)
-        params.zero_grads()
+        per_array.zero_grads(params)
         loss, rows = multitask_loss_graph(pred, [label], params)
         loss.backward()
         l_tran, l_rot = rows[0, 1:]
@@ -193,31 +195,57 @@ class TestAdam:
     def test_zero_gradient_zero_update(self):
         params = self._one_param(1.5)
         state = AdamState(params)
-        adam_step(params, {"w": np.zeros((1, 1))}, state, lr=0.1)
+        adam_step(params, np.zeros(1), state, lr=0.1)
         assert params["w"].data[0, 0] == 1.5
 
     def test_first_step_magnitude_is_lr(self):
         for g in (1e-6, 1.0, 1e6):
             params = self._one_param(0.0)
             state = AdamState(params)
-            adam_step(params, {"w": np.array([[g]])}, state, lr=0.01)
+            adam_step(params, np.array([g]), state, lr=0.01)
             # epsilon shaves ~|eps/g| off the unit step
             assert abs(params["w"].data[0, 0]) == pytest.approx(0.01, rel=2e-2)
 
     def test_shape_mismatch_rejected(self):
         params = self._one_param(0.0)
         with pytest.raises(ValueError):
-            adam_step(params, {"w": np.zeros((2, 1))}, AdamState(params), lr=0.1)
+            adam_step(params, np.zeros(2), AdamState(params), lr=0.1)
 
     def test_scalar_quadratic_converges(self):
         params = self._one_param(0.0)
         state = AdamState(params)
         for _ in range(2000):
             w = params["w"].data[0, 0]
-            adam_step(params, {"w": np.array([[2.0 * (w - 3.0)]])}, state, lr=0.05)
+            adam_step(params, np.array([2.0 * (w - 3.0)]), state, lr=0.05)
             if abs(params["w"].data[0, 0] - 3.0) < 1e-3:
                 break
         assert abs(params["w"].data[0, 0] - 3.0) < 1e-3
+
+    def test_flat_update_equals_the_per_array_reference(self):
+        # the same operations per element, in the same order, give the same bits
+        cfg = net.NetConfig(d_m=64, heads=4, k=8, seed=3)
+        params, ref = net.init_params(cfg), net.init_params(cfg)
+        state, ref_state = AdamState(params), per_array.AdamState(ref)
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            grads = {name: rng.normal(size=t.data.shape) * 10.0 ** rng.uniform(-6, 2, size=t.data.shape)
+                     for name, t in ref.items()}
+            per_array.adam_step(ref, grads, ref_state, lr=1e-3)
+            adam_step(params, np.concatenate([g.ravel() for g in grads.values()]), state, lr=1e-3)
+        for name, t in ref.items():
+            np.testing.assert_array_equal(params[name].data, t.data, err_msg=name)
+        np.testing.assert_array_equal(state.m, np.concatenate([m.ravel() for m in ref_state.m.values()]))
+        np.testing.assert_array_equal(state.v, np.concatenate([v.ravel() for v in ref_state.v.values()]))
+
+    def test_step_replaces_every_array_with_a_view_of_one_new_vector(self):
+        params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
+        state = AdamState(params)
+        old = {name: t.data for name, t in params.items()}
+        kept = {name: a.copy() for name, a in old.items()}
+        adam_step(params, np.ones(params.param_count()), state, lr=0.1)
+        for name, t in params.items():
+            assert t.data is not old[name] and np.shares_memory(t.data, state.flat) and t.data.flags.c_contiguous
+            np.testing.assert_array_equal(old[name], kept[name])
 
 
 def _tiny_scenes(n, seed=0, nu=5):
@@ -277,8 +305,14 @@ class TestTrain:
     @pytest.mark.parametrize("epoch, sample", [(0, 6), (1, 9)])
     def test_non_finite_loss_names_its_sample(self, monkeypatch, epoch, sample):
         # one huge label makes one row's loss overflow; the tapes hold 4 of each batch's 8 samples
-        make = training.make_training_sample
+        make, step = training.make_training_sample, training.adam_step
+        params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
+        weights = [{k: t.data.copy() for k, t in params.items()}]  # at the start and after each step
         calls = []
+
+        def recorded_step(p, *args):
+            step(p, *args)
+            weights.append({k: t.data.copy() for k, t in p.items()})
 
         def poisoned(*args):
             pair, label = make(*args)
@@ -288,9 +322,89 @@ class TestTrain:
             return pair, label
 
         monkeypatch.setattr(training, "make_training_sample", poisoned)
+        monkeypatch.setattr(training, "adam_step", recorded_step)
         with pytest.raises(FloatingPointError, match=f"^loss is not finite at epoch {epoch}, sample {sample}$"):
-            training.train(net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0)),
-                           TrainConfig(epochs=2, batch_size=8, samples_per_epoch=10, seed=0), _tiny_scenes(3))
+            training.train(params, TrainConfig(epochs=2, batch_size=8, samples_per_epoch=10, seed=0), _tiny_scenes(3))
+        # two steps an epoch (8 and 2 samples): the failing one changes no weight
+        assert len(weights) == 1 + 3 * epoch
+        for k, t in params.items():
+            np.testing.assert_array_equal(t.data, weights[-1][k])
+
+    def test_adam_step_is_looked_up_in_the_module_each_step(self, monkeypatch):
+        # a benchmark may wrap training.adam_step per step and drop its return value, as perfbench does
+        scenes = _tiny_scenes(5)
+        cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
+        tcfg = TrainConfig(epochs=2, batch_size=2, seed=1)
+        want, _ = training.train(net.init_params(cfg), tcfg, scenes)
+        step, found = training.adam_step, []
+
+        def install():
+            def counted(*args, **kwargs):
+                found.append(training.adam_step is counted)
+                step(*args, **kwargs)
+                install()  # the next step must find a new wrapper
+
+            monkeypatch.setattr(training, "adam_step", counted)
+
+        install()
+        params, _ = training.train(net.init_params(cfg), tcfg, scenes)
+        assert found == [True] * (2 * 3)  # epochs x ceil(5 / 2)
+        for name, t in params.items():
+            np.testing.assert_array_equal(t.data, want[name].data, err_msg=name)
+
+    def test_one_step_matches_a_fold_per_tape(self, monkeypatch):
+        # the step folds the local maps once and runs their summed gradient back once; the
+        # reference tapes each derive their own maps from the ModelParams
+        scenes = _tiny_scenes(8, seed=4)
+        cfg = net.NetConfig(d_m=16, heads=2, k=3, seed=2)
+        make, forward, step = training.make_training_sample, net.forward, training.adam_step
+        samples, preds, grads = [], [], []
+
+        def recorded_sample(*args):
+            samples.append(make(*args))
+            return samples[-1]
+
+        def recorded_forward(pairs, weights):
+            preds.append(forward(pairs, weights))
+            return preds[-1]
+
+        def recorded_step(params, grad, *args):
+            grads.append(grad.copy())
+            step(params, grad, *args)
+
+        monkeypatch.setattr(training, "make_training_sample", recorded_sample)
+        monkeypatch.setattr(net, "forward", recorded_forward)
+        monkeypatch.setattr(training, "adam_step", recorded_step)
+        training.train(net.init_params(cfg), TrainConfig(epochs=1, batch_size=8, seed=3), scenes)
+        monkeypatch.undo()
+        assert len(samples) == 8 and len(preds) == 2 and len(grads) == 1
+        params = net.init_params(cfg)
+        per_array.zero_grads(params)
+        for lo, got in zip((0, 4), preds):
+            pairs, labels = zip(*samples[lo:lo + 4])
+            pred = net.forward(list(pairs), params)
+            np.testing.assert_array_equal(got.data, pred.data)
+            multitask_loss_graph(pred, list(labels), params)[0].backward()
+        lo = 0
+        for name, t in params.items():
+            got, want = grads[0][lo:lo + t.data.size].reshape(t.data.shape), t.grad / 8
+            lo += t.data.size
+            assert np.abs(want).max() > 0 and np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+    def test_trained_arrays_are_contiguous_and_derive_anew(self, tmp_path):
+        params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
+        derived = [net.inference_weights(params)]  # before training and after each epoch
+        training.train(params, TrainConfig(epochs=2, batch_size=2, seed=0), _tiny_scenes(3),
+                       progress=lambda epoch, stats: derived.append(net.inference_weights(params)))
+        assert all(t.data.flags.c_contiguous for _, t in params.items())
+        after = net.inference_weights(params)
+        assert after is derived[2] and after is not derived[1] and after is not derived[0]
+        assert all(after[name] is t.data for name, t in params.items())
+        assert not np.array_equal(after.local_maps[0], derived[1].local_maps[0])
+        copy = net.ModelParams(params.config, {name: Tensor(t.data.copy()) for name, t in params.items()})
+        save_checkpoint(params, str(tmp_path / "trained.json"))
+        save_checkpoint(copy, str(tmp_path / "copy.json"))
+        assert (tmp_path / "trained.json").read_bytes() == (tmp_path / "copy.json").read_bytes()
 
     def test_loss_decreases_on_small_problem(self):
         scenes = _tiny_scenes(8, seed=2)
