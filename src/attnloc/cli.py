@@ -51,7 +51,7 @@ def _cmd_train(args) -> int:
         print(f"epoch {epoch}: loss {stats.loss:.4f} (tran {stats.loss_tran:.4f}, rot {stats.loss_rot:.6f})")
 
     os.makedirs(args.out, exist_ok=True)
-    params = experiment.train_stage(plan, args.out, pool, map_pool, progress=progress if args.verbose else None)
+    params, _ = experiment.train_stage(plan, args.out, pool, map_pool, progress=progress if args.verbose else None)
     print(f"trained {params.param_count()} parameters; checkpoint at {args.out}/checkpoint.json")
     return 0
 

@@ -424,18 +424,23 @@ def training_pools(plan: Plan, scenes: list[Scene], drive: tuple[list[Pose], np.
 
 
 def train_stage(plan: Plan, out_dir: str, pool: list[tuple[np.ndarray, np.ndarray]],
-                map_pool: list[tuple[np.ndarray, np.ndarray]] = (), progress=None) -> net.ModelParams:
+                map_pool: list[tuple[np.ndarray, np.ndarray]] = (), progress=None) -> tuple[net.ModelParams, dict]:
     """Train a fresh network on the scene pools; write checkpoint.json and loss_history.csv.
 
-    Any failure while training raises StageError("train").
+    Returns the trained parameters and the training's wall-clock,
+    {"seconds", "samples_per_s"}. Any failure while training raises
+    StageError("train").
     """
     try:
+        t0 = time.perf_counter()
         params, history = training.train(net.init_params(plan.net), plan.train, pool, map_pool, progress=progress)
+        seconds = time.perf_counter() - t0
         save_checkpoint(params, os.path.join(out_dir, "checkpoint.json"))
         _write_history(os.path.join(out_dir, "loss_history.csv"), history)
     except Exception as exc:
         raise StageError("train", exc) from exc
-    return params
+    samples = plan.train.epochs * (plan.train.samples_per_epoch or len(pool) + len(map_pool))
+    return params, {"seconds": seconds, "samples_per_s": samples / seconds}
 
 
 FOV_RADIUS = 60.0  # m: the map query radius around the prior pose of every localization step
@@ -466,7 +471,7 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
     except Exception as exc:
         raise StageError("simulate", exc) from exc
 
-    params = train_stage(plan, out_dir, pool, map_pool) if trains else checkpoint
+    params, train_timing = train_stage(plan, out_dir, pool, map_pool) if trains else (checkpoint, None)
 
     try:
         if plan.mode == "filter":
@@ -492,8 +497,8 @@ def run_experiment(cfg: dict, out_dir: str, checkpoint: net.ModelParams | None =
         report = EvalReport.from_error_rows(np.asarray(rows)[:, 1:])
         doc = {"mode": plan.mode, "seed": plan.seed, **report.metrics_dict(), **extra}
         write_json(os.path.join(out_dir, "report.json"), doc)
-        write_json(os.path.join(out_dir, "timing.json"),
-                   {"latency_ms": {k.removesuffix("_ms"): v for k, v in dataclasses.asdict(latency).items()}})
+        timing = {"latency_ms": {k.removesuffix("_ms"): v for k, v in dataclasses.asdict(latency).items()}}
+        write_json(os.path.join(out_dir, "timing.json"), timing | ({"train": train_timing} if trains else {}))
     except Exception as exc:
         raise StageError("eval", exc) from exc
     return doc

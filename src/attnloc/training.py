@@ -9,8 +9,15 @@ subtraction-based inference correction.
 
 from __future__ import annotations
 
+import gc
 import math
+import mmap
 import numbers
+import os
+import pickle
+import signal
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +182,177 @@ class EpochStats:
     loss_rot: float
 
 
+def _batches(cfg: TrainConfig, syn: list, mapped: list, n_per_epoch: int):
+    """(epoch, first, batch) per optimizer step, drawn in order from cfg.seed's stream; first indexes the epoch."""
+    rng = np.random.default_rng(cfg.seed)
+    for epoch in range(cfg.epochs):
+        for first in range(0, n_per_epoch, cfg.batch_size):
+            batch = []
+            for _ in range(min(cfg.batch_size, n_per_epoch - first)):
+                use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
+                pool = mapped if use_map else syn
+                batch.append(make_training_sample(pool[rng.integers(len(pool))], cfg, rng))
+            yield epoch, first, batch
+
+
+def _tape(weights: net.StepWeights, samples: list, epoch: int, first: int) -> np.ndarray:
+    """One stacked forward, loss and backward over samples, the first of them sample `first`; their loss rows."""
+    pairs, labels = zip(*samples)
+    pred = net.forward(list(pairs), weights)
+    loss, rows = multitask_loss_graph(pred, list(labels), weights)
+    bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
+    if bad.size:
+        raise FloatingPointError(f"loss is not finite at epoch {epoch}, sample {first + bad[0]}")
+    loss.backward()
+    return rows
+
+
+# A shorter first step keeps training in one process: the helper's hand-offs and its own
+# fold and draw cost about what half of such a step's tapes save (steps of 3-5 ms at
+# d_m 16-32 gained nothing on a 2-vCPU host, where 13 ms steps at d_m=64 gained 18%)
+MIN_HELPER_STEP_S = 0.01
+
+
+def _helper_pays(cpu0: float, wall0: float) -> bool:
+    """Whether a helper process would speed up steps like the one since process_time, perf_counter read cpu0, wall0.
+
+    The step took MIN_HELPER_STEP_S or longer, the process may run on two
+    or more CPUs, it used no more CPU time than 1.5x the wall-clock (a
+    multi-threaded BLAS that already fills the cores reads about 2x), and
+    no other Python thread runs, which a fork would leave behind holding
+    whatever locks it held.
+    """
+    wall = time.perf_counter() - wall0
+    return (wall >= MIN_HELPER_STEP_S and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1
+            and threading.active_count() == 1 and time.process_time() - cpu0 <= 1.5 * wall)
+
+
+_VALUES_IN, _TAPES_IN = b"v", b"t"  # what the caller tells the helper during a step
+
+
+class _Helper:
+    """A forked process that runs the later half of the tapes of every step that has two or more.
+
+    The caller hands it each later step's parameter values, in the shared
+    vector `values`, before drawing that step's batch. The helper then draws
+    the same batch from its copy of the caller's batch stream, runs its
+    tapes on its own StepWeights, each into a fresh gradient, and once the
+    caller's tapes are in the shared `grad` and `leaves` it adds its own
+    into both, one tape at a time in tape order. Each parameter and
+    local-map leaf gets one contribution per tape, so the sums are
+    bit-identical to one process's. It replies with its tapes' loss rows,
+    or with the exception it raised, and waits for the next step idle.
+    """
+
+    def __init__(self, params: net.ModelParams, steps, leaves: tuple[Tensor, ...]):
+        n = params.param_count()
+        bounds = np.cumsum([0, n, n, *(leaf.data.size for leaf in leaves)])
+        shared = np.frombuffer(mmap.mmap(-1, 8 * int(bounds[-1])), dtype=np.float64)
+        views = [shared[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+        self.values, self.grad = views[:2]
+        self.leaves = [view.reshape(leaf.data.shape) for view, leaf in zip(views[2:], leaves)]
+        down, self.down = os.pipe()  # caller to helper: read end, write end
+        self.up, up = os.pipe()  # helper to caller
+        try:
+            self.pid = os.fork()
+        except OSError:
+            for fd in (down, self.down, self.up, up):
+                os.close(fd)
+            raise
+        if self.pid == 0:
+            try:
+                gc.freeze()  # the parent's objects are its own to collect
+                os.close(self.down)
+                os.close(self.up)
+                self._serve(params, steps, down, up)
+            finally:
+                os._exit(0)
+        os.close(down)
+        os.close(up)
+
+    def _serve(self, params: net.ModelParams, steps, down: int, up: int) -> None:
+        while os.read(down, 1) == _VALUES_IN:
+            epoch, first, batch = next(steps)
+            starts = range(0, len(batch), net.SCENES_PER_FORWARD)
+            if len(starts) < 2:
+                continue
+            for tensor, view in _param_views(params, self.values):
+                tensor.data = view
+            weights = net.StepWeights(params)
+            tapes = []
+            try:
+                for lo in starts[len(starts) // 2:]:
+                    grad = np.zeros_like(self.values)
+                    for tensor, view in _param_views(params, grad):
+                        tensor.grad = view
+                    for leaf in weights.local_maps:
+                        leaf.grad = None
+                    rows = _tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo)
+                    tapes.append((grad, [leaf.grad for leaf in weights.local_maps], rows))
+                reply = np.concatenate([rows for *_, rows in tapes])
+            except Exception as exc:
+                tapes, reply = [], exc
+            if os.read(down, 1) != _TAPES_IN:
+                return
+            for grad, leaf_grads, _ in tapes:
+                self.grad += grad
+                for view, g in zip(self.leaves, leaf_grads):
+                    view += g
+            data = pickle.dumps(reply)
+            data = len(data).to_bytes(8, "little") + data
+            while data:
+                data = data[os.write(up, data):]
+
+    def _exited(self) -> RuntimeError:
+        return RuntimeError(f"training helper process {self.pid} exited")
+
+    def _tell(self, what: bytes) -> None:
+        try:
+            os.write(self.down, what)
+        except BrokenPipeError:
+            raise self._exited() from None
+
+    def _read(self, size: int) -> bytes:
+        data = b""
+        while len(data) < size:
+            chunk = os.read(self.up, size - len(data))
+            if not chunk:
+                raise self._exited()
+            data += chunk
+        return data
+
+    def send(self, values: np.ndarray) -> None:
+        """Hand the helper the next step's parameter values; it draws that step's batch and starts on it."""
+        self.values[...] = values
+        self._tell(_VALUES_IN)
+
+    def zeroed_grad(self) -> np.ndarray:
+        """The shared gradient, zeroed for the caller's tapes."""
+        self.grad.fill(0.0)
+        return self.grad
+
+    def finish(self, leaves: tuple[Tensor, ...]) -> np.ndarray:
+        """After the caller's tapes: the helper's tapes added in and the leaves' gradients shared; its loss rows.
+
+        Re-raises the exception a helper tape raised.
+        """
+        for leaf, view in zip(leaves, self.leaves):
+            view[...] = leaf.grad
+            leaf.grad = view
+        self._tell(_TAPES_IN)
+        reply = pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
+        if isinstance(reply, BaseException):
+            raise reply
+        return reply
+
+    def close(self) -> None:
+        """Kill and reap the helper, whatever it is doing."""
+        os.close(self.down)
+        os.close(self.up)
+        os.kill(self.pid, signal.SIGKILL)
+        os.waitpid(self.pid, 0)
+
+
 @np.errstate(all="ignore")  # a diverging run stops at the finiteness checks, without warnings
 def train(
     params: net.ModelParams,
@@ -194,6 +372,12 @@ def train(
     once after the last tape. The parameters are the views of AdamState's
     flat vector, and their gradients views of one zeroed flat gradient,
     which is averaged over the batch, checked and handed to adam_step.
+
+    When the first step, run here, has two or more tapes and _helper_pays
+    says a second CPU would speed such steps up, one forked helper process
+    (_Helper) runs the later half of the tapes of every later step that has
+    two or more, with the same bits as running them all here. It never
+    outlives train.
     Deterministic for a fixed (cfg.seed, params, scenes) triple. A
     non-finite loss raises FloatingPointError naming the epoch and the
     sample, and a non-finite batch gradient one naming the epoch and the
@@ -205,39 +389,47 @@ def train(
         raise ValueError("mix_ratio > 0 requires map-backed scenes")
     if cfg.mix_ratio < 1 and not syn:
         raise ValueError("mix_ratio < 1 requires synthetic scenes")
-    rng = np.random.default_rng(cfg.seed)
     n_per_epoch = cfg.samples_per_epoch or (len(syn) + len(mapped))
     state = AdamState(params)
+    steps = _batches(cfg, syn, mapped, n_per_epoch)
     history: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        sums = np.zeros(3)
-        for first in range(0, n_per_epoch, cfg.batch_size):
-            batch = []
-            for _ in range(min(cfg.batch_size, n_per_epoch - first)):
-                use_map = mapped and (cfg.mix_ratio >= 1.0 or rng.random() < cfg.mix_ratio)
-                pool = mapped if use_map else syn
-                batch.append(make_training_sample(pool[rng.integers(len(pool))], cfg, rng))
-            grad = np.zeros_like(state.flat)
+    helper = None
+    try:
+        for epoch, first, batch in steps:
+            clock = time.process_time(), time.perf_counter()
+            if first == 0:
+                sums = np.zeros(3)
+            starts = range(0, len(batch), net.SCENES_PER_FORWARD)
+            split = helper is not None and len(starts) > 1
+            grad = helper.zeroed_grad() if split else np.zeros_like(state.flat)
             for tensor, view in _param_views(params, grad):
                 tensor.grad = view
             weights = net.StepWeights(params)
-            for lo in range(0, len(batch), net.SCENES_PER_FORWARD):
-                pairs, labels = zip(*batch[lo:lo + net.SCENES_PER_FORWARD])
-                pred = net.forward(list(pairs), weights)
-                loss, rows = multitask_loss_graph(pred, list(labels), params)
-                bad = np.flatnonzero(~np.isfinite(rows[:, 0]))
-                if bad.size:
-                    raise FloatingPointError(f"loss is not finite at epoch {epoch}, sample {first + lo + bad[0]}")
-                loss.backward()
-                for row in rows:
+            for lo in starts[:len(starts) // 2] if split else starts:
+                for row in _tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo):
+                    sums += row
+            if split:
+                for row in helper.finish(weights.local_maps):
                     sums += row
             weights.fold_backward()
             grad /= len(batch)
             if not np.isfinite(grad).all():
                 raise FloatingPointError(f"gradient is not finite at epoch {epoch}, step {first // cfg.batch_size}")
             adam_step(params, grad, state, cfg.learning_rate)
-        stats = EpochStats(*(sums / n_per_epoch))
-        history.append(stats)
-        if progress is not None:
-            progress(epoch, stats)
+            last = (epoch + 1, first + len(batch)) == (cfg.epochs, n_per_epoch)
+            if epoch == first == 0 and len(starts) > 1 and not last and _helper_pays(*clock):
+                try:
+                    helper = _Helper(params, steps, weights.local_maps)
+                except OSError:  # no process to be had: train on here
+                    pass
+            if helper is not None and not last:
+                helper.send(state.flat)
+            if first + len(batch) == n_per_epoch:
+                stats = EpochStats(*(sums / n_per_epoch))
+                history.append(stats)
+                if progress is not None:
+                    progress(epoch, stats)
+    finally:
+        if helper is not None:
+            helper.close()
     return params, history

@@ -10,6 +10,7 @@ import pytest
 
 from attnloc import attention_net as net
 from attnloc import cli, experiment
+from attnloc.dataset_io import load_checkpoint
 from attnloc.experiment import ConfigError, run_experiment
 from attnloc.geometry import Pose
 from attnloc.inference import EkfConfig
@@ -80,12 +81,21 @@ class TestLatencyStats:
         assert LatencyStats.from_seconds([]) == LatencyStats()
 
     def test_timing_json_schema(self, tmp_path):
-        run_experiment(dict(TINY_CFG, mode="icp"), str(tmp_path))
-        doc = json.loads((tmp_path / "timing.json").read_text(encoding="utf-8"))
-        assert list(doc) == ["latency_ms"] and sorted(doc["latency_ms"]) == ["max", "mean", "min", "p50", "p95"]
-        lat = doc["latency_ms"]
-        assert 0 < lat["min"] <= lat["p50"] <= lat["p95"] <= lat["max"]
-        assert lat["min"] <= lat["mean"] <= lat["max"]
+        # a run that trains adds its training wall-clock; icp mode and a supplied checkpoint do not train
+        run_experiment(dict(TINY_CFG, mode="icp"), str(tmp_path / "icp"))
+        run_experiment(TINY_CFG, str(tmp_path / "gps"))
+        trained = load_checkpoint(str(tmp_path / "gps" / "checkpoint.json"))
+        run_experiment(TINY_CFG, str(tmp_path / "ckpt"), checkpoint=trained)
+        for run, keys in (("icp", ["latency_ms"]), ("gps", ["latency_ms", "train"]), ("ckpt", ["latency_ms"])):
+            doc = json.loads((tmp_path / run / "timing.json").read_text(encoding="utf-8"))
+            assert list(doc) == keys and sorted(doc["latency_ms"]) == ["max", "mean", "min", "p50", "p95"]
+            lat = doc["latency_ms"]
+            assert 0 < lat["min"] <= lat["p50"] <= lat["p95"] <= lat["max"]
+            assert lat["min"] <= lat["mean"] <= lat["max"]
+        train = json.loads((tmp_path / "gps/timing.json").read_text(encoding="utf-8"))["train"]
+        assert sorted(train) == ["samples_per_s", "seconds"] and train["seconds"] > 0
+        # 2 epochs over the 24 training scenes
+        assert train["samples_per_s"] * train["seconds"] == pytest.approx(2 * 24)
 
 
 class TestMaxError:

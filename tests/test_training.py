@@ -1,4 +1,8 @@
 import math
+import os
+import signal
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -372,6 +376,7 @@ class TestTrain:
             grads.append(grad.copy())
             step(params, grad, *args)
 
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})  # net.forward is patched in this process only
         monkeypatch.setattr(training, "make_training_sample", recorded_sample)
         monkeypatch.setattr(net, "forward", recorded_forward)
         monkeypatch.setattr(training, "adam_step", recorded_step)
@@ -425,6 +430,141 @@ class TestTrain:
         # the median of the last 10 epochs: one epoch's loss swings by 10x and
         # moves with last-bit changes to the gradients
         assert np.median([h.loss_tran for h in hist[-10:]]) < 1e-3
+
+
+def _helpers(monkeypatch, cpus: int, cpu_per_wall: float = 1.0, slow_down: float = 1e3) -> list[int]:
+    """Run train as on `cpus` CPUs, its clock running slow_down x as slow, and cpu_per_wall x as much CPU time.
+
+    The default slow_down makes the first step of a small network take as
+    long as one at d_m=64. Returns the list that gathers the pid of every
+    helper process train forks.
+    """
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    wall = time.perf_counter
+    monkeypatch.setattr(time, "perf_counter", lambda: slow_down * wall())
+    monkeypatch.setattr(time, "process_time", lambda: cpu_per_wall * slow_down * wall())
+    pids, fork = [], os.fork
+
+    def recorded_fork():
+        pid = fork()
+        pids.append(pid)  # only the caller's list is read
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return pids
+
+
+# 2 epochs of steps of 12, 12 and 6 samples: 3, 3 and 2 tapes, half from each pool
+NET_SMALL = net.NetConfig(d_m=16, heads=2, k=3, seed=2)
+MIXED = TrainConfig(epochs=2, batch_size=12, mix_ratio=0.5, samples_per_epoch=30, seed=4)
+
+
+def _train_mixed(progress=None):
+    return training.train(net.init_params(NET_SMALL), MIXED, _tiny_scenes(6, seed=1), _tiny_scenes(4, seed=5),
+                          progress=progress)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestHelperProcess:
+    """train's forked helper runs the later tapes of each step with the serial path's bits and errors."""
+
+    def test_same_bits_as_one_process(self, monkeypatch):
+        runs = []
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                pids = _helpers(m, cpus)
+                params, history = _train_mixed()
+            assert len(pids) == cpus - 1
+            runs.append(([t.data.tobytes() for _, t in params.items()],
+                         [(h.loss, h.loss_tran, h.loss_rot) for h in history]))
+        assert runs[0] == runs[1]
+        _no_child_left()
+
+    @pytest.mark.parametrize("poison", ["label", "output"])
+    @pytest.mark.parametrize("epoch, sample", [(0, 21), (1, 9)])
+    def test_a_helper_tape_raises_what_the_serial_path_does(self, monkeypatch, poison, epoch, sample):
+        # the helper runs samples 4-11 of each later step; a huge label overflows the loss,
+        # huge measurements the network output
+        make, raised = training.make_training_sample, []
+        for cpus in (1, 2):
+            calls = []
+
+            def poisoned(*args):
+                (meas, lm), label = make(*args)
+                if len(calls) == MIXED.samples_per_epoch * epoch + sample:
+                    if poison == "label":
+                        label = PoseOffset(1e200, label.dy, label.dphi)
+                    else:
+                        meas = meas * 1e200
+                calls.append(label)
+                return (meas, lm), label
+
+            with monkeypatch.context() as m:
+                pids = _helpers(m, cpus)
+                m.setattr(training, "make_training_sample", poisoned)
+                with pytest.raises(FloatingPointError) as info:
+                    _train_mixed()
+            assert len(pids) == cpus - 1
+            raised.append(str(info.value))
+            _no_child_left()
+        want = (f"loss is not finite at epoch {epoch}, sample {sample}" if poison == "label"
+                else "network output is not finite")
+        assert raised == [want, want]
+
+    def test_no_process_outlives_a_returning_train(self, monkeypatch):
+        pids = _helpers(monkeypatch, 2)
+        _train_mixed()
+        assert len(pids) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("fault, match", [(KeyboardInterrupt, None),
+                                              (RuntimeError, r"^training helper process \d+ exited$")])
+    def test_no_process_outlives_a_failing_train(self, monkeypatch, fault, match):
+        # an interrupt in the caller, or the helper killed: the next step raises instead of waiting
+        pids = _helpers(monkeypatch, 2)
+
+        def progress(epoch, stats):
+            if fault is KeyboardInterrupt:
+                raise KeyboardInterrupt
+            os.kill(pids[0], signal.SIGKILL)
+
+        with pytest.raises(fault, match=match):
+            _train_mixed(progress)
+        assert len(pids) == 1
+        _no_child_left()
+
+    @pytest.mark.parametrize("cpus, cpu_per_wall, slow_down, batch_size, helpers", [
+        (1, 1.0, 1e3, 12, 0),  # one CPU
+        (2, 2.0, 1e3, 12, 0),  # a multi-threaded BLAS already fills the cores
+        (2, 1.0, 1e-3, 12, 0),  # steps too short for the hand-offs to pay
+        (2, 1.0, 1e3, 4, 0),  # one tape per step
+        (2, 1.0, 1e3, 12, 1),
+    ])
+    def test_the_helper_runs_only_where_it_can_pay(self, monkeypatch, cpus, cpu_per_wall, slow_down, batch_size,
+                                                   helpers):
+        pids = _helpers(monkeypatch, cpus, cpu_per_wall, slow_down)
+        tcfg = TrainConfig(epochs=1, batch_size=batch_size, samples_per_epoch=24, seed=0)
+        training.train(net.init_params(NET_SMALL), tcfg, _tiny_scenes(4))
+        assert len(pids) == helpers
+        _no_child_left()
+
+    def test_another_python_thread_keeps_train_serial(self, monkeypatch):
+        # a fork copies only the calling thread, and the other one may hold a lock
+        pids = _helpers(monkeypatch, 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            tcfg = TrainConfig(epochs=1, batch_size=12, samples_per_epoch=24, seed=0)
+            training.train(net.init_params(NET_SMALL), tcfg, _tiny_scenes(4))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and pids == []
 
 
 # training.train from init seed 0 (d_m 16, 2 heads, k 4) on
