@@ -44,16 +44,24 @@ class NetConfig:
 
 
 class ModelParams:
-    """Named parameter tensors plus the loss log-variances s_tran, s_rot.
+    """Named parameter tensors plus the loss log-variances s_tran, s_rot, all views of one flat vector.
 
-    A parameter changes by replacing its array, never in place; derived
-    caches inference_weights(self), None until its first call.
+    `flat` is one C-contiguous float64 vector holding every parameter in the
+    order of `tensors` (param_shapes order), and each tensor's data is its
+    view of it. ModelParams(config) lays out zeros for config's shapes;
+    given tensors, it copies them into a new vector. Once built, the
+    parameters change by replacing `flat` (bind), never by writing into it;
+    derived caches inference_weights(self), None until its first call.
     """
 
-    def __init__(self, config: NetConfig, tensors: dict[str, Tensor]):
+    def __init__(self, config: NetConfig, tensors: dict[str, Tensor] | None = None):
         self.config = config
-        self.tensors = tensors
-        self.derived: InferenceWeights | None = None
+        shapes = param_shapes(config) if tensors is None else {name: t.data.shape for name, t in tensors.items()}
+        self.flat = np.zeros(sum(r * c for r, c in shapes.values()))
+        self.tensors = {name: Tensor(view) for name, view in zip(shapes, _views(self.flat, shapes.values()))}
+        for name, t in (tensors or {}).items():
+            self.tensors[name].data[...] = t.data
+        self.derived: Weights | None = None
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -62,7 +70,23 @@ class ModelParams:
         return self.tensors.items()
 
     def param_count(self) -> int:
-        return sum(t.data.size for t in self.tensors.values())
+        return self.flat.size
+
+    def bind(self, vector: np.ndarray, grad: bool = False) -> None:
+        """Make every tensor's data, or with grad its gradient, its view of vector, a flat array laid out as `flat`.
+
+        Bound as data, vector replaces `flat`; bound as gradients, it is where backward passes add.
+        """
+        for t, view in zip(self.tensors.values(), _views(vector, [t.data.shape for t in self.tensors.values()])):
+            setattr(t, "grad" if grad else "data", view)
+        if not grad:
+            self.flat = vector
+
+
+def _views(vector: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive runs of a flat vector, one per (rows, cols) shape, each shaped as its own."""
+    bounds = np.cumsum([0, *(r * c for r, c in shapes)])
+    return [vector[lo:hi].reshape(shape) for lo, hi, shape in zip(bounds, bounds[1:], shapes)]
 
 
 BLOCKS = ("local", "global")
@@ -111,9 +135,10 @@ def param_shapes(cfg: NetConfig) -> dict[str, tuple[int, int]]:
 def init_params(cfg: NetConfig) -> ModelParams:
     """Glorot-uniform weights, zero biases, unit layer-norm gains, s_* = 0, drawn from cfg.seed.
 
-    Weights are drawn in parameter order. Each block's q/k/v projections are
-    drawn head by head (q head 0, k head 0, v head 0, q head 1, ...) at
-    (d, d/h), and each fused array is its heads side by side.
+    Weights are drawn in parameter order, straight into params.flat. Each
+    block's q/k/v projections are drawn head by head (q head 0, k head 0,
+    v head 0, q head 1, ...) at (d, d/h), and each fused array is its heads
+    side by side.
     """
     rng = np.random.default_rng(cfg.seed)
 
@@ -122,22 +147,19 @@ def init_params(cfg: NetConfig) -> ModelParams:
         return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
     d, dh = cfg.d_m, cfg.d_m // cfg.heads
-    arrays: dict[str, np.ndarray] = {}
+    params = ModelParams(cfg)
     for name, (r, c) in param_shapes(cfg).items():
         block, _, leaf = name.rpartition(".")
         if leaf == "q":
-            heads = [[glorot(d, dh) for _ in "qkv"] for _ in range(cfg.heads)]
-            for p, parts in zip("qkv", zip(*heads)):
-                arrays[f"{block}.{p}"] = np.concatenate(parts, axis=1)
-        elif leaf in ("k", "v"):
-            continue  # drawn with q
+            for i in range(cfg.heads):
+                for p in "qkv":
+                    params[f"{block}.{p}"].data[:, i * dh:(i + 1) * dh] = glorot(d, dh)
         elif leaf[0] == "w" or leaf == "out":
-            arrays[name] = glorot(r, c)
+            params[name].data[...] = glorot(r, c)
         elif leaf == "g":
-            arrays[name] = np.ones((r, c))
-        else:  # biases, layer-norm shifts, s_tran, s_rot
-            arrays[name] = np.zeros((r, c))
-    return ModelParams(cfg, {name: Tensor(arr) for name, arr in arrays.items()})
+            params[name].data.fill(1.0)
+        # k and v are drawn with q; biases, layer-norm shifts, s_tran and s_rot stay 0
+    return params
 
 
 def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -204,58 +226,47 @@ def _local_maps(params, cfg: NetConfig) -> tuple:
     return m * scale, ad.per_head_matmul(w1 @ wv, wout, cfg.heads), params["embed_l.b1"] @ wv @ wout
 
 
-@dataclass(frozen=True, eq=False)
-class InferenceWeights:
-    """What an unrecorded forward runs on: every parameter's array, and _local_maps of those arrays.
+class Weights:
+    """What a forward runs on: the parameters, and _local_maps of them folded once.
 
-    Derived by inference_weights, not parameters: never saved, counted or
-    trained. Training replaces parameter arrays: a derivation keeps the old
-    ones, and the next inference_weights of the ModelParams derives anew.
+    Recorded (record=True, one optimizer step's forwards): arrays holds the
+    parameter tensors, fold the maps as recorded from them, and local_maps
+    their values as leaf tensors, which every forward of the step reads and
+    which gather the step's gradients; fold_backward, after the step's last
+    backward, runs that sum back through the fold once. Unrecorded
+    (inference_weights): arrays holds every parameter's array and
+    local_maps the folded arrays. Derived from the vector `flat`, not
+    parameters: never saved, counted or trained.
     """
 
-    config: NetConfig
-    arrays: dict[str, np.ndarray]
-    local_maps: tuple[np.ndarray, ...]
+    def __init__(self, params: ModelParams, record: bool):
+        self.config, self.flat = params.config, params.flat
+        self.arrays = params.tensors if record else {name: t.data for name, t in params.items()}
+        maps = _local_maps(self.arrays, self.config)
+        self.fold = maps if record else None
+        self.local_maps = tuple(Tensor(t.data) for t in maps) if record else maps
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def __getitem__(self, name: str):
         return self.arrays[name]
-
-
-def inference_weights(params: ModelParams | InferenceWeights) -> InferenceWeights:
-    """The plain arrays and folded maps of params for unrecorded forwards; derived weights come back unchanged.
-
-    A ModelParams gets back params.derived while that holds exactly its
-    arrays, by identity; an array edited in place, not replaced, is not re-derived.
-    """
-    if isinstance(params, InferenceWeights):
-        return params
-    arrays = {name: t.data for name, t in params.items()}
-    cached = params.derived
-    if cached is None or cached.arrays.keys() != arrays.keys() or any(
-            cached.arrays[name] is not a for name, a in arrays.items()):
-        params.derived = cached = InferenceWeights(params.config, arrays, _local_maps(arrays, params.config))
-    return cached
-
-
-class StepWeights(ModelParams):
-    """The parameters as one optimizer step's recorded forwards see them: with _local_maps folded once.
-
-    fold holds the maps as recorded from the parameter tensors; local_maps
-    holds their values as leaf tensors, which every forward of the step
-    reads and which gather the step's gradients. fold_backward, after the
-    step's last backward, runs that sum back through the fold once.
-    """
-
-    def __init__(self, params: ModelParams):
-        super().__init__(params.config, params.tensors)
-        self.fold = _local_maps(params, params.config)
-        self.local_maps = tuple(Tensor(t.data) for t in self.fold)
 
     def fold_backward(self) -> None:
         ad.pullback(self.fold, [leaf.grad for leaf in self.local_maps]).backward()
 
 
-def local_attention(scenes, params: ModelParams | InferenceWeights):
+def inference_weights(params: ModelParams | Weights) -> Weights:
+    """The unrecorded Weights of params; Weights come back unchanged.
+
+    A ModelParams gets back params.derived while it was derived from
+    params.flat; a vector written in place, not replaced, is not re-derived.
+    """
+    if isinstance(params, Weights):
+        return params
+    if params.derived is None or params.derived.flat is not params.flat:
+        params.derived = Weights(params, record=False)
+    return params.derived
+
+
+def local_attention(scenes, params: ModelParams | Weights):
     """Per-measurement attention over its k nearest landmarks, for every scene at once.
 
     scenes is a list of (measurements, landmarks) pairs; the output stacks
@@ -272,8 +283,7 @@ def local_attention(scenes, params: ModelParams | InferenceWeights):
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
     feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
-    m_map, n_map, e = (params.local_maps if isinstance(params, (InferenceWeights, StepWeights))
-                       else _local_maps(params, cfg))
+    m_map, n_map, e = params.local_maps if isinstance(params, Weights) else _local_maps(params, cfg)
     queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
     # the neighbor hidden layer H, (sum nu * k, rff_hidden)
     hidden = ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"], relu=True)
@@ -281,7 +291,7 @@ def local_attention(scenes, params: ModelParams | InferenceWeights):
     return _tail(queries, ad.linear(att, n_map, e), params, "local")
 
 
-def forward(scenes, params: ModelParams | InferenceWeights):
+def forward(scenes, params: ModelParams | Weights):
     """Raw (B, 3) offset regressions (dx, dy, dphi before wrapping), row b for scene b.
 
     scenes is a list of B (measurements, landmarks) pairs. Their rows stack
@@ -289,8 +299,8 @@ def forward(scenes, params: ModelParams | InferenceWeights):
     rows, the global block and the max-pool within each scene, so row b
     equals scene b's own forward up to rounding, and one scene runs the
     one-scene ops exactly. Recording follows the weights: a ModelParams
-    builds the Tensor tape training differentiates (a StepWeights on its
-    step's folded local maps), and the InferenceWeights of
+    builds the Tensor tape training differentiates (recorded Weights on
+    their step's folded local maps), and the unrecorded Weights of
     inference_weights(params) run the same ops on arrays and return the
     array. Both raise ValueError on a non-finite input and
     FloatingPointError on a non-finite output.
@@ -306,11 +316,11 @@ def forward(scenes, params: ModelParams | InferenceWeights):
     return h
 
 
-def predict_offsets(pairs, params: ModelParams | InferenceWeights) -> list[PoseOffset]:
+def predict_offsets(pairs, params: ModelParams | Weights) -> list[PoseOffset]:
     """Pose offsets with wrapped headings, one per (measurements, landmarks) pair, from one unrecorded forward."""
     return [PoseOffset(out[0], out[1], wrap_angle(out[2])) for out in forward(list(pairs), inference_weights(params))]
 
 
-def predict_offset(measurements, landmarks, params: ModelParams | InferenceWeights) -> PoseOffset:
+def predict_offset(measurements, landmarks, params: ModelParams | Weights) -> PoseOffset:
     """predict_offsets of the one pair."""
     return predict_offsets([(measurements, landmarks)], params)[0]

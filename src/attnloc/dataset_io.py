@@ -222,12 +222,12 @@ def load_checkpoint(path: str) -> net.ModelParams:
             raise CheckpointFormatError(f"{path}: array {name!r} has {data.size} values, expected {shape[0] * shape[1]}")
         return data.reshape(shape)
 
-    loaded = {}
+    params = net.ModelParams(cfg)
     for name, (r, c) in net.param_shapes(cfg).items():
         if version == 1 and name.rpartition(".")[2] in ("q", "k", "v"):
             # format 1 keeps head i of a fused projection as its own (d, d/h) array `{name}{i}`
             heads = [array(f"{name}{i}", (r, c // cfg.heads)) for i in range(cfg.heads)]
-            loaded[name] = np.concatenate(heads, axis=1)
+            params[name].data[...] = np.concatenate(heads, axis=1)
         else:
-            loaded[name] = array(name, (r, c))
-    return net.ModelParams(cfg, {name: net.Tensor(arr) for name, arr in loaded.items()})
+            params[name].data[...] = array(name, (r, c))
+    return params

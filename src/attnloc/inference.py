@@ -160,7 +160,7 @@ def localize(queries, regress, fov_radius: float) -> list[Pose]:
     return [correct_pose(prior, d) for (_, _, prior), d in zip(queries, regress(pairs))]
 
 
-def gps_inference(params: net.ModelParams | net.InferenceWeights, lmap: np.ndarray, measurements, p_gps: Pose,
+def gps_inference(params: net.ModelParams | net.Weights, lmap: np.ndarray, measurements, p_gps: Pose,
                   fov_radius: float) -> Pose:
     """Single-shot correction of a noisy GPS pose: the localization step of one query with the network as regressor.
 
@@ -179,7 +179,7 @@ class FilterSession:
     to params do not reach it.
     """
 
-    def __init__(self, params: net.ModelParams | net.InferenceWeights, lmap: np.ndarray, p_init: Pose,
+    def __init__(self, params: net.ModelParams | net.Weights, lmap: np.ndarray, p_init: Pose,
                  ekf_cfg: EkfConfig, fov_radius: float):
         self.weights = net.inference_weights(params)
         self.lmap = lmap

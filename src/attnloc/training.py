@@ -108,29 +108,12 @@ def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
     return ad.homoscedastic_loss(pred, target, params["s_tran"], params["s_rot"])
 
 
-def _param_views(params: net.ModelParams, flat: np.ndarray):
-    """(tensor, view) per parameter in parameter order: its slice of a flat vector, shaped as its array."""
-    lo = 0
-    for _, tensor in params.items():
-        size = tensor.data.size
-        yield tensor, flat[lo:lo + size].reshape(tensor.data.shape)
-        lo += size
-
-
 class AdamState:
-    """Adam over one flat vector: the parameters' values `flat`, their moments m and v, and the step count t.
-
-    Construction copies the parameter arrays once, in parameter order, into
-    `flat` and replaces each with its view of it (equal values; ModelParams
-    replaces arrays, never edits them).
-    """
+    """Adam's moments m and v, each one vector laid out as ModelParams.flat, and the step count t."""
 
     def __init__(self, params: net.ModelParams):
-        self.flat = np.concatenate([t.data.ravel() for _, t in params.items()])
-        for tensor, view in _param_views(params, self.flat):
-            tensor.data = view
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
         self.t = 0
 
 
@@ -143,15 +126,15 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update of state.flat by the flat gradient, which it uses as scratch.
+    """One bias-corrected Adam update of params.flat by the flat gradient, which it uses as scratch.
 
     Per element the operations, in their order, are those of
     m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
     x - lr m_hat / (sqrt(v_hat) + eps), so the bits equal a per-array
     update. The moments change in place; the new values go to a new
-    vector, and every parameter's array is replaced by a view of it.
+    vector, which params binds in place of its flat one.
     """
-    x = state.flat
+    x = params.flat
     if grad.shape != x.shape:
         raise ValueError(f"gradient shape {grad.shape} does not match the {x.size} parameters")
     state.t += 1
@@ -170,9 +153,7 @@ def adam_step(
     new *= lr
     new /= grad
     np.subtract(x, new, out=new)
-    state.flat = new
-    for tensor, view in _param_views(params, new):
-        tensor.data = view
+    params.bind(new)
 
 
 @dataclass
@@ -195,7 +176,7 @@ def _batches(cfg: TrainConfig, syn: list, mapped: list, n_per_epoch: int):
             yield epoch, first, batch
 
 
-def _tape(weights: net.StepWeights, samples: list, epoch: int, first: int) -> np.ndarray:
+def _tape(weights: net.Weights, samples: list, epoch: int, first: int) -> np.ndarray:
     """One stacked forward, loss and backward over samples, the first of them sample `first`; their loss rows."""
     pairs, labels = zip(*samples)
     pred = net.forward(list(pairs), weights)
@@ -234,14 +215,15 @@ class _Helper:
     """A forked process that runs the later half of the tapes of every step that has two or more.
 
     The caller hands it each later step's parameter values, in the shared
-    vector `values`, before drawing that step's batch. The helper then draws
-    the same batch from its copy of the caller's batch stream, runs its
-    tapes on its own StepWeights, each into a fresh gradient, and once the
-    caller's tapes are in the shared `grad` and `leaves` it adds its own
-    into both, one tape at a time in tape order. Each parameter and
-    local-map leaf gets one contribution per tape, so the sums are
-    bit-identical to one process's. It replies with its tapes' loss rows,
-    or with the exception it raised, and waits for the next step idle.
+    vector `values` that its copy of the parameters views, before drawing
+    that step's batch. The helper then draws the same batch from its copy
+    of the caller's batch stream, runs its tapes on its own recorded
+    Weights, each into a fresh gradient, and once the caller's tapes are in
+    the shared `grad` and `leaves` it adds its own into both, one tape at a
+    time in tape order. Each parameter and local-map leaf gets one
+    contribution per tape, so the sums are bit-identical to one process's.
+    It replies with its tapes' loss rows, or with the exception it raised,
+    and waits for the next step idle.
     """
 
     def __init__(self, params: net.ModelParams, steps, leaves: tuple[Tensor, ...]):
@@ -271,20 +253,18 @@ class _Helper:
         os.close(up)
 
     def _serve(self, params: net.ModelParams, steps, down: int, up: int) -> None:
+        params.bind(self.values)  # the caller writes each step's values into this copy's flat before it tells
         while os.read(down, 1) == _VALUES_IN:
             epoch, first, batch = next(steps)
             starts = range(0, len(batch), net.SCENES_PER_FORWARD)
             if len(starts) < 2:
                 continue
-            for tensor, view in _param_views(params, self.values):
-                tensor.data = view
-            weights = net.StepWeights(params)
+            weights = net.Weights(params, record=True)
             tapes = []
             try:
                 for lo in starts[len(starts) // 2:]:
                     grad = np.zeros_like(self.values)
-                    for tensor, view in _param_views(params, grad):
-                        tensor.grad = view
+                    params.bind(grad, grad=True)
                     for leaf in weights.local_maps:
                         leaf.grad = None
                     rows = _tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo)
@@ -367,11 +347,11 @@ def train(
     per scene per epoch. Each logical batch draws all its samples first,
     then runs them as tapes of net.SCENES_PER_FORWARD scenes, one stacked
     forward and backward each. The weight-only work runs once per step:
-    every tape reads the local maps that net.StepWeights folded at the
+    every tape reads the local maps that recorded net.Weights folded at the
     step's start, and their summed gradient runs back through the fold
-    once after the last tape. The parameters are the views of AdamState's
-    flat vector, and their gradients views of one zeroed flat gradient,
-    which is averaged over the batch, checked and handed to adam_step.
+    once after the last tape. The parameters' gradients are the views of
+    one zeroed flat gradient, laid out as params.flat, which is averaged
+    over the batch, checked and handed to adam_step.
 
     When the first step, run here, has two or more tapes and _helper_pays
     says a second CPU would speed such steps up, one forked helper process
@@ -401,10 +381,9 @@ def train(
                 sums = np.zeros(3)
             starts = range(0, len(batch), net.SCENES_PER_FORWARD)
             split = helper is not None and len(starts) > 1
-            grad = helper.zeroed_grad() if split else np.zeros_like(state.flat)
-            for tensor, view in _param_views(params, grad):
-                tensor.grad = view
-            weights = net.StepWeights(params)
+            grad = helper.zeroed_grad() if split else np.zeros_like(params.flat)
+            params.bind(grad, grad=True)
+            weights = net.Weights(params, record=True)
             for lo in starts[:len(starts) // 2] if split else starts:
                 for row in _tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo):
                     sums += row
@@ -423,7 +402,7 @@ def train(
                 except OSError:  # no process to be had: train on here
                     pass
             if helper is not None and not last:
-                helper.send(state.flat)
+                helper.send(params.flat)
             if first + len(batch) == n_per_epoch:
                 stats = EpochStats(*(sums / n_per_epoch))
                 history.append(stats)

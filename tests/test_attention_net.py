@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from attnloc import attention_net as net
 from attnloc import autodiff as ad
-from attnloc import experiment, simulator
+from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
@@ -87,6 +88,57 @@ class TestInitParams:
         params = net.init_params(dataclasses.replace(SMALL, seed=5))
         for name, arr in ref.items():
             np.testing.assert_array_equal(params[name].data, arr, err_msg=name)
+
+
+class TestParameterLayout:
+    """Every way to build a ModelParams lays its parameters out as views of one flat vector."""
+
+    @pytest.fixture(params=["init_params", "load_checkpoint", "from_tensors"])
+    def params(self, request):
+        if request.param == "init_params":
+            return net.init_params(SMALL)
+        if request.param == "load_checkpoint":
+            return load_checkpoint(str(DESK_CHECKPOINT))
+        source = net.init_params(SMALL)
+        params = net.ModelParams(SMALL, {name: Tensor(t.data.copy()) for name, t in source.items()})
+        assert not np.shares_memory(params.flat, source.flat)
+        np.testing.assert_array_equal(params.flat, source.flat)
+        return params
+
+    def test_tensors_view_one_flat_vector_in_parameter_order(self, params):
+        flat = params.flat
+        assert flat.ndim == 1 and flat.dtype == np.float64 and flat.flags.c_contiguous
+        shapes = net.param_shapes(params.config)
+        assert list(params.tensors) == list(shapes)
+        lo = 0
+        for name, shape in shapes.items():
+            data = params[name].data
+            assert data.shape == shape and np.shares_memory(data, flat), name
+            assert data.ctypes.data == flat.ctypes.data + lo * flat.itemsize, name
+            lo += data.size
+        assert lo == flat.size == params.param_count()
+
+    def test_derived_weights_last_until_flat_is_replaced(self, params):
+        weights = net.inference_weights(params)
+        assert net.inference_weights(params) is weights and weights.flat is params.flat
+        training.adam_step(params, np.ones(params.param_count()), training.AdamState(params), lr=1e-3)
+        after = net.inference_weights(params)
+        assert after is not weights and after.flat is params.flat and net.inference_weights(params) is after
+
+
+def test_init_params_draws_into_the_flat_vector():
+    # drawing every array and then copying them into the vector would hold the parameters twice
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        params = net.init_params(net.NetConfig(d_m=256, heads=4, k=8))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1.25 * params.flat.nbytes
 
 
 class TestKnnGroup:
@@ -174,8 +226,8 @@ class TestMultiHead:
     def test_single_identity_head_equals_plain_attention(self):
         cfg = net.NetConfig(d_m=4, heads=1, k=2, seed=0)
         params = net.init_params(cfg)
-        for name in ("global.q", "global.k", "global.v", "global.out"):
-            params.tensors[name] = Tensor(np.eye(4))
+        identity = {name: Tensor(np.eye(4)) for name in ("global.q", "global.k", "global.v", "global.out")}
+        params = net.ModelParams(cfg, {**params.tensors, **identity})
         rng = np.random.default_rng(20)
         x = rng.normal(size=(3, 4))
         scores = x @ x.T / 2.0  # sqrt(d_m) = 2
@@ -224,10 +276,9 @@ class TestMhaBlock:
     def test_zero_rff_weights_reduce_to_bias_path(self):
         params = net.init_params(dataclasses.replace(SMALL, seed=4))
         bias = np.full((1, 16), 0.25)
-        params.tensors["global.ff.w0"] = Tensor(np.zeros((16, 16)))
-        params.tensors["global.ff.w1"] = Tensor(np.zeros((16, 16)))
-        params.tensors["global.ff.b0"] = Tensor(np.zeros((1, 16)))
-        params.tensors["global.ff.b1"] = Tensor(bias)
+        params = net.ModelParams(params.config, {
+            **params.tensors, "global.ff.w0": Tensor(np.zeros((16, 16))), "global.ff.w1": Tensor(np.zeros((16, 16))),
+            "global.ff.b0": Tensor(np.zeros((1, 16))), "global.ff.b1": Tensor(bias)})
         rng = np.random.default_rng(24)
         x = Tensor(rng.normal(size=(4, 16)))
         att = ad.attention(x @ params["global.q"], x @ params["global.k"], x @ params["global.v"], SMALL.heads,

@@ -33,9 +33,8 @@ def zero_net():
     """Network whose prediction is exactly (0, 0, 0)."""
     params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
     out_layer = len(params.config.head_hidden)
-    params.tensors[f"head.w{out_layer}"] = net.Tensor(np.zeros((64, 3)))
-    params.tensors[f"head.b{out_layer}"] = net.Tensor(np.zeros((1, 3)))
-    return params
+    return net.ModelParams(params.config, {**params.tensors, f"head.w{out_layer}": net.Tensor(np.zeros((64, 3))),
+                                           f"head.b{out_layer}": net.Tensor(np.zeros((1, 3)))})
 
 
 class TestEkfConfig:
@@ -255,7 +254,7 @@ class TestFilterSession:
 
 
 def _count_derivations(monkeypatch) -> list:
-    """Every distinct InferenceWeights that net.inference_weights returns for a ModelParams from now on."""
+    """Every distinct Weights that net.inference_weights returns for a ModelParams from now on."""
     derived = []
     derive = net.inference_weights
 

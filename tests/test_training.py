@@ -123,8 +123,7 @@ class TestMakeTrainingSample:
 def _loss(pred: PoseOffset, label: PoseOffset, s_tran: float, s_rot: float) -> tuple[float, float, float]:
     """multitask_loss_graph on a fixed prediction: (l_multi value, l_tran, l_rot)."""
     params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
-    params.tensors["s_tran"] = Tensor([[s_tran]])
-    params.tensors["s_rot"] = Tensor([[s_rot]])
+    params = net.ModelParams(params.config, {**params.tensors, "s_tran": Tensor([[s_tran]]), "s_rot": Tensor([[s_rot]])})
     loss, rows = multitask_loss_graph(Tensor([pred.as_array()]), [label], params)
     assert rows[0, 0] == loss.data[0, 0]
     return loss.data[0, 0], rows[0, 1], rows[0, 2]
@@ -161,8 +160,7 @@ class TestMultitaskLoss:
     def test_graph_matches_value_function(self):
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         params = net.init_params(cfg)
-        params.tensors["s_tran"] = Tensor([[0.4]])
-        params.tensors["s_rot"] = Tensor([[-0.2]])
+        params = net.ModelParams(cfg, {**params.tensors, "s_tran": Tensor([[0.4]]), "s_rot": Tensor([[-0.2]])})
         pred = Tensor([[0.3, -0.1, 3.2]])
         label = PoseOffset(0.1, 0.2, -3.1)
         got = multitask_loss_graph(pred, [label], params)[0].data[0, 0]
@@ -192,9 +190,7 @@ class TestMultitaskLoss:
 class TestAdam:
     def _one_param(self, value):
         cfg = net.NetConfig(d_m=4, heads=1, k=1, seed=0)
-        params = net.init_params(cfg)
-        params.tensors = {"w": Tensor(np.array([[value]]))}
-        return params
+        return net.ModelParams(cfg, {"w": Tensor(np.array([[value]]))})
 
     def test_zero_gradient_zero_update(self):
         params = self._one_param(1.5)
@@ -248,7 +244,7 @@ class TestAdam:
         kept = {name: a.copy() for name, a in old.items()}
         adam_step(params, np.ones(params.param_count()), state, lr=0.1)
         for name, t in params.items():
-            assert t.data is not old[name] and np.shares_memory(t.data, state.flat) and t.data.flags.c_contiguous
+            assert t.data is not old[name] and np.shares_memory(t.data, params.flat) and t.data.flags.c_contiguous
             np.testing.assert_array_equal(old[name], kept[name])
 
 

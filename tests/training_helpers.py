@@ -29,7 +29,7 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, array by array; params then binds the new arrays as one new vector."""
     state.t += 1
     t = state.t
     for name, tensor in params.items():
@@ -41,3 +41,4 @@ def adam_step(
         m_hat = m / (1 - beta1**t)
         v_hat = v / (1 - beta2**t)
         tensor.data = tensor.data - lr * m_hat / (np.sqrt(v_hat) + eps)
+    params.bind(np.concatenate([t.data.ravel() for _, t in params.items()]))
