@@ -14,7 +14,6 @@ import math
 import mmap
 import numbers
 import os
-import pickle
 import signal
 import threading
 import time
@@ -66,8 +65,8 @@ def check_bound(name: str, value):
 
 def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> PoseOffset:
     """Independent uniform draws: dx, dy ~ U(-sigma_pos, sigma_pos), dphi ~ U(-sigma_rot, sigma_rot)."""
-    if not (sigma_pos >= 0 and sigma_rot >= 0):
-        raise ValueError("sampling bounds must be >= 0")
+    check_bound("sigma_pos", sigma_pos)
+    check_bound("sigma_rot", sigma_rot)
     dx = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
     dy = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
     dphi = rng.uniform(-sigma_rot, sigma_rot) if sigma_rot > 0 else 0.0
@@ -208,31 +207,34 @@ def _helper_pays(cpu0: float, wall0: float) -> bool:
             and threading.active_count() == 1 and time.process_time() - cpu0 <= 1.5 * wall)
 
 
-_VALUES_IN, _TAPES_IN = b"v", b"t"  # what the caller tells the helper during a step
+_GO, _ADD, _DONE = b"g", b"a", b"d"  # the hand-offs of a step, each one byte
 
 
 class _Helper:
     """A forked process that runs the later half of the tapes of every step that has two or more.
 
-    The caller hands it each later step's parameter values, in the shared
-    vector `values` that its copy of the parameters views, before drawing
-    that step's batch. The helper then draws the same batch from its copy
-    of the caller's batch stream, runs its tapes on its own recorded
-    Weights, each into a fresh gradient, and once the caller's tapes are in
-    the shared `grad` and `leaves` it adds its own into both, one tape at a
-    time in tape order. Each parameter and local-map leaf gets one
-    contribution per tape, so the sums are bit-identical to one process's.
-    It replies with its tapes' loss rows, or with the exception it raised,
-    and waits for the next step idle.
+    The caller writes each later step's parameter values into the shared
+    vector `values`, which the helper's copy of the parameters views, and
+    says go before drawing that step's batch. The helper draws the same
+    batch from its copy of the caller's batch stream, runs its tapes on its
+    own recorded Weights, each into a fresh gradient, and writes their loss
+    rows into `rows` at their places in the batch. Once the caller's tapes
+    are in the shared `grad` and `leaves` it says add; the helper adds its
+    own into both, one tape at a time in tape order, and says done. Each
+    parameter and local-map leaf gets one contribution per tape, so the sums
+    are bit-identical to one process's. Any exception ends the helper, and a
+    step the caller gets no done for runs again in the caller.
     """
 
-    def __init__(self, params: net.ModelParams, steps, leaves: tuple[Tensor, ...]):
+    def __init__(self, params: net.ModelParams, steps, batch_size: int):
+        shapes = [leaf.shape for leaf in net.Weights(params, record=False).local_maps]
         n = params.param_count()
-        bounds = np.cumsum([0, n, n, *(leaf.data.size for leaf in leaves)])
+        bounds = np.cumsum([0, n, n, *(math.prod(shape) for shape in shapes), 3 * batch_size])
         shared = np.frombuffer(mmap.mmap(-1, 8 * int(bounds[-1])), dtype=np.float64)
         views = [shared[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
         self.values, self.grad = views[:2]
-        self.leaves = [view.reshape(leaf.data.shape) for view, leaf in zip(views[2:], leaves)]
+        self.leaves = [view.reshape(shape) for view, shape in zip(views[2:], shapes)]
+        self.rows = views[-1].reshape(batch_size, 3)
         down, self.down = os.pipe()  # caller to helper: read end, write end
         self.up, up = os.pipe()  # helper to caller
         try:
@@ -253,77 +255,48 @@ class _Helper:
         os.close(up)
 
     def _serve(self, params: net.ModelParams, steps, down: int, up: int) -> None:
-        params.bind(self.values)  # the caller writes each step's values into this copy's flat before it tells
-        while os.read(down, 1) == _VALUES_IN:
+        params.bind(self.values)  # the caller writes each step's values into this copy's flat before go
+        while os.read(down, 1) == _GO:
             epoch, first, batch = next(steps)
             starts = range(0, len(batch), net.SCENES_PER_FORWARD)
             if len(starts) < 2:
                 continue
             weights = net.Weights(params, record=True)
             tapes = []
-            try:
-                for lo in starts[len(starts) // 2:]:
-                    grad = np.zeros_like(self.values)
-                    params.bind(grad, grad=True)
-                    for leaf in weights.local_maps:
-                        leaf.grad = None
-                    rows = _tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo)
-                    tapes.append((grad, [leaf.grad for leaf in weights.local_maps], rows))
-                reply = np.concatenate([rows for *_, rows in tapes])
-            except Exception as exc:
-                tapes, reply = [], exc
-            if os.read(down, 1) != _TAPES_IN:
+            for lo in starts[len(starts) // 2:]:
+                grad = np.zeros_like(self.values)
+                params.bind(grad, grad=True)
+                for leaf in weights.local_maps:
+                    leaf.grad = None
+                tape = batch[lo:lo + net.SCENES_PER_FORWARD]
+                self.rows[lo:lo + len(tape)] = _tape(weights, tape, epoch, first + lo)
+                tapes.append((grad, [leaf.grad for leaf in weights.local_maps]))
+            if os.read(down, 1) != _ADD:
                 return
-            for grad, leaf_grads, _ in tapes:
+            for grad, leaf_grads in tapes:
                 self.grad += grad
                 for view, g in zip(self.leaves, leaf_grads):
                     view += g
-            data = pickle.dumps(reply)
-            data = len(data).to_bytes(8, "little") + data
-            while data:
-                data = data[os.write(up, data):]
+            os.write(up, _DONE)
 
-    def _exited(self) -> RuntimeError:
-        return RuntimeError(f"training helper process {self.pid} exited")
-
-    def _tell(self, what: bytes) -> None:
+    def _say(self, what: bytes) -> bool:
         try:
-            os.write(self.down, what)
+            return os.write(self.down, what) == 1
         except BrokenPipeError:
-            raise self._exited() from None
+            return False
 
-    def _read(self, size: int) -> bytes:
-        data = b""
-        while len(data) < size:
-            chunk = os.read(self.up, size - len(data))
-            if not chunk:
-                raise self._exited()
-            data += chunk
-        return data
-
-    def send(self, values: np.ndarray) -> None:
-        """Hand the helper the next step's parameter values; it draws that step's batch and starts on it."""
+    def go(self, values: np.ndarray) -> None:
+        """Hand the helper the next step's parameter values, and zero the shared gradient for the caller's tapes."""
         self.values[...] = values
-        self._tell(_VALUES_IN)
-
-    def zeroed_grad(self) -> np.ndarray:
-        """The shared gradient, zeroed for the caller's tapes."""
         self.grad.fill(0.0)
-        return self.grad
+        self._say(_GO)  # a helper lost here is found at the step's add
 
-    def finish(self, leaves: tuple[Tensor, ...]) -> np.ndarray:
-        """After the caller's tapes: the helper's tapes added in and the leaves' gradients shared; its loss rows.
-
-        Re-raises the exception a helper tape raised.
-        """
+    def add(self, leaves: tuple[Tensor, ...]) -> bool:
+        """After the caller's tapes: the leaves' gradients shared and the helper's tapes added in; False if it is lost."""
         for leaf, view in zip(leaves, self.leaves):
             view[...] = leaf.grad
             leaf.grad = view
-        self._tell(_TAPES_IN)
-        reply = pickle.loads(self._read(int.from_bytes(self._read(8), "little")))
-        if isinstance(reply, BaseException):
-            raise reply
-        return reply
+        return self._say(_ADD) and os.read(self.up, 1) == _DONE
 
     def close(self) -> None:
         """Kill and reap the helper, whatever it is doing."""
@@ -331,6 +304,28 @@ class _Helper:
         os.close(self.up)
         os.kill(self.pid, signal.SIGKILL)
         os.waitpid(self.pid, 0)
+
+
+def _step(params: net.ModelParams, grad: np.ndarray, sums: np.ndarray, epoch: int, first: int, batch: list,
+          helper: _Helper | None = None) -> bool:
+    """Run one step's tapes into the zeroed flat gradient grad, then the fold; False if the helper is lost.
+
+    With a helper, it runs the later half of the tapes. Once every tape
+    is in, their loss rows are added into sums one at a time, in batch order.
+    """
+    params.bind(grad, grad=True)
+    weights = net.Weights(params, record=True)
+    starts = range(0, len(batch), net.SCENES_PER_FORWARD)
+    mine = starts[:len(starts) // 2] if helper else starts
+    rows = [_tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo) for lo in mine]
+    if helper is not None:
+        if not helper.add(weights.local_maps):
+            return False
+        rows.append(helper.rows[starts[len(mine)]:len(batch)])
+    weights.fold_backward()
+    for row in np.concatenate(rows):
+        sums += row
+    return True
 
 
 @np.errstate(all="ignore")  # a diverging run stops at the finiteness checks, without warnings
@@ -346,18 +341,20 @@ def train(
     Landmarks are true-vehicle-frame positions; a fresh offset is sampled
     per scene per epoch. Each logical batch draws all its samples first,
     then runs them as tapes of net.SCENES_PER_FORWARD scenes, one stacked
-    forward and backward each. The weight-only work runs once per step:
-    every tape reads the local maps that recorded net.Weights folded at the
-    step's start, and their summed gradient runs back through the fold
-    once after the last tape. The parameters' gradients are the views of
-    one zeroed flat gradient, laid out as params.flat, which is averaged
+    forward and backward each (_step). The weight-only work runs once per
+    step: every tape reads the local maps that recorded net.Weights folded
+    at the step's start, and their summed gradient runs back through the
+    fold once after the last tape. The parameters' gradients are the views
+    of one zeroed flat gradient, laid out as params.flat, which is averaged
     over the batch, checked and handed to adam_step.
 
     When the first step, run here, has two or more tapes and _helper_pays
     says a second CPU would speed such steps up, one forked helper process
     (_Helper) runs the later half of the tapes of every later step that has
-    two or more, with the same bits as running them all here. It never
-    outlives train.
+    two or more, with the same bits as running them all here. A helper that
+    raises or dies hands its step back: train kills and reaps it, and that
+    step and every later one run here, the step again on a fresh gradient,
+    with the same bits or the same error. The helper never outlives train.
     Deterministic for a fixed (cfg.seed, params, scenes) triple. A
     non-finite loss raises FloatingPointError naming the epoch and the
     sample, and a non-finite batch gradient one naming the epoch and the
@@ -379,30 +376,25 @@ def train(
             clock = time.process_time(), time.perf_counter()
             if first == 0:
                 sums = np.zeros(3)
-            starts = range(0, len(batch), net.SCENES_PER_FORWARD)
-            split = helper is not None and len(starts) > 1
-            grad = helper.zeroed_grad() if split else np.zeros_like(params.flat)
-            params.bind(grad, grad=True)
-            weights = net.Weights(params, record=True)
-            for lo in starts[:len(starts) // 2] if split else starts:
-                for row in _tape(weights, batch[lo:lo + net.SCENES_PER_FORWARD], epoch, first + lo):
-                    sums += row
-            if split:
-                for row in helper.finish(weights.local_maps):
-                    sums += row
-            weights.fold_backward()
+            split = helper is not None and len(batch) > net.SCENES_PER_FORWARD
+            grad = helper.grad if split else np.zeros_like(params.flat)
+            if not _step(params, grad, sums, epoch, first, batch, helper if split else None):
+                helper.close()  # lost before done: the whole step runs here
+                helper = None
+                grad = np.zeros_like(params.flat)
+                _step(params, grad, sums, epoch, first, batch)
             grad /= len(batch)
             if not np.isfinite(grad).all():
                 raise FloatingPointError(f"gradient is not finite at epoch {epoch}, step {first // cfg.batch_size}")
             adam_step(params, grad, state, cfg.learning_rate)
             last = (epoch + 1, first + len(batch)) == (cfg.epochs, n_per_epoch)
-            if epoch == first == 0 and len(starts) > 1 and not last and _helper_pays(*clock):
+            if epoch == first == 0 and len(batch) > net.SCENES_PER_FORWARD and not last and _helper_pays(*clock):
                 try:
-                    helper = _Helper(params, steps, weights.local_maps)
+                    helper = _Helper(params, steps, cfg.batch_size)
                 except OSError:  # no process to be had: train on here
                     pass
             if helper is not None and not last:
-                helper.send(params.flat)
+                helper.go(params.flat)
             if first + len(batch) == n_per_epoch:
                 stats = EpochStats(*(sums / n_per_epoch))
                 history.append(stats)

@@ -460,6 +460,28 @@ def _train_mixed(progress=None):
                           progress=progress)
 
 
+def _bits(params, history):
+    return [t.data.tobytes() for _, t in params.items()], [(h.loss, h.loss_tran, h.loss_rot) for h in history]
+
+
+def _one_cpu_bits(monkeypatch):
+    with monkeypatch.context() as m:
+        _helpers(m, 1)
+        return _bits(*_train_mixed())
+
+
+def _caller_tapes(monkeypatch) -> list:
+    """The list that gathers (epoch, first sample) of every training._tape this process runs."""
+    tape, firsts = training._tape, []
+
+    def counted(weights, samples, epoch, first):
+        firsts.append((epoch, first))  # a forked helper appends to its own copy
+        return tape(weights, samples, epoch, first)
+
+    monkeypatch.setattr(training, "_tape", counted)
+    return firsts
+
+
 def _no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -517,20 +539,63 @@ class TestHelperProcess:
         assert len(pids) == 1
         _no_child_left()
 
-    @pytest.mark.parametrize("fault, match", [(KeyboardInterrupt, None),
-                                              (RuntimeError, r"^training helper process \d+ exited$")])
+    @pytest.mark.parametrize("fault, match", [(KeyboardInterrupt, None)])
     def test_no_process_outlives_a_failing_train(self, monkeypatch, fault, match):
-        # an interrupt in the caller, or the helper killed: the next step raises instead of waiting
+        # an interrupt in the caller
         pids = _helpers(monkeypatch, 2)
 
         def progress(epoch, stats):
-            if fault is KeyboardInterrupt:
-                raise KeyboardInterrupt
-            os.kill(pids[0], signal.SIGKILL)
+            raise fault
 
         with pytest.raises(fault, match=match):
             _train_mixed(progress)
         assert len(pids) == 1
+        _no_child_left()
+
+    def test_the_helper_runs_its_share_of_the_tapes(self, monkeypatch):
+        # step 0 runs its 3 tapes here, and each later step 1 of its 3 or 2; the re-run rule would hide a
+        # helper that failed every step from the bit comparisons
+        counts = []
+        for cpus in (1, 2):
+            with monkeypatch.context() as m:
+                pids = _helpers(m, cpus)
+                tapes = _caller_tapes(m)
+                _train_mixed()
+            assert len(pids) == cpus - 1
+            counts.append(len(tapes))
+        assert counts == [16, 8]
+        _no_child_left()
+
+    def test_a_killed_helper_hands_its_step_back(self, monkeypatch):
+        # SIGKILLed after epoch 0: epoch 1's first step runs again here, and the steps after it in one process
+        want = _one_cpu_bits(monkeypatch)
+        pids = _helpers(monkeypatch, 2)
+        tapes = _caller_tapes(monkeypatch)
+
+        def progress(epoch, stats):
+            if epoch == 0:  # once: the lost helper is reaped
+                os.kill(pids[0], signal.SIGKILL)
+
+        assert _bits(*_train_mixed(progress)) == want
+        assert len(pids) == 1 and len(tapes) == 5 + 1 + 3 + 5
+        _no_child_left()
+
+    def test_a_helper_that_dies_mid_step_hands_it_back(self, monkeypatch):
+        # the helper exits while it draws epoch 1's second step: after go, before done
+        want = _one_cpu_bits(monkeypatch)
+        caller, make, calls = os.getpid(), training.make_training_sample, []
+
+        def dying(*args):
+            calls.append(None)  # the helper counts in its own copy
+            if os.getpid() != caller and len(calls) == MIXED.samples_per_epoch + 14:
+                os._exit(1)
+            return make(*args)
+
+        pids = _helpers(monkeypatch, 2)
+        tapes = _caller_tapes(monkeypatch)
+        monkeypatch.setattr(training, "make_training_sample", dying)
+        assert _bits(*_train_mixed()) == want
+        assert len(pids) == 1 and len(tapes) == 5 + 1 + 1 + 3 + 2
         _no_child_left()
 
     @pytest.mark.parametrize("cpus, cpu_per_wall, slow_down, batch_size, helpers", [
