@@ -175,8 +175,7 @@ def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
     lm = ad.finite(as_points(landmarks))  # a bad landmark may fall in no group, out of forward's input check
     if m.shape[0] == 0 or lm.shape[0] == 0:
         raise ValueError("knn_group needs at least one measurement and one landmark")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    check_int("k", k, 1)
     delta = lm[None, :, :] - m[:, None, :]  # (nu, L, 2)
     dist = np.hypot(delta[..., 0], delta[..., 1])
     idx = np.argsort(dist, axis=1, kind="stable")[:, np.arange(k) % lm.shape[0]]

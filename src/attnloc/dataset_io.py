@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention_net as net
-from .geometry import Pose
+from .geometry import Pose, as_points
 
 # 2: fused (d, d) q/k/v projections per block. 1: per-head (d, d/h) arrays,
 # still loaded by concatenating them in head order.
@@ -154,8 +154,7 @@ def load_scenes(path: str) -> list[Scene]:
                 t, gt, gps, meas = (_require(rec, key, lineno, path) for key in keys[:4])
                 lm = rec.get("landmarks")  # null is absent
                 check_numbers({key: [v] for key, v in zip(keys, (t, gt, gps, meas, [] if lm is None else lm))})
-                scene = Scene(float(t), Pose(*gt), Pose(*gps), np.asarray(meas, dtype=np.float64).reshape(-1, 2),
-                              None if lm is None else np.asarray(lm, dtype=np.float64).reshape(-1, 2))
+                scene = Scene(float(t), Pose(*gt), Pose(*gps), as_points(meas), None if lm is None else as_points(lm))
             except SceneFormatError:
                 raise
             except (TypeError, ValueError) as exc:

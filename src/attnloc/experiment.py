@@ -22,11 +22,11 @@ from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, check_numbers, from_dict, save_checkpoint, save_scenes
-from .geometry import ORIGIN, Pose, check_int, offset_pose, rotation, utm_to_vehicle, wrap_angle
+from .geometry import ORIGIN, Pose, check_int, check_number, offset_pose, rotation, utm_to_vehicle, wrap_angle
 from .inference import EkfConfig, FilterSession, localize
 from .map_store import save_map
 from .metrics import EvalReport, LatencyStats
-from .training import TrainConfig, check_bound, sample_offset
+from .training import TrainConfig, sample_offset
 
 MODES = ("gps", "filter", "icp")
 
@@ -76,10 +76,10 @@ def sim_config(cfg: dict) -> simulator.SimConfig:
 def gps_noise(cfg: dict) -> tuple[float, float]:
     """(sigma_pos m, sigma_rot rad) GPS noise bounds; absent keys take TrainConfig's offset bounds."""
     s = _section(cfg, "gps_noise", ("sigma_pos", "sigma_phi_deg"))
-    sigma_pos = check_bound("sigma_pos", s.get("sigma_pos", TrainConfig.sigma_pos))
+    sigma_pos = check_number("sigma_pos", s.get("sigma_pos", TrainConfig.sigma_pos))
     if "sigma_phi_deg" not in s:
         return sigma_pos, TrainConfig.sigma_rot
-    return sigma_pos, math.radians(check_bound("sigma_phi_deg", s["sigma_phi_deg"]))
+    return sigma_pos, math.radians(check_number("sigma_phi_deg", s["sigma_phi_deg"]))
 
 
 def train_config(cfg: dict) -> TrainConfig:
@@ -88,7 +88,7 @@ def train_config(cfg: dict) -> TrainConfig:
                                      "mix_ratio", "samples_per_epoch")))
     sigma_pos, sigma_rot = gps_noise(cfg)
     if "sigma_rot_deg" in s:
-        sigma_rot = math.radians(check_bound("sigma_rot_deg", s.pop("sigma_rot_deg")))
+        sigma_rot = math.radians(check_number("sigma_rot_deg", s.pop("sigma_rot_deg")))
     return TrainConfig(**{"sigma_pos": sigma_pos, "sigma_rot": sigma_rot, **s, "seed": _seed(cfg)})
 
 
@@ -131,11 +131,12 @@ class DriveConfig:
     sensor_half_width_m: ClassVar[float] = 20.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.dt < math.inf and 0 <= self.v < math.inf):  # nan fails both comparisons
-            raise ValueError("dt must be a finite number > 0 and v one >= 0")
-        if not self.segments or not all(len(seg) == 2 and seg[0] > 0 and math.isfinite(seg[1])
-                                        for seg in self.segments):
+        check_number("dt", self.dt, positive=True)
+        check_number("v", self.v)
+        if not self.segments or not all(len(seg) == 2 and math.isfinite(seg[1]) for seg in self.segments):
             raise ValueError("segments must be (duration > 0, omega) pairs")
+        for duration, _ in self.segments:
+            check_number("segment duration", duration, positive=True)
 
 
 def drive_config(cfg: dict) -> DriveConfig:

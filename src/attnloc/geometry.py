@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,15 @@ def check_int(name: str, value, least: int) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)
+
+
+def check_number(name: str, value, positive: bool = False):
+    """value; ValueError naming it unless it is a finite real number > 0 (positive) or >= 0 (a bool is not)."""
+    # the comparisons are exact: NaN fails both, and an integer beyond the float64 range the second
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (0 < value if positive else 0 <= value) or not value <= sys.float_info.max):
+        raise ValueError(f"{name} must be a finite number {'>' if positive else '>='} 0, got {value!r}")
+    return value
 
 
 def as_points(points) -> np.ndarray:

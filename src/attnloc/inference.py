@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention_net as net
-from .geometry import Pose, correct_pose, utm_to_vehicle, wrap_angle
+from .geometry import Pose, check_number, correct_pose, utm_to_vehicle, wrap_angle
 from .map_store import query_fov
 from .simulator import OMEGA_EPS, ctrv_step
 
@@ -45,11 +45,11 @@ class EkfConfig:
     r_diag: tuple = (0.25, 0.25, math.radians(2.0) ** 2)
 
     def __post_init__(self) -> None:
-        for name in ("sigma_accel", "sigma_yaw_accel"):
-            if not 0 < getattr(self, name) < math.inf:  # nan fails both
-                raise ValueError(f"{name} must be a finite number > 0, got {getattr(self, name)!r}")
-        if len(self.r_diag) != 3 or not all(0 < v < math.inf for v in self.r_diag):
+        if len(self.r_diag) != 3:
             raise ValueError("r_diag must be 3 finite variances > 0")
+        for name, value in (("sigma_accel", self.sigma_accel), ("sigma_yaw_accel", self.sigma_yaw_accel),
+                            *((f"r_diag[{i}]", v) for i, v in enumerate(self.r_diag))):
+            check_number(name, value, positive=True)
 
 
 @dataclass
@@ -189,8 +189,7 @@ class FilterSession:
 
     def step(self, measurements, dt: float) -> Pose:
         """Advance one frame; returns the smoothed pose estimate."""
-        if not 0 < dt < math.inf:  # nan fails both comparisons
-            raise ValueError(f"dt must be a finite number > 0, got {dt}")
+        check_number("dt", dt, positive=True)
         z = gps_inference(self.weights, self.lmap, measurements, self.state.pose(), self.fov_radius)
         self.state = ekf_predict(self.state, self.cfg, dt)
         self.state = ekf_update(self.state, z, self.cfg)

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 
 import numpy as np
 
 from .dataset_io import _atomic_write
-from .geometry import Pose
+from .geometry import Pose, check_number
 
 
 def save_map(points: np.ndarray, path: str) -> None:
@@ -41,8 +40,7 @@ def _fmt(v: float) -> str:
 
 def query_fov(points: np.ndarray, pose: Pose, radius: float) -> np.ndarray:
     """All landmarks within the closed disk of `radius` around the pose, in map row order."""
-    if not 0 < radius < math.inf:  # nan fails both comparisons
-        raise ValueError(f"radius must be a finite number > 0, got {radius}")
+    check_number("radius", radius, positive=True)
     # closed disk: a landmark exactly `radius` away is in view
     d = np.hypot(points[:, 0] - pose.x, points[:, 1] - pose.y)
     return points[d <= radius]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ORIGIN, Pose, as_points, check_int, wrap_angle
+from .geometry import ORIGIN, Pose, as_points, check_int, check_number, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -51,10 +51,8 @@ class SimConfig:
             raise ValueError(f"unknown distribution {self.distribution!r}")
         check_int("nu_min", self.nu_min, 1)
         check_int("nu_max", self.nu_max, self.nu_min)
-        if not all(0 <= rate < math.inf for rate in (self.lambda_clutter, self.lambda_miss, self.sigma_noise)):
-            raise ValueError("degradation rates must be finite numbers >= 0")
-        if not 0 <= self.lambda2 < math.inf:  # nan fails both comparisons, in the rates above too
-            raise ValueError(f"lambda2 must be a finite number >= 0, got {self.lambda2}")
+        for name in ("lambda_clutter", "lambda_miss", "sigma_noise", "lambda2"):
+            check_number(name, getattr(self, name))
         points = (self.mu, self.mu1, self.mu2, self.clutter_lo, self.clutter_hi)
         if any(len(p) != 2 or not all(map(math.isfinite, p)) for p in points):
             raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs of finite numbers")
@@ -127,8 +125,7 @@ OMEGA_EPS = 1e-6
 
 def ctrv_step(pose: Pose, v: float, omega: float, dt: float) -> Pose:
     """Closed-form constant-turn-rate-and-velocity motion over dt seconds."""
-    if not 0 < dt < math.inf:  # nan fails both comparisons
-        raise ValueError(f"dt must be a finite number > 0, got {dt}")
+    check_number("dt", dt, positive=True)
     if abs(omega) < OMEGA_EPS:
         return Pose(pose.x + v * math.cos(pose.phi) * dt,
                     pose.y + v * math.sin(pose.phi) * dt,

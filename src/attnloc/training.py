@@ -12,7 +12,6 @@ from __future__ import annotations
 import gc
 import math
 import mmap
-import numbers
 import os
 import signal
 import threading
@@ -24,7 +23,7 @@ import numpy as np
 from . import attention_net as net
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import ORIGIN, PoseOffset, as_points, check_int, offset_pose, utm_to_vehicle, wrap_angle
+from .geometry import ORIGIN, PoseOffset, as_points, check_int, check_number, offset_pose, utm_to_vehicle, wrap_angle
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -45,28 +44,20 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_bound("sigma_pos", self.sigma_pos)
-        check_bound("sigma_rot", self.sigma_rot)
-        if not 0.0 <= self.mix_ratio <= 1.0:
+        check_number("sigma_pos", self.sigma_pos)
+        check_number("sigma_rot", self.sigma_rot)
+        if check_number("mix_ratio", self.mix_ratio) > 1:
             raise ValueError(f"mix_ratio must be in [0, 1], got {self.mix_ratio}")
         for name in ("epochs", "batch_size", *(() if self.samples_per_epoch is None else ("samples_per_epoch",))):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed, 0)
-        if not 0 < self.learning_rate < math.inf:  # nan fails both comparisons
-            raise ValueError(f"learning_rate must be a finite number > 0, got {self.learning_rate}")
-
-
-def check_bound(name: str, value):
-    """value; ValueError naming it unless it is a number >= 0 (NaN and a number in a string are not)."""
-    if not (isinstance(value, numbers.Real) and value >= 0):
-        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
-    return value
+        check_number("learning_rate", self.learning_rate, positive=True)
 
 
 def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> PoseOffset:
     """Independent uniform draws: dx, dy ~ U(-sigma_pos, sigma_pos), dphi ~ U(-sigma_rot, sigma_rot)."""
-    check_bound("sigma_pos", sigma_pos)
-    check_bound("sigma_rot", sigma_rot)
+    check_number("sigma_pos", sigma_pos)
+    check_number("sigma_rot", sigma_rot)
     dx = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
     dy = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
     dphi = rng.uniform(-sigma_rot, sigma_rot) if sigma_rot > 0 else 0.0
@@ -227,14 +218,10 @@ class _Helper:
     """
 
     def __init__(self, params: net.ModelParams, steps, batch_size: int):
-        shapes = [leaf.shape for leaf in net.Weights(params, record=False).local_maps]
-        n = params.param_count()
-        bounds = np.cumsum([0, n, n, *(math.prod(shape) for shape in shapes), 3 * batch_size])
-        shared = np.frombuffer(mmap.mmap(-1, 8 * int(bounds[-1])), dtype=np.float64)
-        views = [shared[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-        self.values, self.grad = views[:2]
-        self.leaves = [view.reshape(shape) for view, shape in zip(views[2:], shapes)]
-        self.rows = views[-1].reshape(batch_size, 3)
+        maps = [leaf.shape for leaf in net.Weights(params, record=False).local_maps]
+        layout = [(2, params.param_count()), *maps, (batch_size, 3)]  # values and grad are the two rows of the first
+        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(r * c for r, c in layout)), dtype=np.float64)
+        (self.values, self.grad), *self.leaves, self.rows = net._views(shared, layout)
         down, self.down = os.pipe()  # caller to helper: read end, write end
         self.up, up = os.pipe()  # helper to caller
         try:

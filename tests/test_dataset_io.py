@@ -86,6 +86,10 @@ class TestSceneRoundTrip:
         pytest.param("t", [0.5], id="t-array"),
         pytest.param("gps_pose", {"x": 0, "y": 0, "phi": 0}, id="gps_pose-object"),
         pytest.param("measurements", [[10**400, 0.0]], id="measurements-integer-beyond-float64"),
+        # points are (x, y) pairs: rows of three, or a flat list, are not re-cut into pairs
+        pytest.param("measurements", [[1, 2, 3], [4, 5, 6]], id="measurements-rows-of-three"),
+        pytest.param("measurements", [1, 2, 3, 4], id="measurements-flat"),
+        pytest.param("landmarks", [[0.0, 1.0, 2.0, 3.0]], id="landmarks-row-of-four"),
     ])
     def test_bad_field_value_reports_line(self, tmp_path, field, value):
         path = tmp_path / "badvalue.jsonl"

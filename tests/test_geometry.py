@@ -1,18 +1,27 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from attnloc import attention_net as net
+from attnloc import experiment
 from attnloc.geometry import (
+    ORIGIN,
     Pose,
     PoseOffset,
     as_points,
+    check_number,
     correct_pose,
     offset_pose,
     utm_to_vehicle,
     wrap_angle,
 )
+from attnloc.inference import EkfConfig, FilterSession
+from attnloc.map_store import query_fov
+from attnloc.simulator import SimConfig, ctrv_step
+from attnloc.training import TrainConfig, sample_offset
 from geometry_helpers import invert_offset, perturb_points, vehicle_to_utm
 
 PI = math.pi
@@ -158,3 +167,65 @@ class TestPerturbPoints:
         a = utm_to_vehicle(pts, Pose(d.dx, d.dy, d.dphi))
         b = perturb_points(pts, invert_offset(d))
         np.testing.assert_allclose(a, b, atol=1e-12)
+
+
+class TestCheckNumber:
+    @pytest.mark.parametrize("value", [0, 0.0, 2, 1.5, np.float64(0.25), 1e308])
+    def test_returns_a_number_unchanged(self, value):
+        assert check_number("x", value) is value
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, False, -1e-300, 10**400, "1.0", None,
+                                       np.float64(math.nan)])
+    def test_rejects_anything_else(self, value):
+        with pytest.raises(ValueError, match=rf"^x must be a finite number >= 0, got {re.escape(repr(value))}$"):
+            check_number("x", value)
+
+    def test_positive_rejects_zero(self):
+        assert check_number("x", 1e-300, positive=True) == 1e-300
+        with pytest.raises(ValueError, match=r"^x must be a finite number > 0, got 0\.0$"):
+            check_number("x", 0.0, positive=True)
+
+
+def _filter_step(dt):
+    params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, rff_hidden=8, head_hidden=(8,)))
+    FilterSession(params, np.array([[1.0, 1.0]]), ORIGIN, EkfConfig(), fov_radius=10.0).step([[1.0, 0.0]], dt)
+
+
+# every range check on a number a caller hands the program: (site, the name its
+# error gives, whether it needs > 0, a call that hands it x)
+SITES = [
+    ("TrainConfig.sigma_pos", "sigma_pos", False, lambda x: TrainConfig(sigma_pos=x)),
+    ("TrainConfig.sigma_rot", "sigma_rot", False, lambda x: TrainConfig(sigma_rot=x)),
+    ("TrainConfig.mix_ratio", "mix_ratio", False, lambda x: TrainConfig(mix_ratio=x)),
+    ("TrainConfig.learning_rate", "learning_rate", True, lambda x: TrainConfig(learning_rate=x)),
+    ("sample_offset.sigma_pos", "sigma_pos", False, lambda x: sample_offset(x, 0.1, np.random.default_rng(0))),
+    ("sample_offset.sigma_rot", "sigma_rot", False, lambda x: sample_offset(1.0, x, np.random.default_rng(0))),
+    ("gps_noise.sigma_pos", "sigma_pos", False, lambda x: experiment.gps_noise({"gps_noise": {"sigma_pos": x}})),
+    ("gps_noise.sigma_phi_deg", "sigma_phi_deg", False,
+     lambda x: experiment.gps_noise({"gps_noise": {"sigma_phi_deg": x}})),
+    ("train_config.sigma_rot_deg", "sigma_rot_deg", False,
+     lambda x: experiment.train_config({"train": {"sigma_rot_deg": x}})),
+    ("DriveConfig.dt", "dt", True, lambda x: experiment.DriveConfig(dt=x)),
+    ("DriveConfig.v", "v", False, lambda x: experiment.DriveConfig(v=x)),
+    ("DriveConfig.segments", "segment duration", True,
+     lambda x: experiment.DriveConfig(segments=((20.0, 1.5), (x, -1.5)))),
+    ("EkfConfig.sigma_accel", "sigma_accel", True, lambda x: EkfConfig(sigma_accel=x)),
+    ("EkfConfig.sigma_yaw_accel", "sigma_yaw_accel", True, lambda x: EkfConfig(sigma_yaw_accel=x)),
+    ("EkfConfig.r_diag", "r_diag[1]", True, lambda x: EkfConfig(r_diag=(0.25, x, 0.001))),
+    ("SimConfig.lambda_clutter", "lambda_clutter", False, lambda x: SimConfig(lambda_clutter=x)),
+    ("SimConfig.lambda_miss", "lambda_miss", False, lambda x: SimConfig(lambda_miss=x)),
+    ("SimConfig.sigma_noise", "sigma_noise", False, lambda x: SimConfig(sigma_noise=x)),
+    ("SimConfig.lambda2", "lambda2", False, lambda x: SimConfig(lambda2=x)),
+    ("ctrv_step.dt", "dt", True, lambda x: ctrv_step(ORIGIN, 1.0, 0.5, x)),
+    ("FilterSession.step.dt", "dt", True, _filter_step),
+    ("query_fov.radius", "radius", True, lambda x: query_fov(np.zeros((1, 2)), ORIGIN, x)),
+    ("knn_group.k", "k", True, lambda x: net.knn_group([[0.0, 0.0]], [[1.0, 0.0]], x)),
+]
+CASES = [(site, name, call, x) for site, name, positive, call in SITES
+         for x in (math.inf, math.nan, True, -1, *((0,) if positive else ()))]
+
+
+@pytest.mark.parametrize("site,name,call,value", CASES, ids=[f"{site}-{x}" for site, _, _, x in CASES])
+def test_every_site_rejects_a_bad_number_by_name(site, name, call, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be .+, got {re.escape(repr(value))}$"):
+        call(value)

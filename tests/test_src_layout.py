@@ -8,6 +8,10 @@ scanned: a public value type may carry a method only tests call.
 
 Every name a src/ module imports must be used in that module, except
 `__future__` imports and the names the module exports in `__all__`.
+
+Whether a number a caller hands the program is in range is decided in
+geometry.py (check_number, check_int): no other module compares against
+an infinity.
 """
 
 import ast
@@ -67,3 +71,16 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported)
         unused += [f"{path.name}:{name}" for name in imported if name not in used]
     assert not unused, f"imported but never used: {unused}"
+
+
+def test_only_geometry_compares_against_infinity():
+    assert SRC
+    found = []
+    for path in SRC:
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare):
+                found += [f"{path.name}:{node.lineno}" for operand in (node.left, *node.comparators)
+                          if isinstance(operand, ast.Attribute) and operand.attr == "inf"]
+    assert not found, f"range checks outside geometry.check_number: {found}"

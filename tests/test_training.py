@@ -53,6 +53,11 @@ class TestSampleOffset:
         with pytest.raises(ValueError):
             TrainConfig(sigma_pos=math.nan)
 
+    def test_infinite_bound_fails_when_built(self):
+        # it fails here, and not as numpy's OverflowError once train draws offsets with it
+        with pytest.raises(ValueError, match=r"^sigma_pos must be a finite number >= 0, got inf$"):
+            TrainConfig(sigma_pos=math.inf)
+
     @pytest.mark.parametrize("rate", [math.nan, math.inf])
     def test_non_finite_learning_rate_rejected(self, rate):
         with pytest.raises(ValueError, match="learning_rate"):
