@@ -22,7 +22,8 @@ from . import attention_net as net
 from . import simulator, training
 from .baselines import icp
 from .dataset_io import Scene, _atomic_write, check_numbers, from_dict, save_checkpoint, save_scenes
-from .geometry import ORIGIN, Pose, check_int, check_number, offset_pose, rotation, utm_to_vehicle, wrap_angle
+from .geometry import (ORIGIN, Pose, check_finite, check_int, check_number, offset_pose, rotation, utm_to_vehicle,
+                       wrap_angle)
 from .inference import EkfConfig, FilterSession, localize
 from .map_store import save_map
 from .metrics import EvalReport, LatencyStats
@@ -133,10 +134,11 @@ class DriveConfig:
     def __post_init__(self) -> None:
         check_number("dt", self.dt, positive=True)
         check_number("v", self.v)
-        if not self.segments or not all(len(seg) == 2 and math.isfinite(seg[1]) for seg in self.segments):
+        if not self.segments or not all(len(seg) == 2 for seg in self.segments):
             raise ValueError("segments must be (duration > 0, omega) pairs")
-        for duration, _ in self.segments:
+        for duration, omega in self.segments:
             check_number("segment duration", duration, positive=True)
+            check_finite("segment turn rate", omega)
 
 
 def drive_config(cfg: dict) -> DriveConfig:

@@ -92,6 +92,13 @@ def check_number(name: str, value, positive: bool = False):
     return value
 
 
+def check_finite(name: str, value):
+    """value; ValueError naming it unless it is a finite real number of any sign (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
 def as_points(points) -> np.ndarray:
     """Coerce to an (N, 2) float64 point set; N may be 0."""
     arr = np.asarray(points, dtype=np.float64)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import ORIGIN, Pose, as_points, check_int, check_number, wrap_angle
+from .geometry import ORIGIN, Pose, as_points, check_finite, check_int, check_number, wrap_angle
 
 
 @dataclass(frozen=True)
@@ -53,9 +53,12 @@ class SimConfig:
         check_int("nu_max", self.nu_max, self.nu_min)
         for name in ("lambda_clutter", "lambda_miss", "sigma_noise", "lambda2"):
             check_number(name, getattr(self, name))
-        points = (self.mu, self.mu1, self.mu2, self.clutter_lo, self.clutter_hi)
-        if any(len(p) != 2 or not all(map(math.isfinite, p)) for p in points):
-            raise ValueError("mu, mu1, mu2, clutter_lo and clutter_hi must be (x, y) pairs of finite numbers")
+        for name in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi"):
+            point = getattr(self, name)
+            if len(point) != 2:
+                raise ValueError(f"{name} must be an (x, y) pair, got {point!r}")
+            for i, x in enumerate(point):
+                check_finite(f"{name}[{i}]", x)
         chol = {}
         for name in ("sigma", "sigma1", "sigma2"):
             m = np.asarray(getattr(self, name), dtype=np.float64)

@@ -166,6 +166,28 @@ def _batches(cfg: TrainConfig, syn: list, mapped: list, n_per_epoch: int):
             yield epoch, first, batch
 
 
+class _Ahead:
+    """train's steps, the next of which ahead() may draw early: __next__ hands it out, or raises what its draw did."""
+
+    def __init__(self, steps):
+        self.steps, self.held = steps, None
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        held, self.held = self.held, None
+        if isinstance(held, Exception):  # StopIteration too
+            raise held
+        return next(self.steps) if held is None else held
+
+    def ahead(self) -> None:
+        try:
+            self.held = next(self.steps)
+        except Exception as exc:
+            self.held = exc
+
+
 def _tape(weights: net.Weights, samples: list, epoch: int, first: int) -> np.ndarray:
     """One stacked forward, loss and backward over samples, the first of them sample `first`; their loss rows."""
     pairs, labels = zip(*samples)
@@ -206,22 +228,24 @@ class _Helper:
 
     The caller writes each later step's parameter values into the shared
     vector `values`, which the helper's copy of the parameters views, and
-    says go before drawing that step's batch. The helper draws the same
-    batch from its copy of the caller's batch stream, runs its tapes on its
-    own recorded Weights, each into a fresh gradient, and writes their loss
-    rows into `rows` at their places in the batch. Once the caller's tapes
-    are in the shared `grad` and `leaves` it says add; the helper adds its
-    own into both, one tape at a time in tape order, and says done. Each
-    parameter and local-map leaf gets one contribution per tape, so the sums
-    are bit-identical to one process's. Any exception ends the helper, and a
+    says go. The helper has drawn that step's batch from its copy of the
+    caller's batch stream while it waited. It runs its tapes on its own
+    recorded Weights, each into a zeroed gradient vector it keeps for its
+    life, and writes their loss rows into `rows` at their places in the
+    batch. Once the caller's tapes are in the shared `grad` and `leaves` it
+    says add and draws its next batch; the helper adds its own into both,
+    one tape at a time in tape order, and says done. Each parameter and
+    local-map leaf gets one contribution per tape, so the sums are
+    bit-identical to one process's. Any exception ends the helper, and a
     step the caller gets no done for runs again in the caller.
     """
 
-    def __init__(self, params: net.ModelParams, steps, batch_size: int):
+    def __init__(self, params: net.ModelParams, steps: _Ahead, batch_size: int):
         maps = [leaf.shape for leaf in net.Weights(params, record=False).local_maps]
         layout = [(2, params.param_count()), *maps, (batch_size, 3)]  # values and grad are the two rows of the first
         shared = np.frombuffer(mmap.mmap(-1, 8 * sum(r * c for r, c in layout)), dtype=np.float64)
         (self.values, self.grad), *self.leaves, self.rows = net._views(shared, layout)
+        self.steps = steps
         down, self.down = os.pipe()  # caller to helper: read end, write end
         self.up, up = os.pipe()  # helper to caller
         try:
@@ -235,23 +259,26 @@ class _Helper:
                 gc.freeze()  # the parent's objects are its own to collect
                 os.close(self.down)
                 os.close(self.up)
-                self._serve(params, steps, down, up)
+                self._serve(params, down, up)
             finally:
                 os._exit(0)
         os.close(down)
         os.close(up)
 
-    def _serve(self, params: net.ModelParams, steps, down: int, up: int) -> None:
+    def _serve(self, params: net.ModelParams, down: int, up: int) -> None:
         params.bind(self.values)  # the caller writes each step's values into this copy's flat before go
-        while os.read(down, 1) == _GO:
-            epoch, first, batch = next(steps)
+        n = len(range(0, len(self.rows), net.SCENES_PER_FORWARD))
+        grads = np.zeros((n - n // 2, self.values.size))  # one per tape of the helper's half of a full batch
+        for epoch, first, batch in self.steps:  # each drawn after the last step's done, before its go
+            if os.read(down, 1) != _GO:
+                return
             starts = range(0, len(batch), net.SCENES_PER_FORWARD)
             if len(starts) < 2:
                 continue
             weights = net.Weights(params, record=True)
             tapes = []
-            for lo in starts[len(starts) // 2:]:
-                grad = np.zeros_like(self.values)
+            for lo, grad in zip(starts[len(starts) // 2:], grads):
+                grad.fill(0.0)
                 params.bind(grad, grad=True)
                 for leaf in weights.local_maps:
                     leaf.grad = None
@@ -279,11 +306,13 @@ class _Helper:
         self._say(_GO)  # a helper lost here is found at the step's add
 
     def add(self, leaves: tuple[Tensor, ...]) -> bool:
-        """After the caller's tapes: the leaves' gradients shared and the helper's tapes added in; False if it is lost."""
+        """After the caller's tapes: leaf gradients shared, the next batch drawn, the helper's added; False if lost."""
         for leaf, view in zip(leaves, self.leaves):
             view[...] = leaf.grad
             leaf.grad = view
-        return self._say(_ADD) and os.read(self.up, 1) == _DONE
+        said = self._say(_ADD)
+        self.steps.ahead()
+        return said and os.read(self.up, 1) == _DONE
 
     def close(self) -> None:
         """Kill and reap the helper, whatever it is doing."""
@@ -338,7 +367,10 @@ def train(
     When the first step, run here, has two or more tapes and _helper_pays
     says a second CPU would speed such steps up, one forked helper process
     (_Helper) runs the later half of the tapes of every later step that has
-    two or more, with the same bits as running them all here. A helper that
+    two or more, with the same bits as running them all here. Each process
+    draws every batch from its own copy of the batch stream while it waits
+    for the other: train after saying add (an error raised after this
+    step's update and report), the helper after saying done. A helper that
     raises or dies hands its step back: train kills and reaps it, and that
     step and every later one run here, the step again on a fresh gradient,
     with the same bits or the same error. The helper never outlives train.
@@ -355,7 +387,7 @@ def train(
         raise ValueError("mix_ratio < 1 requires synthetic scenes")
     n_per_epoch = cfg.samples_per_epoch or (len(syn) + len(mapped))
     state = AdamState(params)
-    steps = _batches(cfg, syn, mapped, n_per_epoch)
+    steps = _Ahead(_batches(cfg, syn, mapped, n_per_epoch))
     history: list[EpochStats] = []
     helper = None
     try:

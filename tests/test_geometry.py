@@ -12,6 +12,7 @@ from attnloc.geometry import (
     Pose,
     PoseOffset,
     as_points,
+    check_finite,
     check_number,
     correct_pose,
     offset_pose,
@@ -186,6 +187,18 @@ class TestCheckNumber:
             check_number("x", 0.0, positive=True)
 
 
+class TestCheckFinite:
+    @pytest.mark.parametrize("value", [0, -3, 2.5, -1e-300, np.float64(-0.25), -1e308, 10**300])
+    def test_returns_a_number_of_either_sign_unchanged(self, value):
+        assert check_finite("x", value) is value
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, False, -(10**400), "1.0", None,
+                                       np.float64(-math.inf)])
+    def test_rejects_anything_else(self, value):
+        with pytest.raises(ValueError, match=rf"^x must be a finite number, got {re.escape(repr(value))}$"):
+            check_finite("x", value)
+
+
 def _filter_step(dt):
     params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, rff_hidden=8, head_hidden=(8,)))
     FilterSession(params, np.array([[1.0, 1.0]]), ORIGIN, EkfConfig(), fov_radius=10.0).step([[1.0, 0.0]], dt)
@@ -229,3 +242,23 @@ CASES = [(site, name, call, x) for site, name, positive, call in SITES
 def test_every_site_rejects_a_bad_number_by_name(site, name, call, value):
     with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be .+, got {re.escape(repr(value))}$"):
         call(value)
+
+
+# every check on a signed number a caller hands the program: (the name its error gives, a call that hands it x)
+SIGNED_SITES = [
+    ("segment turn rate", lambda x: experiment.DriveConfig(segments=((20.0, 1.5), (20.0, x)))),
+    *((f"{name}[{i}]", lambda x, name=name, i=i: SimConfig(**{name: (x, 0.0) if i == 0 else (0.0, x)}))
+      for name in ("mu", "mu1", "mu2", "clutter_lo", "clutter_hi") for i in (0, 1)),
+]
+SIGNED_CASES = [(name, call, x) for name, call in SIGNED_SITES for x in (True, math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.parametrize("name,call,value", SIGNED_CASES, ids=[f"{name}-{x}" for name, _, x in SIGNED_CASES])
+def test_every_signed_site_rejects_a_bad_number_by_name(name, call, value):
+    with pytest.raises(ValueError, match=rf"^{re.escape(name)} must be a finite number, got {re.escape(repr(value))}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("name,call", SIGNED_SITES, ids=[name for name, _ in SIGNED_SITES])
+def test_every_signed_site_takes_a_negative_number(name, call):
+    call(-1.5)

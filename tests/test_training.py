@@ -586,7 +586,7 @@ class TestHelperProcess:
         _no_child_left()
 
     def test_a_helper_that_dies_mid_step_hands_it_back(self, monkeypatch):
-        # the helper exits while it draws epoch 1's second step: after go, before done
+        # the helper exits while it draws epoch 1's second step, after the first step's done
         want = _one_cpu_bits(monkeypatch)
         caller, make, calls = os.getpid(), training.make_training_sample, []
 
@@ -602,6 +602,71 @@ class TestHelperProcess:
         assert _bits(*_train_mixed()) == want
         assert len(pids) == 1 and len(tapes) == 5 + 1 + 1 + 3 + 2
         _no_child_left()
+
+    @pytest.mark.parametrize("draw, tapes", [
+        (MIXED.samples_per_epoch, 5 + 1 + 3 + 3 + 2),  # epoch 1's first step, after epoch 0's last done
+        (MIXED.samples_per_epoch + 24, 5 + 1 + 1 + 1 + 2),  # epoch 1's last step
+    ])
+    def test_a_helper_that_dies_in_its_look_ahead_hands_its_step_back(self, monkeypatch, draw, tapes):
+        # the helper draws each step's batch after the step before's done and before its go
+        want = _one_cpu_bits(monkeypatch)
+        caller, make, calls = os.getpid(), training.make_training_sample, []
+
+        def dying(*args):
+            if os.getpid() != caller and len(calls) == draw:
+                os._exit(1)
+            calls.append(None)  # the helper counts on in its own copy
+            return make(*args)
+
+        pids = _helpers(monkeypatch, 2)
+        caller_tapes = _caller_tapes(monkeypatch)
+        monkeypatch.setattr(training, "make_training_sample", dying)
+        assert _bits(*_train_mixed()) == want
+        assert len(pids) == 1 and len(caller_tapes) == tapes
+        _no_child_left()
+
+    @pytest.mark.parametrize("cpus, kill", [(1, False), (2, False), (2, True)])
+    def test_the_caller_draws_every_sample_once(self, monkeypatch, cpus, kill):
+        # drawn ahead during a hand-off or at the step, and kept when the helper is lost after epoch 0
+        make, drawn = training.make_training_sample, []
+
+        def counted(*args):
+            drawn.append(None)  # a forked helper appends to its own copy
+            return make(*args)
+
+        pids = _helpers(monkeypatch, cpus)
+        monkeypatch.setattr(training, "make_training_sample", counted)
+
+        def progress(epoch, stats):
+            if kill and epoch == 0:
+                os.kill(pids[0], signal.SIGKILL)
+
+        _train_mixed(progress)
+        assert len(pids) == cpus - 1 and len(drawn) == MIXED.epochs * MIXED.samples_per_epoch
+        _no_child_left()
+
+    @pytest.mark.parametrize("pool, index, steps, reports", [
+        (1, 0, 3, 1),  # first drawn in epoch 1's first step: the caller draws it during epoch 0's last add
+        (0, 0, 1, 0),  # first drawn in epoch 0's second step: the helper's first draw
+    ])
+    def test_a_draw_error_stays_in_place(self, monkeypatch, pool, index, steps, reports):
+        runs = []
+        for cpus in (1, 2):
+            pools = _tiny_scenes(6, seed=1), _tiny_scenes(4, seed=5)
+            pools[pool][index] = (pools[pool][index][0], np.zeros((0, 2)))  # no landmarks
+            params, stepped, reported = net.init_params(NET_SMALL), [], []
+            with monkeypatch.context() as m:
+                pids = _helpers(m, cpus)
+                step = training.adam_step
+                m.setattr(training, "adam_step", lambda *args: (stepped.append(None), step(*args)))
+                with pytest.raises(ValueError) as info:
+                    training.train(params, MIXED, *pools, progress=lambda epoch, stats: reported.append((epoch, stats)))
+            assert len(pids) == cpus - 1
+            _no_child_left()
+            runs.append((str(info.value), len(stepped), [t.data.tobytes() for _, t in params.items()], reported))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == "training sample needs nonempty landmarks and measurements"
+        assert (runs[0][1], len(runs[0][3])) == (steps, reports)
 
     @pytest.mark.parametrize("cpus, cpu_per_wall, slow_down, batch_size, helpers", [
         (1, 1.0, 1e3, 12, 0),  # one CPU
