@@ -178,7 +178,8 @@ def knn_group(measurements, landmarks, k: int) -> tuple[np.ndarray, np.ndarray]:
     check_int("k", k, 1)
     delta = lm[None, :, :] - m[:, None, :]  # (nu, L, 2)
     dist = np.hypot(delta[..., 0], delta[..., 1])
-    idx = np.argsort(dist, axis=1, kind="stable")[:, np.arange(k) % lm.shape[0]]
+    order = dist.argsort(axis=1, kind="stable")
+    idx = order[:, :k] if lm.shape[0] >= k else order[:, np.arange(k) % lm.shape[0]]
     rows = np.arange(m.shape[0])[:, None]
     feats = np.concatenate((delta[rows, idx], dist[rows, idx][..., None]), axis=2)
     return idx, feats.reshape(-1, 3)
@@ -281,9 +282,13 @@ def local_attention(scenes, params: ModelParams | Weights):
     """
     cfg = params.config
     ms = [as_points(m) for m, _ in scenes]
-    feats = np.concatenate([knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)])
+    groups = [knn_group(m, lm, cfg.k)[1] for m, (_, lm) in zip(ms, scenes)]
+    if len(scenes) == 1:  # not stacked; in C order its matmuls take the path a stacked copy would
+        rows, feats = np.ascontiguousarray(ms[0]), groups[0]
+    else:
+        rows, feats = np.concatenate(ms), np.concatenate(groups)
     m_map, n_map, e = params.local_maps if isinstance(params, Weights) else _local_maps(params, cfg)
-    queries = _rff(ad.finite(np.concatenate(ms)), params, "embed_m")  # (sum nu, d)
+    queries = _rff(ad.finite(rows), params, "embed_m")  # (sum nu, d)
     # the neighbor hidden layer H, (sum nu * k, rff_hidden)
     hidden = ad.linear(ad.finite(feats), params["embed_l.w0"], params["embed_l.b0"], relu=True)
     att = ad.attention(queries @ m_map, hidden, hidden, cfg.heads, cfg.k)  # (sum nu, heads * rff_hidden)
@@ -306,18 +311,20 @@ def forward(scenes, params: ModelParams | Weights):
     """
     if not scenes:
         raise ValueError("forward needs at least one scene")
+    scenes = [(as_points(m), lm) for m, lm in scenes]
     local = local_attention(scenes, params)
-    counts = [as_points(m).shape[0] for m, _ in scenes]
+    counts = [m.shape[0] for m, _ in scenes]
     glob = mha_block(local, params, counts)
     h = _rff(ad.max_pool_rows(glob, counts), params, "head", len(params.config.head_hidden) + 1)
-    if not np.all(np.isfinite(h.data if isinstance(h, Tensor) else h)):
+    if not np.isfinite(h.data if isinstance(h, Tensor) else h).all():
         raise FloatingPointError("network output is not finite")
     return h
 
 
 def predict_offsets(pairs, params: ModelParams | Weights) -> list[PoseOffset]:
     """Pose offsets with wrapped headings, one per (measurements, landmarks) pair, from one unrecorded forward."""
-    return [PoseOffset(out[0], out[1], wrap_angle(out[2])) for out in forward(list(pairs), inference_weights(params))]
+    out = forward(list(pairs), inference_weights(params)).tolist()
+    return [PoseOffset(dx, dy, wrap_angle(dphi)) for dx, dy, dphi in out]
 
 
 def predict_offset(measurements, landmarks, params: ModelParams | Weights) -> PoseOffset:

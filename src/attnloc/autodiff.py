@@ -125,7 +125,7 @@ class Tensor:
 
 def finite(x: np.ndarray) -> np.ndarray:
     """x itself; raises ValueError, as a leaf Tensor does, on a NaN or infinite entry."""
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("tensor entries must be finite")
     return x
 

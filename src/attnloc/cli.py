@@ -3,6 +3,9 @@
 Subcommands: simulate, train, infer, eval. Every artifact is written
 under --out. On failure the process exits nonzero after printing one
 machine-parseable line `error:<category>: <message>` to stderr.
+
+BLAS runs one thread unless the environment chose a count: at these widths
+more threads only add CPU and keep training's helper off (training._helper_pays).
 """
 
 from __future__ import annotations
@@ -12,7 +15,10 @@ import json
 import os
 import sys
 
-from . import experiment
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+from . import experiment  # after the defaults: it loads numpy
 from .dataset_io import load_checkpoint, load_scenes, save_scenes
 from .experiment import ConfigError, StageError, run_experiment
 from .metrics import EvalReport

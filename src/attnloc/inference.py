@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import attention_net as net
-from .geometry import Pose, check_number, correct_pose, utm_to_vehicle, wrap_angle
+from .autodiff import finite
+from .geometry import Pose, as_points, check_number, correct_pose, utm_to_vehicle, wrap_angle
 from .map_store import query_fov
 from .simulator import OMEGA_EPS, ctrv_step
 
@@ -30,6 +31,8 @@ class InnovationError(FloatingPointError):
 
 # initial variance of the speed and turn-rate states, which one pose does not observe
 INIT_RATE_VAR = 100.0
+# the 5x5 identity that the predict and update steps copy, never write
+_EYE5 = np.eye(5)
 
 
 @dataclass(frozen=True)
@@ -37,7 +40,8 @@ class EkfConfig:
     """Filter tuning: white accel/yaw-accel process noise and measurement noise.
 
     r_diag is the diagonal of the pose measurement covariance
-    (m^2, m^2, rad^2).
+    (m^2, m^2, rad^2); r is that covariance as a matrix, taken once by the
+    check. It is not a field, so no config key.
     """
 
     sigma_accel: float = 0.5
@@ -50,6 +54,7 @@ class EkfConfig:
         for name, value in (("sigma_accel", self.sigma_accel), ("sigma_yaw_accel", self.sigma_yaw_accel),
                             *((f"r_diag[{i}]", v) for i, v in enumerate(self.r_diag))):
             check_number(name, value, positive=True)
+        object.__setattr__(self, "r", np.diag(self.r_diag))
 
 
 @dataclass
@@ -60,7 +65,7 @@ class EkfState:
     cov: np.ndarray
 
     def pose(self) -> Pose:
-        return Pose(self.mean[0], self.mean[1], self.mean[2])
+        return Pose(*self.mean[:3].tolist())
 
 
 def init_state(p: Pose, cfg: EkfConfig) -> EkfState:
@@ -77,33 +82,30 @@ def ekf_predict(s: EkfState, cfg: EkfConfig, dt: float) -> EkfState:
     Jacobian takes the constant-velocity limit form too. The covariance is
     re-symmetrized after F P F^T + Q.
     """
-    _, _, phi, v, omega = s.mean
-    p = ctrv_step(s.pose(), v, omega, dt)
+    x, y, phi, v, omega = s.mean.tolist()
+    p = ctrv_step(Pose(x, y, phi), v, omega, dt)
     mean = np.array([p.x, p.y, p.phi, v, omega])
-    F = np.eye(5)
+    c, si = math.cos(phi), math.sin(phi)
+    F = _EYE5.copy()
     if abs(omega) < OMEGA_EPS:
-        c, si = math.cos(phi), math.sin(phi)
         F[0, 2] = -v * si * dt
         F[0, 3] = c * dt
         F[0, 4] = -0.5 * v * si * dt * dt  # limit of the CTRV terms as omega -> 0
         F[1, 2] = v * c * dt
         F[1, 3] = si * dt
         F[1, 4] = 0.5 * v * c * dt * dt
-        F[2, 4] = dt
     else:
         phi2 = phi + omega * dt
-        s1, c1 = math.sin(phi), math.cos(phi)
         s2, c2 = math.sin(phi2), math.cos(phi2)
         r = v / omega
-        F[0, 2] = r * (c2 - c1)
-        F[0, 3] = (s2 - s1) / omega
-        F[0, 4] = v * dt * c2 / omega - v * (s2 - s1) / omega**2
-        F[1, 2] = r * (s2 - s1)
-        F[1, 3] = (c1 - c2) / omega
-        F[1, 4] = v * dt * s2 / omega - v * (c1 - c2) / omega**2
-        F[2, 4] = dt
+        F[0, 2] = r * (c2 - c)
+        F[0, 3] = (s2 - si) / omega
+        F[0, 4] = v * dt * c2 / omega - v * (s2 - si) / omega**2
+        F[1, 2] = r * (s2 - si)
+        F[1, 3] = (c - c2) / omega
+        F[1, 4] = v * dt * s2 / omega - v * (c - c2) / omega**2
+    F[2, 4] = dt
     # noise enters through acceleration and yaw acceleration held over dt
-    c, si = math.cos(phi), math.sin(phi)
     g = np.array([
         [0.5 * dt * dt * c, 0.0],
         [0.5 * dt * dt * si, 0.0],
@@ -111,9 +113,10 @@ def ekf_predict(s: EkfState, cfg: EkfConfig, dt: float) -> EkfState:
         [dt, 0.0],
         [0.0, dt],
     ])
-    q = g @ np.diag([cfg.sigma_accel**2, cfg.sigma_yaw_accel**2]) @ g.T
-    cov = F @ s.cov @ F.T + q
-    return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
+    cov = F @ s.cov @ F.T + (g * [cfg.sigma_accel**2, cfg.sigma_yaw_accel**2]) @ g.T
+    cov += cov.T
+    cov *= 0.5
+    return EkfState(mean=mean, cov=cov)
 
 
 def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
@@ -123,20 +126,24 @@ def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
     The heading innovation is wrapped, so measurements across the +-pi seam
     stay small.
     """
-    r = np.diag(cfg.r_diag)
-    innov = np.array([z.x - s.mean[0], z.y - s.mean[1], wrap_angle(z.phi - s.mean[2])])
-    s_mat = s.cov[:3, :3] + r
+    x, y, phi = s.mean[:3].tolist()
+    innov = np.array([z.x - x, z.y - y, wrap_angle(z.phi - phi)])
+    s_mat = s.cov[:3, :3] + cfg.r
     try:
-        np.linalg.cholesky(s_mat)
+        # numpy factors a NaN matrix without complaint; a NaN or infinite entry makes the diagonal non-finite
+        if not math.isfinite(np.linalg.cholesky(s_mat).trace()):
+            raise np.linalg.LinAlgError("innovation covariance is not finite")
     except np.linalg.LinAlgError as exc:
         raise InnovationError("innovation covariance is not positive definite") from exc
     k = s.cov[:, :3] @ np.linalg.inv(s_mat)
     mean = s.mean + k @ innov
     mean[2] = wrap_angle(mean[2])
-    ikh = np.eye(5)
+    ikh = _EYE5.copy()
     ikh[:, :3] -= k
-    cov = ikh @ s.cov @ ikh.T + k @ r @ k.T
-    return EkfState(mean=mean, cov=0.5 * (cov + cov.T))
+    cov = ikh @ s.cov @ ikh.T + k @ cfg.r @ k.T
+    cov += cov.T
+    cov *= 0.5
+    return EkfState(mean=mean, cov=cov)
 
 
 def localize(queries, regress, fov_radius: float) -> list[Pose]:
@@ -176,15 +183,16 @@ class FilterSession:
     gps_inference does a GPS pose, and feeds the corrected pose to the
     filter as a measurement. The session derives the network's inference
     weights once, at construction, and holds that snapshot: later updates
-    to params do not reach it.
+    to params do not reach it. It checks the radius and the map once too,
+    so a bad one fails the construction, not a later step.
     """
 
     def __init__(self, params: net.ModelParams | net.Weights, lmap: np.ndarray, p_init: Pose,
                  ekf_cfg: EkfConfig, fov_radius: float):
         self.weights = net.inference_weights(params)
-        self.lmap = lmap
+        self.lmap = finite(as_points(lmap))
         self.cfg = ekf_cfg
-        self.fov_radius = fov_radius
+        self.fov_radius = check_number("radius", fov_radius, positive=True)
         self.state = init_state(p_init, self.cfg)
 
     def step(self, measurements, dt: float) -> Pose:

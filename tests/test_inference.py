@@ -13,6 +13,7 @@ from attnloc.inference import (
     EkfConfig,
     EkfState,
     FilterSession,
+    InnovationError,
     NoLandmarksInFov,
     ekf_predict,
     ekf_update,
@@ -20,7 +21,8 @@ from attnloc.inference import (
     init_state,
 )
 from attnloc.map_store import query_fov
-from attnloc.simulator import SimConfig, generate_trajectory
+from attnloc.simulator import OMEGA_EPS, SimConfig, generate_trajectory
+from inference_helpers import ekf_predict_reference, ekf_update_reference
 from training_helpers import zero_grads
 
 
@@ -147,6 +149,62 @@ class TestEkfUpdate:
             s = ekf_update(s, z, EkfConfig())
             assert np.all(np.linalg.eigvalsh(s.cov) > 0)
 
+    @pytest.mark.parametrize("bad", ["negative", "nan", "inf"])
+    def test_bad_innovation_covariance_raises(self, bad):
+        # numpy factors the NaN and infinite covariances without a LinAlgError; all three are caught
+        cov = {"negative": -10.0 * np.eye(5), "nan": np.full((5, 5), math.nan),
+               "inf": np.diag([math.inf, 1.0, 1.0, 1.0, 1.0])}[bad]
+        with pytest.raises(InnovationError, match="^innovation covariance is not positive definite$"):
+            ekf_update(EkfState(mean=np.zeros(5), cov=cov), Pose(0.1, 0.2, 0.0), EkfConfig())
+
+
+def _sweep_states(seed: int, n: int):
+    """Seeded filter states over both CTRV branches, headings at and just inside +-pi, and full covariances."""
+    rng = np.random.default_rng(seed)
+    headings = [math.pi, -math.pi + 1e-12, math.pi - 1e-9, -math.pi + 1e-9, 0.0]
+    rates = [0.0, 0.5 * OMEGA_EPS, -0.9 * OMEGA_EPS, OMEGA_EPS, 0.3, -1.2]
+    for i in range(n):
+        phi = headings[i % len(headings)] if i % 3 == 0 else rng.uniform(-math.pi, math.pi)
+        omega = rates[i % len(rates)] if i % 2 == 0 else rng.uniform(-1.5, 1.5)
+        mean = np.array([rng.normal(0, 50), rng.normal(0, 50), phi, rng.uniform(-2.0, 25.0), omega])
+        a = rng.normal(size=(5, 5)) * rng.uniform(0.01, 3.0)
+        yield EkfState(mean=mean, cov=a @ a.T + 1e-3 * np.eye(5))
+
+
+class TestEkfMatchesReference:
+    """ekf_predict and ekf_update return the bits of the plain numpy forms in inference_helpers."""
+
+    CONFIGS = [EkfConfig(), EkfConfig(sigma_accel=2.0, sigma_yaw_accel=0.03, r_diag=(0.09, 0.04, 1e-3))]
+
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2])
+    def test_predict_bit_identical(self, dt):
+        for cfg in self.CONFIGS:
+            for s in _sweep_states(int(dt * 100), 200):
+                got, want = ekf_predict(s, cfg, dt), ekf_predict_reference(s, cfg, dt)
+                assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2])
+    def test_update_bit_identical(self, dt):
+        rng = np.random.default_rng(int(dt * 100) + 7)
+        for cfg in self.CONFIGS:
+            for s in _sweep_states(int(dt * 100) + 3, 200):
+                z = Pose(s.mean[0] + rng.normal(), s.mean[1] + rng.normal(), s.mean[2] + rng.normal(scale=0.2))
+                got, want = ekf_update(s, z, cfg), ekf_update_reference(s, z, cfg)
+                assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.05, 0.2])
+    def test_filter_run_bit_identical(self, dt):
+        # the steps' own outputs fed back: a turning drive that crosses the heading seam
+        cfg, rng = EkfConfig(), np.random.default_rng(5)
+        got = want = init_state(Pose(0.0, 0.0, math.pi - 0.05), cfg)
+        for i in range(300):
+            t = (i + 1) * dt
+            z = Pose(8.0 * math.cos(t) + rng.normal(scale=0.3), 8.0 * math.sin(t) + rng.normal(scale=0.3),
+                     math.pi - 0.05 + 0.4 * t + rng.normal(scale=0.02))
+            got = ekf_update(ekf_predict(got, cfg, dt), z, cfg)
+            want = ekf_update_reference(ekf_predict_reference(want, cfg, dt), z, cfg)
+            assert np.array_equal(got.mean, want.mean) and np.array_equal(got.cov, want.cov)
+
 
 class TestGpsInference:
     def _map(self):
@@ -224,6 +282,18 @@ class TestFilterSession:
         with pytest.raises(ValueError, match="dt must be a finite number > 0, got"):
             session.step([[1.0, 1.0]], dt=dt)
         assert session.state is state
+
+    @pytest.mark.parametrize("radius", [math.nan, -1.0, 0.0])
+    def test_bad_radius_rejected_when_built(self, zero_net, radius):
+        with pytest.raises(ValueError, match="^radius must be a finite number > 0, got"):
+            FilterSession(zero_net, np.array([[1.0, 1.0]]), Pose(0, 0, 0), EkfConfig(), fov_radius=radius)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_landmark_rejected_when_built(self, zero_net, bad):
+        # a NaN landmark is never in view, so no step would report it
+        lmap = np.array([[1.0, 1.0], [2.0, bad], [3.0, -1.0]])
+        with pytest.raises(ValueError, match="entries must be finite"):
+            FilterSession(zero_net, lmap, Pose(0, 0, 0), EkfConfig(), fov_radius=100.0)
 
     def test_oracle_with_noise_beats_raw_measurements(self, zero_net, monkeypatch):
         # 100-step drive; an oracle network plus pose noise stands in for

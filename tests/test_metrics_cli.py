@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -445,3 +447,37 @@ class TestCli:
         a = Path(out1, "scenes.jsonl").read_bytes()
         b = Path(out2, "scenes.jsonl").read_bytes()
         assert a == b
+
+
+ROOT = CONFIGS.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the thread count numpy's OpenBLAS took when attnloc.cli loaded it, read as the benchmark's environment record reads it
+BLAS_PROBE = f"""
+import sys
+import attnloc.cli
+sys.path.insert(0, {str(ROOT / "perfbench")!r})
+import env
+print(env._blas_threads())
+"""
+
+
+class TestCliBlasThreads:
+    """The CLI runs numpy's BLAS on one thread unless the environment chose a count."""
+
+    def _threads(self, **chosen) -> int:
+        env = {name: value for name, value in os.environ.items() if name not in BLAS_VARS}
+        env.update(chosen, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        if done.stdout.strip() == "None":
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        return int(done.stdout)
+
+    def test_one_thread_when_unset(self):
+        assert self._threads() == 1
+
+    def test_a_count_the_environment_sets_wins(self):
+        if (os.cpu_count() or 1) < 2:
+            pytest.skip("OpenBLAS caps its threads at the CPU count")
+        assert self._threads(OPENBLAS_NUM_THREADS="2") == 2
