@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import PoseOffset, as_points, check_int, wrap_angle
+from .geometry import Pose, as_points, check_int
 
 
 @dataclass(frozen=True)
@@ -321,12 +321,6 @@ def forward(scenes, params: ModelParams | Weights):
     return h
 
 
-def predict_offsets(pairs, params: ModelParams | Weights) -> list[PoseOffset]:
-    """Pose offsets with wrapped headings, one per (measurements, landmarks) pair, from one unrecorded forward."""
-    out = forward(list(pairs), inference_weights(params)).tolist()
-    return [PoseOffset(dx, dy, wrap_angle(dphi)) for dx, dy, dphi in out]
-
-
-def predict_offset(measurements, landmarks, params: ModelParams | Weights) -> PoseOffset:
-    """predict_offsets of the one pair."""
-    return predict_offsets([(measurements, landmarks)], params)[0]
+def predict_offsets(pairs, params: ModelParams | Weights) -> list[Pose]:
+    """Offset poses with wrapped headings, one per (measurements, landmarks) pair, from one unrecorded forward."""
+    return [Pose(*row) for row in forward(list(pairs), inference_weights(params)).tolist()]

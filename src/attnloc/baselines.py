@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import PoseOffset, as_points, rotation, wrap_angle
+from .geometry import ORIGIN, Pose, as_points, rotation, wrap_angle
 
 
 @dataclass
@@ -17,7 +17,7 @@ class IcpResult:
     residuals[i] is the RMS nearest-neighbor distance after iteration i.
     """
 
-    offset: PoseOffset
+    offset: Pose
     rms: float
     iterations: int
     residuals: list[float]
@@ -40,7 +40,7 @@ def _best_rigid(src: np.ndarray, dst: np.ndarray) -> tuple[np.ndarray, np.ndarra
 def icp(
     measurements,
     landmarks,
-    init: PoseOffset = PoseOffset(0.0, 0.0, 0.0),
+    init: Pose = ORIGIN,
     max_iter: int = 50,
     tol: float = 1e-9,
 ) -> IcpResult:
@@ -56,8 +56,8 @@ def icp(
         raise ValueError("icp needs at least two points in each set")
     if np.ptp(m, axis=0).max() < 1e-12 or np.ptp(lm, axis=0).max() < 1e-12:
         raise ValueError("degenerate geometry: all points coincident")
-    r = rotation(init.dphi)
-    t = np.array([init.dx, init.dy])
+    r = rotation(init.phi)
+    t = np.array([init.x, init.y])
     residuals: list[float] = []
     iterations = 0
     for _ in range(max_iter):
@@ -80,4 +80,4 @@ def icp(
     rms = float(np.sqrt(d2.min(axis=1).mean()))
     residuals.append(rms)
     phi = math.atan2(r[1, 0], r[0, 0])
-    return IcpResult(offset=PoseOffset(t[0], t[1], phi), rms=rms, iterations=iterations, residuals=residuals)
+    return IcpResult(offset=Pose(t[0], t[1], phi), rms=rms, iterations=iterations, residuals=residuals)

@@ -207,7 +207,7 @@ def generate_scene_set(sim_cfg: simulator.SimConfig, sigma_pos: float, sigma_rot
     for i in range(n):
         rng = simulator.scene_rng(seed, i)
         meas, lm = simulator.generate_scene(sim_cfg, rng)
-        gps = offset_pose(ORIGIN, sample_offset(sigma_pos, sigma_rot, rng))
+        gps = sample_offset(sigma_pos, sigma_rot, rng)
         scenes.append(Scene(t=float(i), gt_pose=ORIGIN, gps_pose=gps, measurements=meas, landmarks=lm))
     return scenes
 

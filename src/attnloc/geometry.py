@@ -57,25 +57,6 @@ class Pose:
 ORIGIN = Pose(0.0, 0.0, 0.0)
 
 
-@dataclass(frozen=True)
-class PoseOffset:
-    """Small rigid pose correction (dx, dy in meters, dphi in radians)."""
-
-    dx: float
-    dy: float
-    dphi: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.dx) and math.isfinite(self.dy)):
-            raise ValueError(f"offset must be finite, got ({self.dx}, {self.dy})")
-        object.__setattr__(self, "dx", float(self.dx))
-        object.__setattr__(self, "dy", float(self.dy))
-        object.__setattr__(self, "dphi", wrap_angle(float(self.dphi)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dphi], dtype=np.float64)
-
-
 def check_int(name: str, value, least: int) -> int:
     """value as an int; ValueError naming it unless it is an integer >= least (a bool is not)."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
@@ -115,19 +96,19 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
-def correct_pose(p_gps: Pose, d: PoseOffset) -> Pose:
+def correct_pose(p_gps: Pose, d: Pose) -> Pose:
     """Apply a predicted offset to a noisy pose: componentwise subtraction.
 
     Deliberately not SE(2) composition; the offset is defined so that
     subtracting it from the noisy pose recovers the true pose (see
     offset_pose, its exact inverse).
     """
-    return Pose(p_gps.x - d.dx, p_gps.y - d.dy, wrap_angle(p_gps.phi - d.dphi))
+    return Pose(p_gps.x - d.x, p_gps.y - d.y, wrap_angle(p_gps.phi - d.phi))
 
 
-def offset_pose(p: Pose, d: PoseOffset) -> Pose:
+def offset_pose(p: Pose, d: Pose) -> Pose:
     """Shift a pose componentwise by an offset; inverse of correct_pose."""
-    return Pose(p.x + d.dx, p.y + d.dy, wrap_angle(p.phi + d.dphi))
+    return Pose(p.x + d.x, p.y + d.y, wrap_angle(p.phi + d.phi))
 
 
 def utm_to_vehicle(points, pose: Pose) -> np.ndarray:

@@ -173,7 +173,7 @@ def gps_inference(params: net.ModelParams | net.Weights, lmap: np.ndarray, measu
 
     A ModelParams runs on the inference weights it keeps (net.inference_weights).
     """
-    return localize([(lmap, measurements, p_gps)], lambda pairs: [net.predict_offset(*pairs[0], params)], fov_radius)[0]
+    return localize([(lmap, measurements, p_gps)], lambda pairs: net.predict_offsets(pairs, params), fov_radius)[0]
 
 
 class FilterSession:

@@ -23,7 +23,7 @@ import numpy as np
 from . import attention_net as net
 from . import autodiff as ad
 from .autodiff import Tensor
-from .geometry import ORIGIN, PoseOffset, as_points, check_int, check_number, offset_pose, utm_to_vehicle, wrap_angle
+from .geometry import Pose, as_points, check_int, check_number, utm_to_vehicle, wrap_angle
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -54,18 +54,15 @@ class TrainConfig:
         check_number("learning_rate", self.learning_rate, positive=True)
 
 
-def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> PoseOffset:
-    """Independent uniform draws: dx, dy ~ U(-sigma_pos, sigma_pos), dphi ~ U(-sigma_rot, sigma_rot)."""
+def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> Pose:
+    """An offset pose of independent uniform draws, in order: x, y ~ U(-sigma_pos, sigma_pos), phi ~ U(-sigma_rot, sigma_rot)."""
     check_number("sigma_pos", sigma_pos)
     check_number("sigma_rot", sigma_rot)
-    dx = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
-    dy = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
-    dphi = rng.uniform(-sigma_rot, sigma_rot) if sigma_rot > 0 else 0.0
-    return PoseOffset(dx, dy, dphi)
+    return Pose(*(rng.uniform(-s, s) if s > 0 else 0.0 for s in (sigma_pos, sigma_pos, sigma_rot)))
 
 
 def make_training_sample(scene, cfg: TrainConfig,
-                         rng: np.random.Generator) -> tuple[tuple[np.ndarray, np.ndarray], PoseOffset]:
+                         rng: np.random.Generator) -> tuple[tuple[np.ndarray, np.ndarray], Pose]:
     """((measurements, shifted landmarks), label) from a (measurements, landmarks) pair in the true vehicle frame.
 
     The sampled offset shifts the true pose (the origin) componentwise to
@@ -78,10 +75,10 @@ def make_training_sample(scene, cfg: TrainConfig,
     if lm.shape[0] == 0 or m.shape[0] == 0:
         raise ValueError("training sample needs nonempty landmarks and measurements")
     d = sample_offset(cfg.sigma_pos, cfg.sigma_rot, rng)
-    return (m, utm_to_vehicle(lm, offset_pose(ORIGIN, d))), d
+    return (m, utm_to_vehicle(lm, d)), d
 
 
-def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
+def multitask_loss_graph(pred: Tensor, labels: list[Pose],
                          params: net.ModelParams) -> tuple[Tensor, np.ndarray]:
     """Homoscedastic multi-task loss on the raw (B, 3) network output, one label per row.
 
@@ -92,7 +89,7 @@ def multitask_loss_graph(pred: Tensor, labels: list[PoseOffset],
     heading residual is wrapped by folding the (locally constant) 2*pi shift
     into the label, so gradients stay exact across the seam.
     """
-    target = np.array([(d.dx, d.dy, d.dphi) for d in labels])
+    target = np.array([(d.x, d.y, d.phi) for d in labels])
     raw_dphi = pred.data[:, 2] - target[:, 2]
     target[:, 2] -= [wrap_angle(x) - x for x in raw_dphi]
     return ad.homoscedastic_loss(pred, target, params["s_tran"], params["s_rot"])

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from attnloc.geometry import Pose, PoseOffset, as_points, rotation
+from attnloc.geometry import Pose, as_points, rotation
 
 
 def vehicle_to_utm(points, pose: Pose) -> np.ndarray:
@@ -11,17 +11,17 @@ def vehicle_to_utm(points, pose: Pose) -> np.ndarray:
     return pts @ rotation(pose.phi).T + np.array([pose.x, pose.y])
 
 
-def perturb_points(points, d: PoseOffset) -> np.ndarray:
+def perturb_points(points, d: Pose) -> np.ndarray:
     """Apply a rigid perturbation: rotate about the origin, then translate.
 
-    Each point p maps to R(dphi) @ p + [dx, dy]. The rotation center is the
+    Each point p maps to R(d.phi) @ p + [d.x, d.y]. The rotation center is the
     vehicle-frame origin (rear-axle center).
     """
     pts = as_points(points)
-    return pts @ rotation(d.dphi).T + np.array([d.dx, d.dy])
+    return pts @ rotation(d.phi).T + np.array([d.x, d.y])
 
 
-def invert_offset(d: PoseOffset) -> PoseOffset:
+def invert_offset(d: Pose) -> Pose:
     """Parameters of the inverse rigid transform of perturb_points(., d)."""
-    t = rotation(-d.dphi) @ np.array([d.dx, d.dy])
-    return PoseOffset(-t[0], -t[1], -d.dphi)
+    t = rotation(-d.phi) @ np.array([d.x, d.y])
+    return Pose(-t[0], -t[1], -d.phi)

@@ -20,10 +20,11 @@ from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import icp
 from attnloc.dataset_io import Scene, load_checkpoint, load_scenes, save_checkpoint, save_scenes
-from attnloc.geometry import Pose, PoseOffset
+from attnloc.geometry import Pose
 from attnloc.inference import EkfConfig, EkfState, ekf_predict, ekf_update
 from attnloc.map_store import save_map
 from attnloc.simulator import SimConfig, degrade, generate_scene, generate_trajectory, sample_landmarks, scene_rng
+from attention_net_helpers import predict_offset
 from autodiff_helpers import check_gradient, concat, exp, mean, relu, sub
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
@@ -126,7 +127,7 @@ class TestAcceptance:
         params = net.init_params(cfg)
         m = rng.uniform(-20, 20, size=(3, 2))
         lm = rng.uniform(-20, 20, size=(5, 2))
-        label = PoseOffset(0.3, -0.2, 0.05)
+        label = Pose(0.3, -0.2, 0.05)
         fd(lambda: training.multitask_loss_graph(net.forward([(m, lm)], params), [label], params)[0],
            [t for _, t in params.items()])
         elapsed = time.perf_counter() - t0
@@ -141,8 +142,8 @@ class TestAcceptance:
             nu, mu = int(rng.integers(1, 25)), int(rng.integers(1, 30))
             m = rng.uniform(-100, 100, size=(nu, 2))
             lm = rng.uniform(-100, 100, size=(mu, 2))
-            base = net.predict_offset(m, lm, params).as_array()
-            shuf = net.predict_offset(m[rng.permutation(nu)], lm[rng.permutation(mu)], params).as_array()
+            base = predict_offset(m, lm, params).as_array()
+            shuf = predict_offset(m[rng.permutation(nu)], lm[rng.permutation(mu)], params).as_array()
             worst = max(worst, float(np.abs(base - shuf).max()))
         _announce(2, worst < 1e-9, f"200 scenes, worst |delta| {worst:.2e} (< 1e-9)")
 
@@ -199,12 +200,12 @@ class TestAcceptance:
         for seed in range(20):
             rng = np.random.default_rng(200 + seed)
             m = rng.uniform(-25, 25, size=(18, 2))
-            applied = PoseOffset(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
+            applied = Pose(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                                  math.radians(rng.uniform(-5, 5)))
             expect = invert_offset(applied)
             result = icp(m, perturb_points(m, applied))
-            worst_t = max(worst_t, abs(result.offset.dx - expect.dx), abs(result.offset.dy - expect.dy))
-            worst_r = max(worst_r, math.degrees(abs(result.offset.dphi - expect.dphi)))
+            worst_t = max(worst_t, abs(result.offset.x - expect.x), abs(result.offset.y - expect.y))
+            worst_r = max(worst_r, math.degrees(abs(result.offset.phi - expect.phi)))
             worst_iters = max(worst_iters, result.iterations)
             monotone &= all(b <= a + 1e-12 for a, b in zip(result.residuals, result.residuals[1:]))
         ok = worst_t < 1e-3 and worst_r < 0.01 and worst_iters <= 5 and monotone

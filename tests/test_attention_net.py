@@ -15,6 +15,7 @@ from attnloc.autodiff import Tensor
 from attnloc.dataset_io import load_checkpoint, save_checkpoint
 from attnloc.geometry import utm_to_vehicle, wrap_angle
 from attnloc.inference import EkfConfig, FilterSession
+from attention_net_helpers import predict_offset
 from autodiff_helpers import check_gradient, count_tensors, cross_attention, relative_error
 from training_helpers import zero_grads
 
@@ -406,11 +407,11 @@ class TestForward:
             nu, mu = int(rng.integers(1, 9)), int(rng.integers(1, 12))
             m = rng.uniform(-50, 50, size=(nu, 2))
             lm = rng.uniform(-50, 50, size=(mu, 2))
-            base = net.predict_offset(m, lm, small_params)
-            shuffled = net.predict_offset(m[rng.permutation(nu)], lm[rng.permutation(mu)], small_params)
-            assert abs(base.dx - shuffled.dx) < 1e-9
-            assert abs(base.dy - shuffled.dy) < 1e-9
-            assert abs(base.dphi - shuffled.dphi) < 1e-9
+            base = predict_offset(m, lm, small_params)
+            shuffled = predict_offset(m[rng.permutation(nu)], lm[rng.permutation(mu)], small_params)
+            assert abs(base.x - shuffled.x) < 1e-9
+            assert abs(base.y - shuffled.y) < 1e-9
+            assert abs(base.phi - shuffled.phi) < 1e-9
 
     def test_deterministic(self, small_params):
         m, lm = _scene(32)
@@ -432,11 +433,11 @@ class TestForward:
             net.forward([(np.zeros((0, 2)), [[1.0, 0.0]])], small_params)
 
     def test_gradient_subset(self, small_params):
-        from attnloc.geometry import PoseOffset
+        from attnloc.geometry import Pose
         from attnloc.training import multitask_loss_graph
 
         m, lm = _scene(33, nu=3, mu=5)
-        label = PoseOffset(0.2, -0.1, 0.05)
+        label = Pose(0.2, -0.1, 0.05)
         subset = [small_params[n] for n in ("embed_m.w0", "local.q", "global.v", "head.w2", "s_tran", "s_rot")]
         worst = check_gradient(
             lambda: multitask_loss_graph(net.forward([(m, lm)], small_params), [label], small_params)[0], subset
@@ -476,14 +477,14 @@ class TestBatchedForward:
     @given(st.lists(st.tuples(st.integers(1, 6), st.integers(1, 8)), min_size=1, max_size=5),
            st.integers(0, 2**32 - 1))
     def test_batch_gradient_is_the_sum_of_scene_gradients(self, sizes, seed):
-        from attnloc.geometry import PoseOffset
+        from attnloc.geometry import Pose
 
         params = net.init_params(net.NetConfig(d_m=8, heads=2, k=3, seed=1))
         rng = np.random.default_rng(seed)
         params["s_tran"].data[...] = rng.uniform(-1, 1)
         params["s_rot"].data[...] = rng.uniform(-1, 1)
         scenes = [(rng.uniform(-20, 20, size=(nu, 2)), rng.uniform(-20, 20, size=(mu, 2))) for nu, mu in sizes]
-        labels = [PoseOffset(*rng.uniform(-1, 1, size=3)) for _ in sizes]
+        labels = [Pose(*rng.uniform(-1, 1, size=3)) for _ in sizes]
         batch = _scene_grads(scenes, labels, params)
         per_scene = [_scene_grads([sc], [lb], params) for sc, lb in zip(scenes, labels)]
         for name, g in batch.items():
@@ -510,11 +511,11 @@ class TestUnrecordedForward:
             assert built[0] > 0
             built[0] = 0
             plain = net.forward([(m, lm)], net.inference_weights(params))
-            pred = net.predict_offset(m, lm, params)
+            pred = predict_offset(m, lm, params)
             assert built[0] == 0
             assert type(plain) is np.ndarray and np.array_equal(plain, recorded)
             assert np.array_equal(pred.as_array()[:2], recorded[0, :2])
-            assert pred.dphi == wrap_angle(recorded[0, 2])
+            assert pred.phi == wrap_angle(recorded[0, 2])
         for sc in scenes:
             session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, EkfConfig(), fov_radius=100.0)
             session.step(sc.measurements, 0.05)
@@ -529,11 +530,11 @@ class TestUnrecordedForward:
             m, lm = _scene(34, nu=4, mu=mu)
             (m if where == "measurements" else lm)[1, 0] = bad
             with pytest.raises(ValueError, match="entries must be finite"):
-                net.predict_offset(m, lm, small_params)
+                predict_offset(m, lm, small_params)
 
 
 # predict_offset of the pinned desk checkpoint on generate_scene_set(mixture,
-# seed 5)[:12], landmarks in each scene's GPS frame, as (dx, dy, dphi)
+# seed 5)[:12], landmarks in each scene's GPS frame, as (x, y, phi)
 DESK_CHECKPOINT = Path(__file__).resolve().parent.parent / "perfbench" / "desk_checkpoint.json"
 DESK_OFFSETS = [
     (0.7380665050589066, 0.7840632035456542, -0.06066347180620638),
@@ -556,7 +557,7 @@ class TestPinnedCheckpoint:
         params = load_checkpoint(str(DESK_CHECKPOINT))
         scenes = experiment.generate_scene_set(simulator.SimConfig(distribution="mixture", seed=5),
                                                1.0, math.radians(4.0), len(DESK_OFFSETS), 5)
-        got = [net.predict_offset(sc.measurements, utm_to_vehicle(sc.landmarks, sc.gps_pose), params).as_array()
+        got = [predict_offset(sc.measurements, utm_to_vehicle(sc.landmarks, sc.gps_pose), params).as_array()
                for sc in scenes]
         np.testing.assert_allclose(got, DESK_OFFSETS, rtol=0, atol=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnloc.baselines import icp
-from attnloc.geometry import Pose, PoseOffset
+from attnloc.geometry import Pose
 from attnloc.simulator import generate_trajectory
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
@@ -20,41 +20,41 @@ class TestIcp:
         result = icp(m, m)
         assert result.iterations == 1
         assert result.rms < 1e-12
-        assert abs(result.offset.dx) < 1e-12
-        assert abs(result.offset.dy) < 1e-12
-        assert abs(result.offset.dphi) < 1e-12
+        assert abs(result.offset.x) < 1e-12
+        assert abs(result.offset.y) < 1e-12
+        assert abs(result.offset.phi) < 1e-12
 
     def test_construct_and_invert(self):
         # landmarks are a rigid transform of the measurements; the recovered
         # transform maps them back, i.e. the analytic inverse
         m = _cloud(1)
-        applied = PoseOffset(0.5, 0.3, math.radians(3.0))
+        applied = Pose(0.5, 0.3, math.radians(3.0))
         lm = perturb_points(m, applied)
         expect = invert_offset(applied)
         result = icp(m, lm)
         assert result.iterations <= 5
-        assert result.offset.dx == pytest.approx(expect.dx, abs=1e-3)
-        assert result.offset.dy == pytest.approx(expect.dy, abs=1e-3)
-        assert math.degrees(abs(result.offset.dphi - expect.dphi)) < 0.01
+        assert result.offset.x == pytest.approx(expect.x, abs=1e-3)
+        assert result.offset.y == pytest.approx(expect.y, abs=1e-3)
+        assert math.degrees(abs(result.offset.phi - expect.phi)) < 0.01
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_small_offsets_recovered(self, seed):
         rng = np.random.default_rng(100 + seed)
         m = rng.uniform(-25, 25, size=(20, 2))
-        applied = PoseOffset(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
+        applied = Pose(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
                              math.radians(rng.uniform(-5, 5)))
         lm = perturb_points(m, applied)
         expect = invert_offset(applied)
         result = icp(m, lm)
         assert result.iterations <= 5
-        assert abs(result.offset.dx - expect.dx) < 1e-3
-        assert abs(result.offset.dy - expect.dy) < 1e-3
-        assert math.degrees(abs(result.offset.dphi - expect.dphi)) < 0.01
+        assert abs(result.offset.x - expect.x) < 1e-3
+        assert abs(result.offset.y - expect.y) < 1e-3
+        assert math.degrees(abs(result.offset.phi - expect.phi)) < 0.01
 
     def test_residual_monotone_nonincreasing(self):
         rng = np.random.default_rng(2)
         m = rng.uniform(-20, 20, size=(25, 2))
-        lm = perturb_points(m, PoseOffset(0.8, -0.6, math.radians(6)))
+        lm = perturb_points(m, Pose(0.8, -0.6, math.radians(6)))
         result = icp(m, lm, tol=0.0, max_iter=20)  # force full iteration count
         for a, b in zip(result.residuals, result.residuals[1:]):
             assert b <= a + 1e-12
@@ -62,7 +62,7 @@ class TestIcp:
     def test_clutter_degrades_residual(self):
         rng = np.random.default_rng(3)
         m_clean = rng.uniform(-20, 20, size=(20, 2))
-        lm = perturb_points(m_clean, PoseOffset(0.2, 0.1, math.radians(2)))
+        lm = perturb_points(m_clean, Pose(0.2, 0.1, math.radians(2)))
         lm_noisy = lm + rng.uniform(-0.1, 0.1, size=lm.shape)
         clean = icp(m_clean, lm_noisy)
         clutter = rng.uniform(-20, 20, size=(4, 2))  # 20% spurious measurements
@@ -80,12 +80,12 @@ class TestIcp:
 
     def test_init_guess_used(self):
         m = _cloud(4)
-        applied = PoseOffset(2.5, -1.5, math.radians(10))  # beyond cold-start capture
+        applied = Pose(2.5, -1.5, math.radians(10))  # beyond cold-start capture
         lm = perturb_points(m, applied)
         expect = invert_offset(applied)
-        warm = icp(m, lm, init=PoseOffset(expect.dx + 0.1, expect.dy - 0.1, expect.dphi))
-        assert abs(warm.offset.dx - expect.dx) < 1e-3
-        assert abs(warm.offset.dy - expect.dy) < 1e-3
+        warm = icp(m, lm, init=Pose(expect.x + 0.1, expect.y - 0.1, expect.phi))
+        assert abs(warm.offset.x - expect.x) < 1e-3
+        assert abs(warm.offset.y - expect.y) < 1e-3
 
 
 class TestEkfGpsBaseline:

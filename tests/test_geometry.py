@@ -10,7 +10,6 @@ from attnloc import experiment
 from attnloc.geometry import (
     ORIGIN,
     Pose,
-    PoseOffset,
     as_points,
     check_finite,
     check_number,
@@ -65,7 +64,7 @@ class TestPoseTypes:
         with pytest.raises(ValueError):
             Pose(math.nan, 0, 0)
         with pytest.raises(ValueError):
-            PoseOffset(0, math.inf, 0)
+            Pose(0, math.inf, 0)
 
     def test_as_points_shape(self):
         assert as_points([]).shape == (0, 2)
@@ -76,25 +75,25 @@ class TestPoseTypes:
 
 class TestCorrectPose:
     def test_zero_offset(self):
-        p = correct_pose(Pose(10, 5, 0.1), PoseOffset(0, 0, 0))
+        p = correct_pose(Pose(10, 5, 0.1), Pose(0, 0, 0))
         assert (p.x, p.y, p.phi) == (10, 5, 0.1)
 
     def test_direct_substitution(self):
-        p = correct_pose(Pose(0, 0, 0), PoseOffset(1, -2, 0.5))
+        p = correct_pose(Pose(0, 0, 0), Pose(1, -2, 0.5))
         assert (p.x, p.y, p.phi) == (-1, 2, -0.5)
 
     def test_wrap_after_subtraction(self):
-        p = correct_pose(Pose(0, 0, 3.0), PoseOffset(0, 0, -0.5))
+        p = correct_pose(Pose(0, 0, 3.0), Pose(0, 0, -0.5))
         assert p.phi == pytest.approx(3.5 - 2 * PI)
 
     def test_exact_identity_under_zero(self):
         p = Pose(123.456, -9.25, 1.125)
-        q = correct_pose(p, PoseOffset(0.0, 0.0, 0.0))
+        q = correct_pose(p, Pose(0.0, 0.0, 0.0))
         assert q == p
 
     def test_inverse_of_offset_pose(self):
         p = Pose(4.0, -2.0, 0.7)
-        d = PoseOffset(0.3, -0.8, 0.2)
+        d = Pose(0.3, -0.8, 0.2)
         q = correct_pose(offset_pose(p, d), d)
         assert (q.x, q.y, q.phi) == pytest.approx((p.x, p.y, p.phi), abs=1e-12)
 
@@ -144,28 +143,28 @@ class TestFrameTransforms:
 class TestPerturbPoints:
     def test_identity(self):
         pts = np.array([[1.0, 2.0]])
-        np.testing.assert_array_equal(perturb_points(pts, PoseOffset(0, 0, 0)), pts)
+        np.testing.assert_array_equal(perturb_points(pts, Pose(0, 0, 0)), pts)
 
     def test_pure_translation(self):
-        out = perturb_points([[0.0, 0.0]], PoseOffset(1, 0, 0))
+        out = perturb_points([[0.0, 0.0]], Pose(1, 0, 0))
         np.testing.assert_allclose(out, [[1.0, 0.0]], atol=1e-15)
 
     def test_half_turn(self):
-        out = perturb_points([[1.0, 0.0]], PoseOffset(0, 0, PI))
+        out = perturb_points([[1.0, 0.0]], Pose(0, 0, PI))
         np.testing.assert_allclose(out, [[-1.0, 0.0]], atol=1e-15)
 
     def test_inverse_transform_round_trip(self):
         rng = np.random.default_rng(1)
         pts = rng.uniform(-100, 100, size=(15, 2))
-        d = PoseOffset(0.7, -1.2, 0.4)
+        d = Pose(0.7, -1.2, 0.4)
         back = perturb_points(perturb_points(pts, d), invert_offset(d))
         np.testing.assert_allclose(back, pts, atol=1e-9)
 
     def test_inverse_matches_utm_transform(self):
         # transforming with the offset-as-pose is the inverse rigid perturbation
         pts = np.array([[3.0, -4.0], [0.5, 2.5]])
-        d = PoseOffset(0.4, 0.9, -0.3)
-        a = utm_to_vehicle(pts, Pose(d.dx, d.dy, d.dphi))
+        d = Pose(0.4, 0.9, -0.3)
+        a = utm_to_vehicle(pts, Pose(d.x, d.y, d.phi))
         b = perturb_points(pts, invert_offset(d))
         np.testing.assert_allclose(a, b, atol=1e-12)
 

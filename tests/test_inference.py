@@ -8,7 +8,7 @@ import pytest
 from attnloc import attention_net as net
 from attnloc import experiment, inference, training
 from attnloc.dataset_io import Scene, load_checkpoint
-from attnloc.geometry import ORIGIN, Pose, PoseOffset, correct_pose, offset_pose, utm_to_vehicle
+from attnloc.geometry import ORIGIN, Pose, correct_pose, offset_pose, utm_to_vehicle
 from attnloc.inference import (
     EkfConfig,
     EkfState,
@@ -22,6 +22,7 @@ from attnloc.inference import (
 )
 from attnloc.map_store import query_fov
 from attnloc.simulator import OMEGA_EPS, SimConfig, generate_trajectory
+from attention_net_helpers import predict_offset
 from inference_helpers import ekf_predict_reference, ekf_update_reference
 from training_helpers import zero_grads
 
@@ -221,9 +222,9 @@ class TestGpsInference:
         # an oracle that outputs the exact offset undoes the GPS error
         pts = self._map()
         gt = Pose(0.0, 0.0, 0.0)
-        d = PoseOffset(0.4, -0.2, 0.05)
+        d = Pose(0.4, -0.2, 0.05)
         p_gps = offset_pose(gt, d)
-        monkeypatch.setattr(inference.net, "predict_offset", lambda m, lm, p: d)
+        monkeypatch.setattr(inference.net, "predict_offsets", lambda pairs, p: [d])
         out = gps_inference(zero_net, pts, pts, p_gps, fov_radius=100.0)
         assert (out.x, out.y, out.phi) == pytest.approx((gt.x, gt.y, gt.phi), abs=1e-12)
 
@@ -308,12 +309,12 @@ class TestFilterSession:
 
         z_seq = iter(noisy)
 
-        def oracle(m, lm, p):
+        def oracle(pairs, p):
             z = next(z_seq)
             prev = session.state.pose()
-            return PoseOffset(prev.x - z.x, prev.y - z.y, prev.phi - z.phi)
+            return [Pose(prev.x - z.x, prev.y - z.y, prev.phi - z.phi)]
 
-        monkeypatch.setattr(inference.net, "predict_offset", oracle)
+        monkeypatch.setattr(inference.net, "predict_offsets", oracle)
         filtered = [session.step(pts[:5], dt=0.1) for _ in truth]
 
         def rmse_pos(est):
@@ -370,25 +371,25 @@ class TestInferenceWeights:
         for i in range(50):
             sc = scenes[i % len(scenes)]
             gps_inference(params, experiment.scene_map(sc), sc.measurements, sc.gps_pose, 60.0)
-            net.predict_offset(sc.measurements, sc.landmarks, params)
+            predict_offset(sc.measurements, sc.landmarks, params)
         assert len(derived) == 1
 
     def test_replacing_arrays_derives_anew(self, setup, monkeypatch):
         params, scenes = _copy_params(setup[0]), setup[1]
         sc = scenes[0]
         session = FilterSession(params, experiment.scene_map(sc), sc.gps_pose, EkfConfig(), fov_radius=100.0)
-        before = net.predict_offset(sc.measurements, sc.landmarks, params)
+        before = predict_offset(sc.measurements, sc.landmarks, params)
         pred = net.forward([(sc.measurements, sc.landmarks)], params)
         zero_grads(params)
         pred.sum().backward()
         state = training.AdamState(params)
         training.adam_step(params, np.concatenate([t.grad.ravel() for _, t in params.items()]), state, 1e-2)
         derived = _count_derivations(monkeypatch)
-        after = net.predict_offset(sc.measurements, sc.landmarks, params)
+        after = predict_offset(sc.measurements, sc.landmarks, params)
         assert len(derived) == 1 and derived[0] is not session.weights
-        assert after == net.predict_offset(sc.measurements, sc.landmarks, _copy_params(params)) != before
+        assert after == predict_offset(sc.measurements, sc.landmarks, _copy_params(params)) != before
         assert all(session.weights[name] is not t.data for name, t in params.items())
-        assert net.predict_offset(sc.measurements, sc.landmarks, session.weights) == before
+        assert predict_offset(sc.measurements, sc.landmarks, session.weights) == before
 
     def test_derived_weights_come_back_unchanged(self, setup):
         weights = net.inference_weights(setup[0])

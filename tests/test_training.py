@@ -12,7 +12,7 @@ from attnloc import experiment, simulator, training
 from attnloc.autodiff import Tensor
 from attnloc.baselines import icp
 from attnloc.dataset_io import save_checkpoint
-from attnloc.geometry import PoseOffset
+from attnloc.geometry import Pose
 from attnloc.training import (
     AdamState,
     TrainConfig,
@@ -28,7 +28,7 @@ import training_helpers as per_array
 class TestSampleOffset:
     def test_zero_sigma(self):
         d = sample_offset(0.0, 0.0, np.random.default_rng(0))
-        assert (d.dx, d.dy, d.dphi) == (0.0, 0.0, 0.0)
+        assert (d.x, d.y, d.phi) == (0.0, 0.0, 0.0)
 
     def test_bounds_and_mean(self):
         rng = np.random.default_rng(1)
@@ -81,7 +81,7 @@ class TestMakeTrainingSample:
         (_, shifted), label = make_training_sample((m, lm), self._cfg(sigma_pos=0.0, sigma_rot=0.0),
                                                    np.random.default_rng(0))
         np.testing.assert_allclose(shifted, lm, atol=1e-15)
-        assert label == PoseOffset(0, 0, 0)
+        assert label == Pose(0, 0, 0)
 
     def test_label_within_bounds(self):
         lm = np.random.default_rng(2).uniform(-20, 20, size=(8, 2))
@@ -89,16 +89,16 @@ class TestMakeTrainingSample:
         rng = np.random.default_rng(3)
         for _ in range(50):
             _, label = make_training_sample((lm, lm), cfg, rng)
-            assert abs(label.dx) <= 1.0 and abs(label.dy) <= 1.0
-            assert abs(label.dphi) <= math.radians(4)
+            assert abs(label.x) <= 1.0 and abs(label.y) <= 1.0
+            assert abs(label.phi) <= math.radians(4)
 
     def test_icp_oracle_recovers_identity_at_zero_offset(self):
         lm = np.random.default_rng(4).uniform(-20, 20, size=(10, 2))
         pair, _ = make_training_sample((lm, lm), self._cfg(sigma_pos=0.0, sigma_rot=0.0), np.random.default_rng(5))
         result = icp(*pair)
-        assert abs(result.offset.dx) < 1e-9
-        assert abs(result.offset.dy) < 1e-9
-        assert abs(result.offset.dphi) < 1e-9
+        assert abs(result.offset.x) < 1e-9
+        assert abs(result.offset.y) < 1e-9
+        assert abs(result.offset.phi) < 1e-9
 
     def test_icp_oracle_recovers_sampled_label(self):
         # the landmark transform must be exactly what the subtraction
@@ -107,9 +107,9 @@ class TestMakeTrainingSample:
         rng = np.random.default_rng(7)
         pair, label = make_training_sample((lm, lm), self._cfg(sigma_pos=0.4, sigma_rot=math.radians(3)), rng)
         result = icp(*pair)
-        assert result.offset.dx == pytest.approx(label.dx, abs=1e-6)
-        assert result.offset.dy == pytest.approx(label.dy, abs=1e-6)
-        assert result.offset.dphi == pytest.approx(label.dphi, abs=1e-8)
+        assert result.offset.x == pytest.approx(label.x, abs=1e-6)
+        assert result.offset.y == pytest.approx(label.y, abs=1e-6)
+        assert result.offset.phi == pytest.approx(label.phi, abs=1e-8)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ class TestMakeTrainingSample:
         assert net.forward([sample], params).data.shape == (1, 3)
 
 
-def _loss(pred: PoseOffset, label: PoseOffset, s_tran: float, s_rot: float) -> tuple[float, float, float]:
+def _loss(pred: Pose, label: Pose, s_tran: float, s_rot: float) -> tuple[float, float, float]:
     """multitask_loss_graph on a fixed prediction: (l_multi value, l_tran, l_rot)."""
     params = net.init_params(net.NetConfig(d_m=8, heads=2, k=2, seed=0))
     params = net.ModelParams(params.config, {**params.tensors, "s_tran": Tensor([[s_tran]]), "s_rot": Tensor([[s_rot]])})
@@ -136,29 +136,29 @@ def _loss(pred: PoseOffset, label: PoseOffset, s_tran: float, s_rot: float) -> t
 
 class TestMultitaskLoss:
     def test_zero_residuals(self):
-        label = PoseOffset(0.3, -0.2, 0.1)
+        label = Pose(0.3, -0.2, 0.1)
         l_multi, l_tran, l_rot = _loss(label, label, s_tran=0.7, s_rot=-0.3)
         assert (l_tran, l_rot) == (0.0, 0.0)
         assert l_multi == pytest.approx(0.7 - 0.3)
 
     def test_unit_weights(self):
-        pred = PoseOffset(1.0, 0.0, 0.1)
-        label = PoseOffset(0.0, 1.0, 0.0)
+        pred = Pose(1.0, 0.0, 0.1)
+        label = Pose(0.0, 1.0, 0.0)
         l_multi, l_tran, l_rot = _loss(pred, label, 0.0, 0.0)
         assert l_multi == pytest.approx(l_tran + l_rot)
         assert l_tran == pytest.approx(2.0)
 
     def test_direct_substitution(self):
         # L_tran=2, L_rot=1, s_tran=ln 2, s_rot=0 -> 2 + ln 2
-        pred = PoseOffset(1.0, 1.0, 1.0)
-        label = PoseOffset(0.0, 0.0, 0.0)
+        pred = Pose(1.0, 1.0, 1.0)
+        label = Pose(0.0, 0.0, 0.0)
         l_multi, l_tran, l_rot = _loss(pred, label, math.log(2.0), 0.0)
         assert (l_tran, l_rot) == (2.0, 1.0)
         assert l_multi == pytest.approx(2.0 + math.log(2.0))
 
     def test_rotation_residual_wraps(self):
-        near_pi = PoseOffset(0.0, 0.0, math.pi - 0.01)
-        near_minus_pi = PoseOffset(0.0, 0.0, -math.pi + 0.01)
+        near_pi = Pose(0.0, 0.0, math.pi - 0.01)
+        near_minus_pi = Pose(0.0, 0.0, -math.pi + 0.01)
         _, _, l_rot = _loss(near_pi, near_minus_pi, 0.0, 0.0)
         assert l_rot == pytest.approx(0.02**2, rel=1e-9)
 
@@ -167,7 +167,7 @@ class TestMultitaskLoss:
         params = net.init_params(cfg)
         params = net.ModelParams(cfg, {**params.tensors, "s_tran": Tensor([[0.4]]), "s_rot": Tensor([[-0.2]])})
         pred = Tensor([[0.3, -0.1, 3.2]])
-        label = PoseOffset(0.1, 0.2, -3.1)
+        label = Pose(0.1, 0.2, -3.1)
         got = multitask_loss_graph(pred, [label], params)[0].data[0, 0]
         # closed form: the heading residual 6.3 wraps to 6.3 - 2 pi
         l_tran = (0.3 - 0.1) ** 2 + (-0.1 - 0.2) ** 2
@@ -179,7 +179,7 @@ class TestMultitaskLoss:
         cfg = net.NetConfig(d_m=8, heads=2, k=2, seed=0)
         params = net.init_params(cfg)
         pred = Tensor([[0.5, -0.3, 0.02]])
-        label = PoseOffset(0.1, 0.1, 0.0)
+        label = Pose(0.1, 0.1, 0.0)
         per_array.zero_grads(params)
         loss, rows = multitask_loss_graph(pred, [label], params)
         loss.backward()
@@ -322,7 +322,7 @@ class TestTrain:
         def poisoned(*args):
             pair, label = make(*args)
             if len(calls) == 10 * epoch + sample:
-                label = PoseOffset(1e200, label.dy, label.dphi)
+                label = Pose(1e200, label.y, label.phi)
             calls.append(label)
             return pair, label
 
@@ -520,7 +520,7 @@ class TestHelperProcess:
                 (meas, lm), label = make(*args)
                 if len(calls) == MIXED.samples_per_epoch * epoch + sample:
                     if poison == "label":
-                        label = PoseOffset(1e200, label.dy, label.dphi)
+                        label = Pose(1e200, label.y, label.phi)
                     else:
                         meas = meas * 1e200
                 calls.append(label)
