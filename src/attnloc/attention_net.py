@@ -3,7 +3,7 @@
 Pipeline: kNN grouping of landmarks around each measurement, row-wise
 feed-forward embeddings, per-measurement local attention over the grouped
 neighbors, global self-attention over the local features, max pooling, and
-a feed-forward head regressing the pose offset (dx, dy, dphi).
+a feed-forward head regressing the offset pose (x, y, phi).
 """
 
 from __future__ import annotations
@@ -296,7 +296,7 @@ def local_attention(scenes, params: ModelParams | Weights):
 
 
 def forward(scenes, params: ModelParams | Weights):
-    """Raw (B, 3) offset regressions (dx, dy, dphi before wrapping), row b for scene b.
+    """Raw (B, 3) offset regressions (x, y, phi before wrapping), row b for scene b.
 
     scenes is a list of B (measurements, landmarks) pairs. Their rows stack
     with no padding: the embeddings and the local block run once over all

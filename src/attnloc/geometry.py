@@ -96,19 +96,23 @@ def rotation(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]], dtype=np.float64)
 
 
-def correct_pose(p_gps: Pose, d: Pose) -> Pose:
-    """Apply a predicted offset to a noisy pose: componentwise subtraction.
+def correct_pose(p: Pose, d: Pose) -> Pose:
+    """The true pose of a prior p whose offset is d: p composed with the inverse of d in SE(2).
 
-    Deliberately not SE(2) composition; the offset is defined so that
-    subtracting it from the noisy pose recovers the true pose (see
-    offset_pose, its exact inverse).
+    An offset is the prior read in the true vehicle frame, so that
+    p = offset_pose(truth, d); the network output, the training label, the
+    GPS noise draw and the ICP result all read so. The true heading is
+    p.phi - d.phi, and (d.x, d.y) turned by it is subtracted from p.
     """
-    return Pose(p_gps.x - d.x, p_gps.y - d.y, wrap_angle(p_gps.phi - d.phi))
+    phi = p.phi - d.phi
+    c, s = math.cos(phi), math.sin(phi)
+    return Pose(p.x - (c * d.x - s * d.y), p.y - (s * d.x + c * d.y), phi)
 
 
 def offset_pose(p: Pose, d: Pose) -> Pose:
-    """Shift a pose componentwise by an offset; inverse of correct_pose."""
-    return Pose(p.x + d.x, p.y + d.y, wrap_angle(p.phi + d.phi))
+    """p composed with d in SE(2): (d.x, d.y) turned by p.phi is added; inverse of correct_pose, d at ORIGIN."""
+    c, s = math.cos(p.phi), math.sin(p.phi)
+    return Pose(p.x + (c * d.x - s * d.y), p.y + (s * d.x + c * d.y), p.phi + d.phi)
 
 
 def utm_to_vehicle(points, pose: Pose) -> np.ndarray:

@@ -135,7 +135,8 @@ def ekf_update(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
             raise np.linalg.LinAlgError("innovation covariance is not finite")
     except np.linalg.LinAlgError as exc:
         raise InnovationError("innovation covariance is not positive definite") from exc
-    k = s.cov[:, :3] @ np.linalg.inv(s_mat)
+    # K = P H^T S^-1, from one solve against the symmetric S and P
+    k = np.linalg.solve(s_mat, s.cov[:3, :]).T
     mean = s.mean + k @ innov
     mean[2] = wrap_angle(mean[2])
     ikh = _EYE5.copy()
@@ -151,9 +152,10 @@ def localize(queries, regress, fov_radius: float) -> list[Pose]:
 
     Per (map, measurements, prior) query, the map landmarks in the field of
     view of the prior are moved into its vehicle frame; regress maps the list
-    of (measurements, landmarks) pairs to one offset each, subtracted from
-    its prior. The first query with empty measurements raises ValueError, and
-    the first with an empty field of view NoLandmarksInFov.
+    of (measurements, landmarks) pairs to one offset each, which
+    geometry.correct_pose takes off its prior. The first query with empty
+    measurements raises ValueError, and the first with an empty field of
+    view NoLandmarksInFov.
     """
     pairs = []
     for lmap, measurements, prior in queries:
@@ -179,11 +181,11 @@ def gps_inference(params: net.ModelParams | net.Weights, lmap: np.ndarray, measu
 class FilterSession:
     """EKF-smoothed localization needing only one GPS pose to initialize.
 
-    Each step corrects the previous estimate by the network offset, as
-    gps_inference does a GPS pose, and feeds the corrected pose to the
-    filter as a measurement. The session derives the network's inference
-    weights once, at construction, and holds that snapshot: later updates
-    to params do not reach it. It checks the radius and the map once too,
+    Each step predicts the state over dt, corrects the predicted pose by
+    the network offset, as gps_inference does a GPS pose, and feeds the
+    corrected pose to the predicted state as a measurement. The session
+    derives the network's inference weights once, at construction, and
+    holds that snapshot: later updates to params do not reach it. It checks the radius and the map once too,
     so a bad one fails the construction, not a later step.
     """
 
@@ -198,7 +200,7 @@ class FilterSession:
     def step(self, measurements, dt: float) -> Pose:
         """Advance one frame; returns the smoothed pose estimate."""
         check_number("dt", dt, positive=True)
-        z = gps_inference(self.weights, self.lmap, measurements, self.state.pose(), self.fov_radius)
-        self.state = ekf_predict(self.state, self.cfg, dt)
-        self.state = ekf_update(self.state, z, self.cfg)
+        predicted = ekf_predict(self.state, self.cfg, dt)
+        z = gps_inference(self.weights, self.lmap, measurements, predicted.pose(), self.fov_radius)
+        self.state = ekf_update(predicted, z, self.cfg)
         return self.state.pose()

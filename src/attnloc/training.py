@@ -1,10 +1,11 @@
 """Offset-label generation, homoscedastic multi-task loss, Adam, training loop.
 
 Each training sample pairs measurements (true vehicle frame) with landmarks
-transformed by a pose shifted by a freshly sampled offset; the offset is the
-regression label. By construction correct_pose(shifted_pose, label) recovers
-the true pose exactly, so the trained predictor plugs straight into the
-subtraction-based inference correction.
+moved into the frame of a freshly sampled offset pose; the offset is the
+regression label. The true pose is the origin, so the offset is the noisy
+pose itself and correct_pose(offset, label) recovers the origin exactly;
+the trained predictor plugs straight into the SE(2) inference correction,
+which reads the offset in the vehicle frame at any true pose.
 """
 
 from __future__ import annotations
@@ -55,19 +56,22 @@ class TrainConfig:
 
 
 def sample_offset(sigma_pos: float, sigma_rot: float, rng: np.random.Generator) -> Pose:
-    """An offset pose of independent uniform draws, in order: x, y ~ U(-sigma_pos, sigma_pos), phi ~ U(-sigma_rot, sigma_rot)."""
+    """An offset pose of independent uniform draws: x, y ~ U(-sigma_pos, sigma_pos), phi ~ U(-sigma_rot, sigma_rot)."""
     check_number("sigma_pos", sigma_pos)
     check_number("sigma_rot", sigma_rot)
-    return Pose(*(rng.uniform(-s, s) if s > 0 else 0.0 for s in (sigma_pos, sigma_pos, sigma_rot)))
+    x = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
+    y = rng.uniform(-sigma_pos, sigma_pos) if sigma_pos > 0 else 0.0
+    phi = rng.uniform(-sigma_rot, sigma_rot) if sigma_rot > 0 else 0.0
+    return Pose(x, y, phi)
 
 
 def make_training_sample(scene, cfg: TrainConfig,
                          rng: np.random.Generator) -> tuple[tuple[np.ndarray, np.ndarray], Pose]:
     """((measurements, shifted landmarks), label) from a (measurements, landmarks) pair in the true vehicle frame.
 
-    The sampled offset shifts the true pose (the origin) componentwise to
-    simulate a noisy GPS pose; the landmarks are transformed into that
-    simulated frame and the offset becomes the label.
+    The sampled offset, composed onto the true pose (the origin), is the
+    simulated noisy GPS pose; the landmarks are transformed into its frame
+    and the offset becomes the label.
     """
     measurements, landmarks = scene
     lm = as_points(landmarks)

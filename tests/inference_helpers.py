@@ -64,7 +64,7 @@ def ekf_update_reference(s: EkfState, z: Pose, cfg: EkfConfig) -> EkfState:
         np.linalg.cholesky(s_mat)
     except np.linalg.LinAlgError as exc:
         raise InnovationError("innovation covariance is not positive definite") from exc
-    k = s.cov[:, :3] @ np.linalg.inv(s_mat)
+    k = np.linalg.solve(s_mat, s.cov[:3, :]).T
     mean = s.mean + k @ innov
     mean[2] = wrap_angle(mean[2])
     ikh = np.eye(5)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from attnloc.baselines import icp
-from attnloc.geometry import Pose
+from attnloc.geometry import Pose, correct_pose, utm_to_vehicle, wrap_angle
 from attnloc.simulator import generate_trajectory
 from baselines_helpers import ekf_gps_baseline
 from geometry_helpers import invert_offset, perturb_points
@@ -12,6 +12,17 @@ from geometry_helpers import invert_offset, perturb_points
 
 def _cloud(seed, n=15, scale=20.0):
     return np.random.default_rng(seed).uniform(-scale, scale, size=(n, 2))
+
+
+class TestIcpCorrection:
+    @pytest.mark.parametrize("heading_deg", [0, 45, 90, 180])
+    def test_noise_free_offset_taken_off_the_prior_is_the_truth(self, heading_deg):
+        # 20 landmarks seen from the truth and from a prior 0.36 m and 1.5 deg off it, at any true heading
+        truth = Pose(12.0, -7.0, math.radians(heading_deg))
+        lmap = _cloud(9, n=20) + [truth.x, truth.y]
+        prior = Pose(truth.x + 0.3, truth.y - 0.2, truth.phi + math.radians(1.5))
+        est = correct_pose(prior, icp(utm_to_vehicle(lmap, truth), utm_to_vehicle(lmap, prior)).offset)
+        assert max(abs(est.x - truth.x), abs(est.y - truth.y), abs(wrap_angle(est.phi - truth.phi))) < 1e-9
 
 
 class TestIcp:

@@ -79,8 +79,16 @@ class TestCorrectPose:
         assert (p.x, p.y, p.phi) == (10, 5, 0.1)
 
     def test_direct_substitution(self):
-        p = correct_pose(Pose(0, 0, 0), Pose(1, -2, 0.5))
-        assert (p.x, p.y, p.phi) == (-1, 2, -0.5)
+        # (d.x, d.y) is turned by the true heading p.phi - d.phi; at 0 it is subtracted as it stands
+        p = correct_pose(Pose(3, 4, PI / 2), Pose(1, -2, PI / 2))
+        assert (p.x, p.y, p.phi) == (2, 6, 0)
+        # at -pi/2, (1, -2) turns to (-2, -1)
+        p = correct_pose(Pose(0, 0, 0), Pose(1, -2, PI / 2))
+        assert (p.x, p.y, p.phi) == pytest.approx((2, 1, -PI / 2), abs=1e-15)
+
+    def test_offset_pose_at_origin_is_the_offset(self):
+        d = Pose(0.3, -0.8, 0.2)
+        assert offset_pose(ORIGIN, d) == d
 
     def test_wrap_after_subtraction(self):
         p = correct_pose(Pose(0, 0, 3.0), Pose(0, 0, -0.5))

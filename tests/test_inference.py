@@ -8,7 +8,7 @@ import pytest
 from attnloc import attention_net as net
 from attnloc import experiment, inference, training
 from attnloc.dataset_io import Scene, load_checkpoint
-from attnloc.geometry import ORIGIN, Pose, correct_pose, offset_pose, utm_to_vehicle
+from attnloc.geometry import ORIGIN, Pose, correct_pose, offset_pose, utm_to_vehicle, wrap_angle
 from attnloc.inference import (
     EkfConfig,
     EkfState,
@@ -21,9 +21,11 @@ from attnloc.inference import (
     init_state,
 )
 from attnloc.map_store import query_fov
-from attnloc.simulator import OMEGA_EPS, SimConfig, generate_trajectory
+from attnloc.simulator import OMEGA_EPS, SimConfig, generate_scene, generate_trajectory
 from attention_net_helpers import predict_offset
+from geometry_helpers import vehicle_to_utm
 from inference_helpers import ekf_predict_reference, ekf_update_reference
+from metrics_helpers import pose_errors
 from training_helpers import zero_grads
 
 
@@ -310,9 +312,10 @@ class TestFilterSession:
         z_seq = iter(noisy)
 
         def oracle(pairs, p):
+            # the offset that correct_pose takes off the prior, the predicted pose, to give z
             z = next(z_seq)
-            prev = session.state.pose()
-            return [Pose(prev.x - z.x, prev.y - z.y, prev.phi - z.phi)]
+            prior = ekf_predict(session.state, session.cfg, 0.1).pose()
+            return [Pose(*utm_to_vehicle([[prior.x, prior.y]], z)[0], prior.phi - z.phi)]
 
         monkeypatch.setattr(inference.net, "predict_offsets", oracle)
         filtered = [session.step(pts[:5], dt=0.1) for _ in truth]
@@ -481,17 +484,18 @@ class TestStackedEvaluation:
 
 
 ROOT = Path(__file__).resolve().parent.parent
-# FilterSession with the pinned desk checkpoint over the first 200 frames of
-# the configs/filter_desk.json drive: every 25th pose from frame 24, (x, y, phi)
+# FilterSession (predict, correct the predicted pose, update) with the pinned
+# desk checkpoint over the first 200 frames of the configs/filter_desk.json
+# drive: every 25th pose from frame 24, (x, y, phi)
 DESK_FILTER_POSES = {
-    24: (9.615359943303252, 0.08943878780039197, 0.04112283299615273),
-    49: (19.644276913213734, 0.6781855943298623, 0.07821928200957508),
-    74: (29.527627458656497, 1.513601375357138, 0.10108070626360698),
-    99: (39.51127446961657, 2.6582139997425975, 0.14344417111855187),
-    124: (49.412216621889094, 4.084720497474402, 0.17178649901913728),
-    149: (59.266710128752194, 5.842641376264357, 0.20102828695146516),
-    174: (69.04256988600177, 7.929175416092924, 0.23910357463604265),
-    199: (78.62966055261279, 10.353193671144151, 0.2723168628697232),
+    24: (9.59579230476793, 0.07251446765338009, 0.04231731235886589),
+    49: (19.618447785474732, 0.6325072962740231, 0.06936944902844408),
+    74: (29.551918091022525, 1.5005957836201491, 0.1070520845048709),
+    99: (39.49014608770274, 2.610384546379379, 0.136381867425791),
+    124: (49.40345796517749, 4.069300976698963, 0.17086285304409846),
+    149: (59.257044635766455, 5.868994719938915, 0.20450815978169903),
+    174: (69.03074073231575, 7.9597219637644665, 0.24034937996926986),
+    199: (78.59372604967754, 10.356404716177488, 0.26772076226533575),
 }
 
 
@@ -509,3 +513,44 @@ class TestPinnedFilter:
                 got[i] = pose.as_array()
         np.testing.assert_allclose([got[i] for i in DESK_FILTER_POSES], list(DESK_FILTER_POSES.values()),
                                    rtol=0, atol=1e-12)
+
+
+def _turned(p: Pose, theta: float) -> Pose:
+    """A pose turned about the world origin by theta."""
+    return Pose(*vehicle_to_utm([[p.x, p.y]], Pose(0.0, 0.0, theta))[0], p.phi + theta)
+
+
+class TestHeadingInvariance:
+    """A correction reads its offset in the vehicle frame, so turning the whole world turns its error with it."""
+
+    def test_single_shot_rmse_is_the_same_at_every_true_heading(self):
+        # the 200 scenes of seed 101 at the origin, the world turned so the true heading is 0, 45, 90 and 180 deg
+        params = load_checkpoint(str(ROOT / "perfbench" / "desk_checkpoint.json"))
+        scenes = experiment.generate_scene_set(SimConfig(distribution="mixture", seed=101), 1.0, math.radians(4.0),
+                                               200, 101)
+        rmse = {}
+        for deg in (0, 45, 90, 180):
+            theta = math.radians(deg)
+            turned = [Scene(sc.t, _turned(sc.gt_pose, theta), _turned(sc.gps_pose, theta), sc.measurements,
+                            vehicle_to_utm(sc.landmarks, Pose(0.0, 0.0, theta))) for sc in scenes]
+            preds, gts, _ = experiment.evaluate_gps(params, turned, None, experiment.FOV_RADIUS)
+            rmse[deg] = float(np.sqrt((pose_errors(preds, gts)[:, :2] ** 2).sum(axis=1).mean()))
+        assert all(abs(r - rmse[0]) <= 0.05 * rmse[0] for r in rmse.values()), rmse
+
+    def test_gps_inference_error_is_unchanged_by_turning_the_world(self):
+        # small random-init weights; the error is read in the true vehicle frame
+        params = net.init_params(net.NetConfig(d_m=16, heads=2, k=3, seed=4))
+        meas, lm = generate_scene(SimConfig(distribution="mixture", seed=8), np.random.default_rng(8))
+        truth = Pose(14.0, -6.0, 0.7)
+        gps = Pose(truth.x + 0.5, truth.y - 0.3, truth.phi + 0.04)
+        lmap = vehicle_to_utm(lm, truth)
+
+        def error(theta):
+            est = gps_inference(params, vehicle_to_utm(lmap, Pose(0.0, 0.0, theta)), meas, _turned(gps, theta), 100.0)
+            t = _turned(truth, theta)
+            return [*utm_to_vehicle([[est.x, est.y]], t)[0], wrap_angle(est.phi - t.phi)]
+
+        base = error(0.0)
+        assert max(abs(e) for e in base) > 1e-3  # the network moves the prior, so the check has teeth
+        for theta in (0.3, math.pi / 2, -2.0, math.pi):
+            np.testing.assert_allclose(error(theta), base, rtol=0, atol=1e-9)
