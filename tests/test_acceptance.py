@@ -201,7 +201,7 @@ class TestAcceptance:
             rng = np.random.default_rng(200 + seed)
             m = rng.uniform(-25, 25, size=(18, 2))
             applied = Pose(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
-                                 math.radians(rng.uniform(-5, 5)))
+                           math.radians(rng.uniform(-5, 5)))
             expect = invert_offset(applied)
             result = icp(m, perturb_points(m, applied))
             worst_t = max(worst_t, abs(result.offset.x - expect.x), abs(result.offset.y - expect.y))

@@ -53,7 +53,7 @@ class TestIcp:
         rng = np.random.default_rng(100 + seed)
         m = rng.uniform(-25, 25, size=(20, 2))
         applied = Pose(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5),
-                             math.radians(rng.uniform(-5, 5)))
+                       math.radians(rng.uniform(-5, 5)))
         lm = perturb_points(m, applied)
         expect = invert_offset(applied)
         result = icp(m, lm)

@@ -172,7 +172,7 @@ class TestPerturbPoints:
         # transforming with the offset-as-pose is the inverse rigid perturbation
         pts = np.array([[3.0, -4.0], [0.5, 2.5]])
         d = Pose(0.4, 0.9, -0.3)
-        a = utm_to_vehicle(pts, Pose(d.x, d.y, d.phi))
+        a = utm_to_vehicle(pts, d)
         b = perturb_points(pts, invert_offset(d))
         np.testing.assert_allclose(a, b, atol=1e-12)
 
